@@ -81,12 +81,23 @@ def _require(block: dict, name: str, where: str):
     return block[name]
 
 
+def _is_finite_number(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def build_kernel(block: dict) -> ker.TriKernel:
     family = _require(block, "family", "kernel")
-    dim = int(_require(block, "dim", "kernel"))
-    if family not in _KERNEL_FIELDS:
+    _require(block, "dim", "kernel")
+    if not isinstance(family, str) or family not in _KERNEL_FIELDS:
         raise ConfigError(f"unknown kernel family '{family}'")
     _check_fields(block, _KERNEL_FIELDS[family] | {"family", "dim"}, "kernel")
+    for name, value in block.items():
+        if name != "family" and not _is_finite_number(value):
+            raise ConfigError(f"kernel field '{name}' must be a finite number, got {value!r}")
+    dim = int(float(block["dim"]))
     try:
         if family == "gaussian":
             if "c" in block:

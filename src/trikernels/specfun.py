@@ -14,6 +14,15 @@ fixed-order Gauss-Legendre panels inside each segment.  Profiles with
 slowly decaying tails (e.g. rational ones) produce alternating segment
 sums that converge like 1/k; those are resummed by iterated averaging of
 the partial sums, which turns the 1/k tail into geometric convergence.
+
+A whole array of frequencies is integrated in one pass: the k-th segment
+of every frequency still running is evaluated with one profile call and
+one Bessel call, and each frequency leaves the pass when its own stopping
+test holds.  The Bessel factor is evaluated by order class.  Every order
+the transforms use, mu = d/2 - 1 and mu + 1, is an integer or a
+half-integer: orders 0 and 1 go to the dedicated ``j0``/``j1``,
+half-integers n + 1/2 to sqrt(2x/pi) j_n(x) with the spherical Bessel
+function j_n, and only the remaining orders to the general ``jv``.
 """
 
 from __future__ import annotations
@@ -53,6 +62,22 @@ class HankelQuadConfig:
 
 DEFAULT_QUAD = HankelQuadConfig()
 
+# partial sums kept for the iterated-mean limit estimate
+_MEAN_WINDOW = 48
+
+
+def _jv(nu, x):
+    """J_nu(x) for x >= 0, dispatched on the order class of a scalar nu."""
+    if np.ndim(nu) == 0:
+        nu = float(nu)
+        if nu == 0.0:
+            return sp.j0(x)
+        if nu == 1.0:
+            return sp.j1(x)
+        if nu >= 0.5 and (nu - 0.5).is_integer():
+            return sp.spherical_jn(int(nu - 0.5), x) * np.sqrt(x * (2.0 / np.pi))
+    return sp.jv(nu, x)
+
 
 def bessel_j(nu, x):
     """Bessel function of the first kind J_nu(x) for x >= 0.
@@ -67,7 +92,8 @@ def bessel_j(nu, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise ValueError("argument x must be finite and >= 0")
-    return sp.jv(nu, x)[()] if x.ndim == 0 else sp.jv(nu, x)
+    out = _jv(nu, x)
+    return out[()] if x.ndim == 0 else out
 
 
 def bessel_k(nu, x):
@@ -143,29 +169,52 @@ def _probe_tail_scale(f, weight_power: float) -> float:
 
 
 def _iterated_mean(psums):
-    """Limit estimate for a sequence of partial sums by repeated averaging.
+    """Limit estimates for rows of partial sums by repeated averaging.
 
-    Equivalent to an Euler transformation for alternating tails; returns
-    the deepest estimate together with the last-level difference as an
-    error proxy.
+    Equivalent to an Euler transformation for alternating tails; for each
+    row returns the deepest estimate together with the last-level
+    difference as an error proxy.
     """
     row = np.asarray(psums, dtype=float)
-    prev = row[-1]
+    prev = row[:, -1]
     best = prev
-    err = np.inf
-    while row.size > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        cur = row[-1]
-        step = abs(cur - prev)
-        if step <= err:
-            err = step
-            best = cur
+    err = np.full(prev.shape, np.inf)
+    while row.shape[1] > 1:
+        row = 0.5 * (row[:, :-1] + row[:, 1:])
+        cur = row[:, -1]
+        step = np.abs(cur - prev)
+        better = step <= err
+        err = np.where(better, step, err)
+        best = np.where(better, cur, best)
         prev = cur
     return best, err
 
 
+def _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights):
+    """Integral of r**weight_power f(r) J_nu(w r) over [lo, hi], per frequency.
+
+    Each interval is split at the ladder cuts strictly inside it, so the
+    number of Gauss-Legendre panels varies by frequency: the ladder is
+    clipped into every interval and the zero-width panels this leaves are
+    dropped before any evaluation.  The panels of all frequencies are laid
+    out flat and summed back by owner.
+    """
+    edges = np.column_stack([lo, np.clip(ladder[None, :], lo[:, None], hi[:, None]), hi])
+    a, b = edges[:, :-1], edges[:, 1:]
+    live = b > a
+    owner = np.nonzero(live)[0]
+    a, b = a[live], b[live]
+    mid = 0.5 * (b + a)
+    half = 0.5 * (b - a)
+    r = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = np.asarray(f(r.ravel()), dtype=float).reshape(r.shape) \
+        * r ** weight_power * _jv(nu, w[owner][:, None] * r)
+    panels = (vals @ weights) * half
+    return np.bincount(owner, weights=panels, minlength=lo.size)
+
+
 def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QUAD,
-                    tail_hint: float | None = None) -> float:
+                    tail_hint: float | None = None):
     """Evaluate int_0^inf r**weight_power f(r) J_nu(rho r) dr.
 
     Parameters
@@ -176,8 +225,10 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
         Power of the algebraic weight.
     nu : float
         Order of the Bessel factor, >= -1/2.
-    rho : float
-        Oscillation frequency, > 0.
+    rho : float or array_like
+        Oscillation frequencies, > 0.  An array is integrated in one pass,
+        each frequency with its own stopping tests; the result has rho's
+        shape, and a scalar rho gives a float.
     cfg : HankelQuadConfig
         Segmentation and panel controls.
     tail_hint : float, optional
@@ -189,58 +240,73 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
     ------
     HankelConvergenceError
         If cfg.max_segments zero-to-zero segments do not reach the
-        requested tolerance.
+        requested tolerance at some frequency; the message names one.
     """
-    if rho <= 0:
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
         raise ValueError("rho must be positive")
-    if np.asarray(nu).item() < -0.5:
+    nu = float(np.asarray(nu).item())
+    if nu < -0.5:
         raise ValueError("order nu must be >= -1/2")
 
     if tail_hint is not None and np.isfinite(tail_hint):
         hint = float(tail_hint)
     else:
         hint = _probe_tail_scale(f, weight_power)
+    tol = cfg.segment_tol
     nodes, weights = _gauss_legendre(cfg.nodes_per_segment)
-    zeros = _bessel_zeros(nu, cfg.max_segments) / rho
+    zeros = _bessel_zeros(nu, cfg.max_segments)
     # extra cuts resolving the profile mass when oscillation is slow
     ladder = hint * 2.0 ** np.arange(-5, 4, dtype=float)
 
-    def panel(a: float, b: float) -> float:
-        cuts = ladder[(ladder > a) & (ladder < b)]
-        edges = np.concatenate(([a], cuts, [b]))
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        r = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        vals = np.asarray(f(r), dtype=float) * r ** weight_power * sp.jv(nu, rho * r)
-        vals = vals.reshape(-1, nodes.size) * weights[None, :]
-        return float(np.sum(vals.sum(axis=1) * half))
+    out = np.empty(rho.size)
+    # state of the frequencies still running, compacted as they finish
+    idx = np.arange(rho.size)
+    w = rho.ravel()
+    reach = np.minimum(hint, zeros[-1] / w)
+    acc = np.zeros(rho.size)
+    seg_scale = np.zeros(rho.size)
+    prev_small = np.zeros(rho.size, dtype=bool)
+    window = np.empty((rho.size, _MEAN_WINDOW))   # last partial sums, cyclic
+    lo = np.zeros(rho.size)
 
-    acc = 0.0
-    psums = []
-    seg_scale = 0.0
-    prev_small = False
-    lo = 0.0
+    def recent(k):
+        n = min(k + 1, _MEAN_WINDOW)
+        return window[:, np.arange(k + 1 - n, k + 1) % _MEAN_WINDOW]
+
     for k in range(cfg.max_segments):
-        hi = float(zeros[k])
-        s = panel(lo, hi)
+        if idx.size == 0:
+            break
+        hi = zeros[k] / w
+        s = _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights)
         acc += s
-        psums.append(acc)
-        seg_scale = max(seg_scale, abs(s))
-        small = abs(s) <= cfg.segment_tol * max(abs(acc), 1e-300)
-        if small and prev_small and hi >= min(hint, zeros[-1]):
-            return acc
+        window[:, k % _MEAN_WINDOW] = acc
+        seg_scale = np.maximum(seg_scale, np.abs(s))
+        small = np.abs(s) <= tol * np.maximum(np.abs(acc), 1e-300)
+        done = small & prev_small & (hi >= reach)
+        out[idx[done]] = acc[done]
         prev_small = small
         if k >= 8 and k % 4 == 0:
-            val, err = _iterated_mean(psums[-48:])
-            if err <= max(cfg.segment_tol * abs(val), 5e-16 * seg_scale):
-                return val
+            val, err = _iterated_mean(recent(k))
+            settled = ~done & (err <= np.maximum(tol * np.abs(val), 5e-16 * seg_scale))
+            out[idx[settled]] = val[settled]
+            done |= settled
+        if done.any():
+            keep = ~done
+            idx, w, reach, acc, seg_scale, prev_small, window, hi = (
+                a[keep] for a in (idx, w, reach, acc, seg_scale, prev_small, window, hi))
         lo = hi
-    val, err = _iterated_mean(psums[-48:])
-    if err <= max(1e3 * cfg.segment_tol * abs(val), 1e-14 * seg_scale):
-        return val
-    raise HankelConvergenceError(
-        f"no convergence after {cfg.max_segments} segments "
-        f"(last error estimate {err:.3e})")
+    if idx.size:
+        val, err = _iterated_mean(recent(cfg.max_segments - 1))
+        ok = err <= np.maximum(1e3 * tol * np.abs(val), 1e-14 * seg_scale)
+        out[idx[ok]] = val[ok]
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise HankelConvergenceError(
+                f"no convergence after {cfg.max_segments} segments at "
+                f"rho={w[bad]:.6g} (last error estimate {err[bad]:.3e}; "
+                f"{int(np.count_nonzero(~ok))} of {rho.size} frequencies failed)")
+    return float(out[0]) if rho.ndim == 0 else out.reshape(rho.shape)
 
 
 def radial_moment(f, power, tail_hint: float | None = None,

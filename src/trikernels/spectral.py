@@ -124,10 +124,14 @@ def _tail_scale_from_samples(grid, a, b) -> float:
     return float(grid[min(alive[-1] + 1, len(grid) - 1)])
 
 
-def spectral_pair_at(k: TriKernel, rho: float,
-                     cfg: HankelQuadConfig = DEFAULT_QUAD) -> tuple[float, float]:
-    """(hpar, hperp) of kernel k at one frequency, by quadrature."""
+def spectral_pair_at(k: TriKernel, rho, cfg: HankelQuadConfig = DEFAULT_QUAD):
+    """(hpar, hperp) of kernel k by quadrature, at one frequency or an array.
+
+    An array of frequencies takes one whole-grid pass per integrand and
+    gives two arrays of its shape; a scalar frequency gives two floats.
+    """
     mu = k.mu
+    rho = np.asarray(rho, dtype=float)
     w = TWO_PI * rho
     i_par = hankel_integral(k.k_par, mu + 1.0, mu, w, cfg, tail_hint=k.tail_scale)
     i_perp = hankel_integral(k.k_perp, mu + 1.0, mu, w, cfg, tail_hint=k.tail_scale)
@@ -151,10 +155,7 @@ def forward_map(k: TriKernel, rho_grid=None,
     rho_grid = np.asarray(rho_grid, dtype=float)
     if np.any(rho_grid <= 0):
         raise ValueError("rho grid must be positive")
-    hp = np.empty_like(rho_grid)
-    hq = np.empty_like(rho_grid)
-    for i, rho in enumerate(rho_grid):
-        hp[i], hq[i] = spectral_pair_at(k, float(rho), cfg)
+    hp, hq = spectral_pair_at(k, rho_grid, cfg)
     return Spectrum(
         dim=k.dim,
         h_par=_TabulatedRadial(rho_grid, hp),
@@ -191,23 +192,20 @@ def inverse_map(s: Spectrum, r_grid,
         raise ValueError("r grid must be nonnegative")
     mu = s.mu
     diff = lambda p: s.h_par(p) - s.h_perp(p)
+    small = r_grid < SMALL_R_LIMIT
     kp = np.empty_like(r_grid)
     kq = np.empty_like(r_grid)
-    limit = None
-    for i, r in enumerate(r_grid):
-        if r < SMALL_R_LIMIT:
-            if limit is None:
-                limit = inverse_limits(s)
-            kp[i] = kq[i] = limit
-            continue
-        w = TWO_PI * r
-        i_par = hankel_integral(s.h_par, mu + 1.0, mu, w, cfg, tail_hint=s.tail_scale)
-        i_perp = hankel_integral(s.h_perp, mu + 1.0, mu, w, cfg, tail_hint=s.tail_scale)
-        i_d = hankel_integral(diff, mu, mu + 1.0, w, cfg, tail_hint=s.tail_scale)
-        lead = TWO_PI / r ** mu
-        cross = i_d / r ** (mu + 1.0)
-        kp[i] = lead * i_par - (2.0 * mu + 1.0) * cross
-        kq[i] = lead * i_perp + cross
+    if small.any():
+        kp[small] = kq[small] = inverse_limits(s)
+    r = r_grid[~small]
+    w = TWO_PI * r
+    i_par = hankel_integral(s.h_par, mu + 1.0, mu, w, cfg, tail_hint=s.tail_scale)
+    i_perp = hankel_integral(s.h_perp, mu + 1.0, mu, w, cfg, tail_hint=s.tail_scale)
+    i_d = hankel_integral(diff, mu, mu + 1.0, w, cfg, tail_hint=s.tail_scale)
+    lead = TWO_PI / r ** mu
+    cross = i_d / r ** (mu + 1.0)
+    kp[~small] = lead * i_par - (2.0 * mu + 1.0) * cross
+    kq[~small] = lead * i_perp + cross
     return kp, kq
 
 

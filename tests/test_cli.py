@@ -5,6 +5,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from trikernels import cli
 from trikernels import dynamics as D
@@ -59,6 +60,9 @@ def test_unknown_kernel_field_is_input_error(tmp_path, capsys):
 def test_unknown_family_is_input_error(tmp_path):
     code = run(tmp_path, "certify", {"kernel": {"family": "nope", "dim": 2}})
     assert code == 2
+    # an unhashable family must not reach the family-table lookup
+    code = run(tmp_path, "certify", {"kernel": {"family": ["gaussian"], "dim": 2}})
+    assert code == 2
 
 
 def test_unknown_top_level_block_is_input_error(tmp_path):
@@ -66,6 +70,33 @@ def test_unknown_top_level_block_is_input_error(tmp_path):
                {"kernel": {"family": "gaussian", "c": 1.0, "dim": 2},
                 "momento": [[1, 0]]})
     assert code == 2
+
+
+# one valid kernel block per family; each numeric field is poisoned in turn
+VALID_KERNELS = {
+    "gaussian": {"c": 1.0, "b": 1.0},
+    "cauchy": {"sigma": 1.0},
+    "bessel": {"sigma": 1.0, "ell": 2.0},
+    "example1": {"a": 1.5, "b": 1.0, "c": 1.0},
+    "example2": {"a": 1.5, "b": 1.0, "c": 1.0},
+    "gaussian_curl_free": {"b": 1.0, "c": 1.0},
+    "gaussian_div_free": {"b": 1.0, "c": 1.0},
+    "bessel_curl_free": {"sigma": 1.0, "ell": 2.0},
+    "bessel_div_free": {"sigma": 1.0, "ell": 2.0},
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "spectrum", "hodge"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("family", sorted(VALID_KERNELS))
+def test_non_finite_kernel_parameter_is_input_error(tmp_path, capsys, family, bad, command):
+    for name in [*VALID_KERNELS[family], "dim"]:
+        kernel = {"family": family, "dim": 2, **VALID_KERNELS[family], name: bad}
+        assert run(tmp_path, command, {"kernel": kernel}) == 2, name
+        captured = capsys.readouterr()
+        assert "must be a finite number" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

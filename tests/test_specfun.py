@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from trikernels import specfun as sf
 
@@ -93,6 +94,15 @@ def test_gamma_domain_errors():
         sf.lower_gamma(1.0, -0.5)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+def test_bessel_j_order_dispatch_matches_jv(nu):
+    # j0/j1 for orders 0 and 1, spherical j_n for n + 1/2, jv otherwise
+    x = np.concatenate(([0.0], np.linspace(0.0, 200.0, 4001)[1:],
+                        np.geomspace(1e-8, 200.0, 400)))
+    assert np.max(np.abs(sf.bessel_j(nu, x) - jv(nu, x))) <= 1e-14
+    assert sf.bessel_j(nu, 0.0) == jv(nu, 0.0)
+
+
 # --- recurrence / derivative identities ------------------------------------
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -178,6 +188,42 @@ def test_hankel_nonconvergence_error():
     with pytest.raises(sf.HankelConvergenceError):
         sf.hankel_integral(lambda r: 1.0 / (1.0 + r), 0.0, 0.0, 50.0,
                            cfg=cfg, tail_hint=1.0)
+
+
+# frequencies spanning the default spectral grid, times 2 pi
+FREQS = 2 * math.pi * np.geomspace(1e-3, 20.0, 48)
+
+
+@pytest.mark.parametrize("f,weight,nu,hint", [
+    (lambda r: np.exp(-r * r), 1.0, 0.0, math.sqrt(48.0)),             # d=2 Gaussian
+    (lambda r: np.exp(-0.7 * r * r), 2.5, 1.5, math.sqrt(48.0 / 0.7)),  # d=3 Gaussian
+    (lambda r: 1.0 / (1.0 + r * r), 1.0, 0.0, 8.0),                   # iterated-mean tail
+    (lambda r: np.zeros_like(r), 1.0, 0.0, 1.0),
+], ids=["gaussian-d2", "gaussian-d3", "cauchy", "zero"])
+def test_hankel_array_matches_scalar_calls(f, weight, nu, hint):
+    got = sf.hankel_integral(f, weight, nu, FREQS, tail_hint=hint)
+    want = np.array([sf.hankel_integral(f, weight, nu, float(p), tail_hint=hint)
+                     for p in FREQS])
+    assert got.shape == FREQS.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_hankel_array_with_one_nonconvergent_frequency():
+    cfg = sf.HankelQuadConfig(segment_tol=1e-10, max_segments=8, nodes_per_segment=8)
+    f = lambda r: np.exp(-r * r)
+    # the low frequencies settle within the budget; rho = 400 needs ~900 segments
+    rho = np.array([0.5, 1.0, 2.0])
+    got = sf.hankel_integral(f, 1.0, 0.0, rho, cfg=cfg, tail_hint=7.0)
+    np.testing.assert_allclose(got, 0.5 * np.exp(-rho ** 2 / 4), rtol=1e-9)
+    with pytest.raises(sf.HankelConvergenceError, match=r"rho=400 .*1 of 4"):
+        sf.hankel_integral(f, 1.0, 0.0, np.array([0.5, 1.0, 2.0, 400.0]),
+                           cfg=cfg, tail_hint=7.0)
+
+
+def test_hankel_scalar_rho_returns_float():
+    got = sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, 0.0, 2.0, tail_hint=7.0)
+    assert type(got) is float
+    assert got == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
 
 
 def test_quad_config_validation():
