@@ -155,9 +155,25 @@ def _momenta(cfg: dict, n: int, dim: int) -> flds.MomentaSet:
     return flds.MomentaSet(vecs)
 
 
+def _finite_fields(block: dict, names, where: str) -> None:
+    for name in names:
+        if not _is_finite_number(block[name]):
+            raise ConfigError(f"'{where}' field '{name}' must be a finite number, "
+                              f"got {block[name]!r}")
+
+
+def _numeric_block(cfg: dict, where: str) -> dict:
+    """A certify/spectrum/hodge block merged with its defaults, every field finite."""
+    block = {**_DEFAULTS[where], **cfg.get(where, {})}
+    _check_fields(block, set(_DEFAULTS[where]), where)
+    _finite_fields(block, block, where)
+    return {name: float(value) for name, value in block.items()}
+
+
 def _integrator(cfg: dict) -> dyn.IntegratorConfig:
     block = {**_DEFAULTS["integrator"], **cfg.get("integrator", {})}
     _check_fields(block, {"scheme", "step", "record_every"}, "integrator")
+    _finite_fields(block, ("step", "record_every"), "integrator")
     try:
         return dyn.IntegratorConfig(scheme=block["scheme"], step=float(block["step"]),
                                     record_every=int(block["record_every"]))
@@ -165,13 +181,22 @@ def _integrator(cfg: dict) -> dyn.IntegratorConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _grid_axis(block: dict, name: str) -> tuple:
+    values = _require(block, name, "grid")
+    if not isinstance(values, list) or not all(map(_is_finite_number, values)):
+        raise ConfigError(f"'grid' field '{name}' must be a list of finite numbers, "
+                          f"got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 def _grid_spec(block: dict) -> dyn.GridSpec:
     _check_fields(block, {"lo", "hi", "n"}, "grid")
-    lo = tuple(float(v) for v in _require(block, "lo", "grid"))
-    hi = tuple(float(v) for v in _require(block, "hi", "grid"))
-    n = tuple(int(v) for v in _require(block, "n", "grid"))
+    lo, hi = _grid_axis(block, "lo"), _grid_axis(block, "hi")
+    n = tuple(int(v) for v in _grid_axis(block, "n"))
     if not len(lo) == len(hi) == len(n):
         raise ConfigError("grid lo/hi/n must have equal lengths")
+    if min(n, default=2) < 2:
+        raise ConfigError(f"grid needs at least 2 points per axis, got n = {list(n)}")
     return dyn.GridSpec(lo=lo, hi=hi, n=n)
 
 
@@ -205,7 +230,6 @@ def _effective(cfg: dict, command: str) -> dict:
         if key == command or key in cfg:
             merged[key] = {**_DEFAULTS[key], **cfg.get(key, {})}
     merged["command"] = command
-    merged["seed"] = merged.get("seed", 0)
     return merged
 
 
@@ -225,8 +249,7 @@ _TOP_LEVEL = {
 
 def cmd_certify(cfg: dict, args) -> int:
     k = build_kernel(_require(cfg, "kernel", "top-level"))
-    block = {**_DEFAULTS["certify"], **cfg.get("certify", {})}
-    _check_fields(block, set(_DEFAULTS["certify"]), "certify")
+    block = _numeric_block(cfg, "certify")
     grid = np.geomspace(block["rho_min"], block["rho_max"], int(block["n"]))
     verdict = spec.certify_pd(k, grid, tol=float(block["tol"]))
     if verdict.positive:
@@ -243,8 +266,7 @@ def cmd_certify(cfg: dict, args) -> int:
 
 def cmd_spectrum(cfg: dict, args) -> int:
     k = build_kernel(_require(cfg, "kernel", "top-level"))
-    block = {**_DEFAULTS["spectrum"], **cfg.get("spectrum", {})}
-    _check_fields(block, set(_DEFAULTS["spectrum"]), "spectrum")
+    block = _numeric_block(cfg, "spectrum")
     out = _output(cfg)
     grid = np.geomspace(block["rho_min"], block["rho_max"], int(block["n"]))
     s = spec.forward_map(k, grid)
@@ -424,8 +446,7 @@ def cmd_expmap(cfg: dict, args) -> int:
 
 def cmd_hodge(cfg: dict, args) -> int:
     k = build_kernel(_require(cfg, "kernel", "top-level"))
-    block = {**_DEFAULTS["hodge"], **cfg.get("hodge", {})}
-    _check_fields(block, set(_DEFAULTS["hodge"]), "hodge")
+    block = _numeric_block(cfg, "hodge")
     out = _output(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spec.HeavyTailWarning)
@@ -488,8 +509,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON experiment config")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized self-checks")
     common.add_argument("--print-effective-config", action="store_true",
                         help="dump the merged config with defaults and exit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -503,7 +522,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    np.random.seed(args.seed)
     try:
         _check_fields(cfg, _TOP_LEVEL[args.command], "top-level")
         if args.print_effective_config:

@@ -9,10 +9,13 @@ cometric by
 the geodesic equations of the landmark manifold.  The value
 H = 1/2 sum_ab p_a . k(q_a - q_b) p_b is conserved along exact
 solutions; its drift under the fixed-step integrator is the error
-diagnostic every experiment reports.  A second integration pass
-transports an ambient lattice through the time-dependent velocity
-field spanned by the moving landmarks, yielding the deformation map
-and its Jacobian determinants.
+diagnostic every experiment reports.  `shoot` and `exp_map_fan` share
+one fixed-step integrator that advances a batch of members with shared
+start positions at once, each with its own coalescence test; a single
+shoot is a batch of one.  A second integration pass transports an
+ambient lattice through the time-dependent velocity field spanned by
+the moving landmarks, yielding the deformation map and its Jacobian
+determinants.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import LandmarkConfig, MomentaSet, field_apply
-from .kernels import ZERO_RADIUS, TriKernel, ktilde
+from .kernels import ZERO_RADIUS, TriKernel, pair_coefficients
 
 COALESCENCE_TOL = 1e-6
 
@@ -93,11 +96,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.q.shape[2]
 
-    @property
-    def states(self) -> list[PhaseState]:
-        return [PhaseState(self.q[i], self.p[i], float(self.times[i]))
-                for i in range(len(self.times))]
-
     def final_state(self) -> PhaseState:
         return PhaseState(self.q[-1], self.p[-1], float(self.times[-1]))
 
@@ -133,129 +131,165 @@ class FlowGrid:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian and its vector field
+# Hamiltonian and its vector field, on a leading batch axis
 # ---------------------------------------------------------------------------
 
-def _pairwise(q: np.ndarray):
-    diffs = q[:, None, :] - q[None, :, :]
-    r = np.linalg.norm(diffs, axis=-1)
-    return diffs, r
+def _differences(q: np.ndarray) -> np.ndarray:
+    """q_a - q_b for positions q of shape (..., N, d), shape (..., N, N, d)."""
+    return q[..., :, None, :] - q[..., None, :, :]
 
 
-def _check_separation(r: np.ndarray, t: float):
-    n = r.shape[0]
-    if n < 2:
-        return
-    masked = r + np.diag(np.full(n, np.inf))
-    idx = np.unravel_index(np.argmin(masked), masked.shape)
-    if masked[idx] < COALESCENCE_TOL:
-        raise CoalescenceError((int(idx[0]), int(idx[1])), t, float(masked[idx]))
+def _dots(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x_ab . p_a; its negated transpose is x_ab . p_b, since x_ba = -x_ab."""
+    return (x @ p[..., :, :, None])[..., 0]
 
 
-def _ham(k: TriKernel, q: np.ndarray, p: np.ndarray) -> float:
-    diffs, r = _pairwise(q)
-    rs = np.maximum(r, ZERO_RADIUS)
-    kperp = k.k_perp(rs)
-    kt = ktilde(k, rs)
-    dots_pp = p @ p.T
-    dots_xp = np.einsum("abd,bd->ab", diffs, p)
-    dots_px = np.einsum("abd,ad->ab", diffs, p)
-    quad = kperp * dots_pp + kt * dots_px * dots_xp
-    off = np.where(r < ZERO_RADIUS, 0.0, quad)
-    diag_mask = np.eye(len(q), dtype=bool)
-    off[diag_mask] = 0.0
-    diag = k.k0 * np.einsum("ad,ad->a", p, p)
-    return 0.5 * (off.sum() + diag.sum())
+def _row_sums(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_b a_ab x_ab for a of shape (..., N, N) and x of shape (..., N, N, d)."""
+    return (a[..., None, :] @ x)[..., 0, :]
+
+
+def _ham(k: TriKernel, q: np.ndarray, p: np.ndarray):
+    """H for states of shape (..., N, d); one value per leading index."""
+    x = _differences(q)
+    c = pair_coefficients(k, x)
+    v = _dots(x, p)
+    quad = c.kperp * (p @ np.swapaxes(p, -1, -2)) - c.ktilde * v * np.swapaxes(v, -1, -2)
+    return 0.5 * quad.sum(axis=(-2, -1))
 
 
 def hamiltonian(k: TriKernel, s: PhaseState) -> float:
     """H = 1/2 sum_ab p_a . k(q_a - q_b) p_b, the kernel cometric quadratic."""
-    return _ham(k, np.asarray(s.q, dtype=float), np.asarray(s.p, dtype=float))
+    return float(_ham(k, np.asarray(s.q, dtype=float), np.asarray(s.p, dtype=float)))
 
 
-def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, t: float):
-    """Right-hand side of the geodesic equations; self-terms contribute 0
-    to dp because the derivative of a smooth even kernel vanishes at 0."""
-    n, d = q.shape
-    diffs, r = _pairwise(q)
-    _check_separation(r, t)
-    rs = np.maximum(r, ZERO_RADIUS)
-    off = ~np.eye(n, dtype=bool)
+def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray):
+    """Right-hand side of the geodesic equations for states (B, N, d).
 
-    kperp = k.k_perp(rs)
-    kt = ktilde(k, rs)
-    dot_xp = np.einsum("abd,bd->ab", diffs, p)           # (q_a - q_b) . p_b
-    dq = k.k0 * p + np.einsum("ab,bd->ad", np.where(off, kperp, 0.0), p) \
-        + np.einsum("ab,abd->ad", np.where(off, kt * dot_xp, 0.0), diffs)
+    Returns (dq, dp, r) with r the (B, N, N) pairwise distances for the
+    coalescence test.  Self-terms contribute 0 to dp: the displacement
+    vanishes and the primitive's radial derivatives are 0 at zero radius.
+    """
+    x = _differences(q)
+    c = pair_coefficients(k, x, derivatives=True)
+    inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
+    u = _dots(x, p)                                       # x_ab . p_a
+    w = -np.swapaxes(u, -1, -2)                           # x_ab . p_b
+    kw = c.ktilde * w
+    dq = c.kperp @ p + _row_sums(kw, x)
 
-    dkpar = k.dk_par(rs)
-    dkperp = k.dk_perp(rs)
-    xhat = diffs / rs[..., None]
-    u = np.einsum("abd,ad->ab", xhat, p)                 # p_a . xhat
-    w = np.einsum("abd,bd->ab", xhat, p)                 # p_b . xhat
-    s_pp = p @ p.T                                        # p_a . p_b
-    radial = dkpar * u * w + dkperp * (s_pp - u * w) - 2.0 * rs * kt * u * w
-    radial = np.where(off, radial, 0.0)
-    mixed = np.where(off, rs * kt, 0.0)
-    grad = np.einsum("ab,abd->ad", radial, xhat) \
-        + np.einsum("ab,ab,ad->ad", mixed, w, p) \
-        + np.einsum("ab,ab,bd->ad", mixed, u, p)
-    return dq, -grad
+    uw = u * w * np.square(inv_r)                         # (p_a . xhat)(p_b . xhat)
+    s_pp = p @ np.swapaxes(p, -1, -2)                     # p_a . p_b
+    radial = (c.dkpar * uw + c.dkperp * (s_pp - uw)) * inv_r - 2.0 * c.ktilde * uw
+    grad = _row_sums(radial, x) + kw.sum(axis=-1)[..., None] * p + (c.ktilde * u) @ p
+    return dq, -grad, c.r
+
+
+def _coalesced(r: np.ndarray, t: float) -> dict[int, CoalescenceError]:
+    """Batch members whose closest landmark pair is within the threshold."""
+    n = r.shape[-1]
+    flat = (r + np.diag(np.full(n, np.inf))).reshape(len(r), -1)
+    out = {}
+    for m in np.flatnonzero(flat.min(axis=1) < COALESCENCE_TOL):
+        idx = int(np.argmin(flat[m]))
+        out[int(m)] = CoalescenceError((idx // n, idx % n), t, float(flat[m, idx]))
+    return out
 
 
 def hamilton_rhs(k: TriKernel, s: PhaseState):
     """(dq/dt, dp/dt) at a phase state; raises on near-coalescence."""
-    return _rhs(k, np.asarray(s.q, dtype=float), np.asarray(s.p, dtype=float), s.t)
+    dq, dp, r = _rhs(k, np.asarray(s.q, dtype=float)[None],
+                     np.asarray(s.p, dtype=float)[None])
+    errors = _coalesced(r, s.t)
+    if errors:
+        raise errors[0]
+    return dq[0], dp[0]
 
 
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
-def _advance(k: TriKernel, q, p, t, h, scheme):
-    if scheme == "euler":
-        dq, dp = _rhs(k, q, p, t)
-        return q + h * dq, p + h * dp
-    k1q, k1p = _rhs(k, q, p, t)
-    k2q, k2p = _rhs(k, q + 0.5 * h * k1q, p + 0.5 * h * k1p, t + 0.5 * h)
-    k3q, k3p = _rhs(k, q + 0.5 * h * k2q, p + 0.5 * h * k2p, t + 0.5 * h)
-    k4q, k4p = _rhs(k, q + h * k3q, p + h * k3p, t + h)
-    q_new = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    p_new = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return q_new, p_new
+def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
+               cfg: IntegratorConfig) -> list:
+    """Integrate a batch of members from shared positions q0 (N, d).
+
+    `momenta` holds one (N, d) initial momentum per member.  Each RK4
+    stage evaluates every running member at once.  Each member has its
+    own coalescence test; a member that fails at some stage is dropped
+    from the batch once the step ends, and the others continue.
+    Returns, per member, its Trajectory or the CoalescenceError that a
+    lone integration of that member raises.
+    """
+    n_steps = cfg.n_steps
+    h = 1.0 / n_steps
+    p = np.array(momenta, dtype=float)
+    q = np.broadcast_to(np.asarray(q0, dtype=float), p.shape).copy()
+    recorded = [i + 1 for i in range(n_steps)
+                if (i + 1) % cfg.record_every == 0 or i == n_steps - 1]
+    qs = np.zeros((len(recorded) + 1,) + p.shape)
+    ps = np.zeros_like(qs)
+    hs = np.zeros((len(recorded) + 1, len(p)))
+    qs[0], ps[0], hs[0] = q, p, _ham(k, q, p)
+    live = np.arange(len(p))
+    errors: dict[int, CoalescenceError] = {}
+
+    def stage(qs_, ps_, t):
+        dq, dp, r = _rhs(k, qs_, ps_)
+        for m, err in _coalesced(r, t).items():
+            errors.setdefault(int(live[m]), err)
+        return dq, dp
+
+    row = 1
+    for i in range(n_steps):
+        t = i * h
+        if cfg.scheme == "euler":
+            dq, dp = stage(q, p, t)
+            q, p = q + h * dq, p + h * dp
+        else:
+            k1q, k1p = stage(q, p, t)
+            k2q, k2p = stage(q + 0.5 * h * k1q, p + 0.5 * h * k1p, t + 0.5 * h)
+            k3q, k3p = stage(q + 0.5 * h * k2q, p + 0.5 * h * k2p, t + 0.5 * h)
+            k4q, k4p = stage(q + h * k3q, p + h * k3p, t + h)
+            q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        failed = [j for j, m in enumerate(live) if m in errors]
+        if failed:
+            q, p, live = (np.delete(a, failed, axis=0) for a in (q, p, live))
+            if not len(live):
+                break
+        if row <= len(recorded) and recorded[row - 1] == i + 1:
+            qs[row, live], ps[row, live], hs[row, live] = q, p, _ham(k, q, p)
+            row += 1
+    times = np.array([0.0] + recorded) * h
+    return [errors[m] if m in errors else
+            Trajectory(times=times, q=qs[:, m].copy(), p=ps[:, m].copy(),
+                       hamiltonians=hs[:, m].copy(), step=h)
+            for m in range(len(momenta))]
+
+
+def _check_shapes(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet):
+    if q0.dim != k.dim:
+        raise ValueError("kernel and landmark dimensions differ")
+    if p0.n != q0.n or p0.dim != q0.dim:
+        raise ValueError("momenta shape must match the landmark configuration")
 
 
 def shoot(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet,
           cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate the geodesic equations on [0, 1] from (q0, p0).
 
-    Along exact solutions H is constant (equivalently, the instantaneous
-    field norm is), so the recorded series doubles as the integrator
-    error diagnostic.  Aborts with CoalescenceError when two landmarks
-    approach within the threshold.
+    A batch of one through the integrator that `exp_map_fan` uses for a
+    whole fan.  Along exact solutions H is constant (equivalently, the
+    instantaneous field norm is), so the recorded series doubles as the
+    integrator error diagnostic.  Aborts with CoalescenceError when two
+    landmarks approach within the threshold.
     """
-    if q0.dim != k.dim:
-        raise ValueError("kernel and landmark dimensions differ")
-    if p0.n != q0.n or p0.dim != q0.dim:
-        raise ValueError("momenta shape must match the landmark configuration")
-    n_steps = cfg.n_steps
-    h = 1.0 / n_steps
-    q = q0.points.astype(float).copy()
-    p = p0.vectors.astype(float).copy()
-    times = [0.0]
-    qs = [q.copy()]
-    ps = [p.copy()]
-    hs = [_ham(k, q, p)]
-    for i in range(n_steps):
-        t = i * h
-        q, p = _advance(k, q, p, t, h, cfg.scheme)
-        if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            times.append((i + 1) * h)
-            qs.append(q.copy())
-            ps.append(p.copy())
-            hs.append(_ham(k, q, p))
-    return Trajectory(times=np.array(times), q=np.array(qs), p=np.array(ps),
-                      hamiltonians=np.array(hs), step=h)
+    _check_shapes(k, q0, p0)
+    (result,) = _integrate(k, q0.points, p0.vectors[None], cfg)
+    if isinstance(result, CoalescenceError):
+        raise result
+    return result
 
 
 def path_energy(k: TriKernel, traj: Trajectory) -> float:
@@ -340,7 +374,7 @@ def flow_grid(k: TriKernel, traj: Trajectory, spec: GridSpec,
 
 @dataclass(frozen=True)
 class FanResult:
-    """One shoot per momentum sample; failures recorded, fan continues."""
+    """One trajectory per momentum sample; failures recorded, fan continues."""
 
     parameters: np.ndarray
     trajectories: list[Optional[Trajectory]]
@@ -363,19 +397,24 @@ class FanResult:
 def exp_map_fan(k: TriKernel, q0: LandmarkConfig, p_family,
                 cfg: IntegratorConfig = IntegratorConfig(),
                 parameters=None) -> FanResult:
-    """Shoot once per momentum sample in a parameterized family."""
-    trajectories: list[Optional[Trajectory]] = []
-    failures: list[tuple[int, str]] = []
+    """Shoot every momentum sample of a parameterized family from q0.
+
+    The whole fan is one batched integration.  Failures are per member:
+    a member whose landmarks coalesce gets None as its trajectory and a
+    `failures` entry with the text of the CoalescenceError that `shoot`
+    of that member alone raises; the other members continue unchanged.
+    """
     p_list = [p if isinstance(p, MomentaSet) else MomentaSet(np.asarray(p, dtype=float))
               for p in p_family]
-    for i, p0 in enumerate(p_list):
-        try:
-            trajectories.append(shoot(k, q0, p0, cfg))
-        except CoalescenceError as exc:
-            trajectories.append(None)
-            failures.append((i, str(exc)))
+    for p0 in p_list:
+        _check_shapes(k, q0, p0)
+    results = _integrate(k, q0.points, [p0.vectors for p0 in p_list], cfg) if p_list else []
     params = np.arange(len(p_list)) if parameters is None else np.asarray(parameters)
-    return FanResult(parameters=params, trajectories=trajectories, failures=failures)
+    return FanResult(
+        parameters=params,
+        trajectories=[None if isinstance(res, CoalescenceError) else res for res in results],
+        failures=[(i, str(res)) for i, res in enumerate(results)
+                  if isinstance(res, CoalescenceError)])
 
 
 def theta_momenta(magnitude: float, thetas) -> list[np.ndarray]:

@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .kernels import ZERO_RADIUS, TriKernel, eval_matrix, ktilde, partial_matrix
+from .kernels import (ZERO_RADIUS, TriKernel, eval_matrix, ktilde, pair_coefficients,
+                      partial_matrix)
 
 MIN_SEPARATION = 1e-9
 
@@ -100,19 +101,21 @@ class InterpolationResult:
 
 
 def assemble_block_matrix(k: TriKernel, cfg: LandmarkConfig) -> BlockKernelMatrix:
-    """Gram matrix with block (a, b) = k(x_a - x_b); symmetric by parity."""
+    """Gram matrix with block (a, b) = k(x_a - x_b); symmetric by parity.
+
+    Each block is kperp I + ktilde x x^T at x = x_a - x_b; the diagonal
+    blocks are k0 I, the zero-radius limit.
+    """
     if k.dim != cfg.dim:
         raise ValueError("kernel and landmark dimensions differ")
     n, d = cfg.n, cfg.dim
-    out = np.zeros((n * d, n * d))
-    eye = np.eye(d)
-    for a in range(n):
-        out[a * d:(a + 1) * d, a * d:(a + 1) * d] = k.k0 * eye
-        for b in range(a + 1, n):
-            blk = eval_matrix(k, cfg.points[a] - cfg.points[b])
-            out[a * d:(a + 1) * d, b * d:(b + 1) * d] = blk
-            out[b * d:(b + 1) * d, a * d:(a + 1) * d] = blk.T
-    return BlockKernelMatrix(n_landmarks=n, dim=d, matrix=out)
+    x = cfg.points[:, None, :] - cfg.points[None, :, :]     # (N, N, d)
+    c = pair_coefficients(k, x)
+    # x x^T is formed first, so block (b, a) is exactly the transpose of (a, b)
+    outer = x[..., :, None] * x[..., None, :]
+    blocks = c.kperp[..., None, None] * np.eye(d) + c.ktilde[..., None, None] * outer
+    matrix = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    return BlockKernelMatrix(n_landmarks=n, dim=d, matrix=matrix)
 
 
 def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
@@ -126,15 +129,9 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     diffs = pts[:, None, :] - centers[None, :, :]          # (M, N, d)
-    r = np.linalg.norm(diffs, axis=-1)                      # (M, N)
-    rs = np.maximum(r, ZERO_RADIUS)
-    kperp = k.k_perp(rs)
-    kt = ktilde(k, rs)
+    c = pair_coefficients(k, diffs)
     dot = np.einsum("mnd,nd->mn", diffs, momenta)
-    contrib = kperp[..., None] * momenta[None, :, :] + (kt * dot)[..., None] * diffs
-    contrib = np.where((r < ZERO_RADIUS)[..., None],
-                       k.k0 * np.broadcast_to(momenta, contrib.shape), contrib)
-    out = contrib.sum(axis=1)
+    out = c.kperp @ momenta + np.einsum("mn,mnd->md", c.ktilde * dot, diffs)
     return out[0] if single else out
 
 

@@ -16,7 +16,10 @@ The auxiliary coefficient
     ktilde(r) = (kpar(r) - kperp(r)) / r^2
 
 shows up throughout (derivative formulas, field evaluation); families
-carry it in closed form to avoid cancellation at small radii.
+carry it in closed form to avoid cancellation at small radii.  Since
+k(x) alpha = kperp alpha + ktilde (x . alpha) x, the pairwise primitive
+`pair_coefficients` returns kperp and ktilde (and, on request, the
+radial derivatives) at a whole array of displacements.
 """
 
 from __future__ import annotations
@@ -213,16 +216,57 @@ class TriKernel:
         return self.dim / 2.0 - 1.0
 
 
+def _ktilde_safe(k: TriKernel, rs):
+    """ktilde at radii already clamped to at least ZERO_RADIUS."""
+    if k.ktilde_fn is not None:
+        return k.ktilde_fn(rs)
+    return (k.k_par(rs) - k.k_perp(rs)) / np.square(rs)
+
+
 def ktilde(k: TriKernel, r):
     """(kpar - kperp)/r^2 with its limit below the zero threshold."""
     r = np.asarray(r, dtype=float)
-    rs = np.maximum(r, ZERO_RADIUS)
-    if k.ktilde_fn is not None:
-        vals = k.ktilde_fn(rs)
-    else:
-        vals = (k.k_par(rs) - k.k_perp(rs)) / np.square(rs)
-    out = np.where(r < ZERO_RADIUS, k.small_r_ktilde, vals)
+    out = np.where(r < ZERO_RADIUS, k.small_r_ktilde,
+                   _ktilde_safe(k, np.maximum(r, ZERO_RADIUS)))
     return out[()] if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class PairCoefficients:
+    """Radial coefficients of a kernel at an array of displacements.
+
+    With x a displacement and r = |x|, the kernel acts as
+    k(x) alpha = kperp alpha + ktilde (x . alpha) x, and its coordinate
+    derivatives need dkpar and dkperp as well.  Below ZERO_RADIUS the
+    entries hold the limits at the origin: kperp = k0, ktilde its stored
+    small-r value, and dkpar = dkperp = 0 (odd functions of r).
+    """
+
+    r: np.ndarray
+    kperp: np.ndarray
+    ktilde: np.ndarray
+    dkpar: Optional[np.ndarray] = None
+    dkperp: Optional[np.ndarray] = None
+
+
+def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoefficients:
+    """Zero-radius-safe coefficients at displacements x of shape (..., d).
+
+    Every array of the result has shape x.shape[:-1]; the radial
+    derivatives are evaluated only when `derivatives` is set.  This is
+    the one place where Gram blocks, field values, the Hamiltonian and
+    the geodesic right-hand side get their kernel values.
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    rs = np.maximum(r, ZERO_RADIUS)
+    zero = r < ZERO_RADIUS
+    kperp = np.where(zero, k.k0, k.k_perp(rs))
+    kt = np.where(zero, k.small_r_ktilde, _ktilde_safe(k, rs))
+    if not derivatives:
+        return PairCoefficients(r, kperp, kt)
+    return PairCoefficients(r, kperp, kt, np.where(zero, 0.0, k.dk_par(rs)),
+                            np.where(zero, 0.0, k.dk_perp(rs)))
 
 
 def eval_matrix(k: TriKernel, x) -> np.ndarray:

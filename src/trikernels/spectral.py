@@ -25,7 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import special as sp
-from scipy.interpolate import CubicSpline
 
 from .kernels import TriKernel, ktilde
 from .specfun import DEFAULT_QUAD, HankelQuadConfig, hankel_integral, radial_moment
@@ -96,13 +95,21 @@ def _grid_for(k: TriKernel) -> np.ndarray:
     return default_rho_grid(scale=scale)
 
 
+def _cubic_spline(x, y):
+    """scipy's CubicSpline, imported on first use: scipy.interpolate adds
+    ~20 MB of resident memory to a process that never tabulates a spectrum."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(x, y)
+
+
 class _TabulatedRadial:
     """Spline over log-spaced samples, constant below and zero above."""
 
     def __init__(self, grid: np.ndarray, samples: np.ndarray):
         self.grid = np.asarray(grid, dtype=float)
         self.samples = np.asarray(samples, dtype=float)
-        self.spline = CubicSpline(self.grid, self.samples)
+        self.spline = _cubic_spline(self.grid, self.samples)
         self.lo = float(self.grid[0])
         self.hi = float(self.grid[-1])
         self.left = float(self.samples[0])
@@ -371,7 +378,7 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
 
 def _profile_from_samples(r_grid, samples, k0, power):
     """Spline profile with constant head and matched power-law tail."""
-    spline = CubicSpline(r_grid, samples)
+    spline = _cubic_spline(r_grid, samples)
     lo, hi = float(r_grid[0]), float(r_grid[-1])
     tail_coef = float(samples[-1]) * hi ** power
 

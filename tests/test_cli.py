@@ -99,6 +99,30 @@ def test_non_finite_kernel_parameter_is_input_error(tmp_path, capsys, family, ba
         assert "Traceback" not in captured.out + captured.err
 
 
+GAUSS2 = {"family": "gaussian", "c": 1.0, "dim": 2}
+ONE_LANDMARK = {"kernel": GAUSS2, "landmarks": [[0.0, 0.0]], "momenta": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("certify", {"kernel": GAUSS2, "certify": {"tol": float("nan")}}),
+    ("spectrum", {"kernel": GAUSS2, "spectrum": {"rho_max": float("inf")}}),
+    ("hodge", {"kernel": GAUSS2, "hodge": {"r_max": float("nan")}}),
+    ("field", {**ONE_LANDMARK, "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [1, 3]}}),
+    ("shoot", {**ONE_LANDMARK, "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [3, 1]}}),
+    ("field", {**ONE_LANDMARK,
+               "grid": {"lo": [0.0, float("-inf")], "hi": [1.0, 1.0], "n": [3, 3]}}),
+    ("shoot", {**ONE_LANDMARK, "integrator": {"step": float("nan")}}),
+    ("shoot", {**ONE_LANDMARK, "integrator": {"record_every": float("inf")}}),
+], ids=["certify-tol-NaN", "spectrum-rho_max-Infinity", "hodge-r_max-NaN",
+        "field-grid-n-1", "shoot-grid-n-1", "field-grid-lo-Infinity",
+        "shoot-step-NaN", "shoot-record_every-Infinity"])
+def test_bad_numeric_block_field_is_input_error(tmp_path, capsys, command, config):
+    assert run(tmp_path, command, config) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

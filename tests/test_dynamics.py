@@ -58,6 +58,20 @@ def test_hamiltonian_matches_block_matrix(rng):
                                                 rel=1e-12)
 
 
+@pytest.mark.parametrize("make", [lambda: K.family_example1(1.0, B16, C16, 2),
+                                  curlfree16, divfree16])
+def test_hamiltonian_at_coincident_landmarks_is_gram_quadratic(make):
+    # landmarks 0 and 1 coincide and 2 sits closer than ZERO_RADIUS to them;
+    # LandmarkConfig refuses such points, so the Gram form 1/2 p^T G p is
+    # summed from its blocks k(q_a - q_b), which are k0 I for these pairs
+    k = make()
+    q = np.array([[0.1, -0.2], [0.1, -0.2], [0.1 + 1e-13, -0.2], [0.3, 0.05]])
+    p = np.array([[1.0, 2.0], [-0.5, 1.5], [2.0, 1.0], [0.3, 0.7]])
+    gram_form = 0.5 * sum(p[a] @ K.eval_matrix(k, q[a] - q[b]) @ p[b]
+                          for a in range(4) for b in range(4))
+    assert D.hamiltonian(k, D.PhaseState(q, p, 0.0)) == pytest.approx(gram_form, rel=1e-12)
+
+
 def test_row_a_initial_value_direct_sum():
     k = scalar16()
     q0, p0 = row_a()
@@ -298,6 +312,51 @@ def test_fan_records_failures_and_continues():
     assert fan.trajectories[0] is None and fan.trajectories[1] is not None
     sheet = fan.sheet(0)
     assert np.all(np.isnan(sheet[0])) and np.all(np.isfinite(sheet[1]))
+
+
+def rk4_until_coalescence(k, q, p, h):
+    """Reference loop: RK4 through hamilton_rhs, which raises at the first bad stage."""
+    rhs = lambda q, p, t: D.hamilton_rhs(k, D.PhaseState(q, p, t))
+    for i in range(round(1.0 / h)):
+        t = i * h
+        k1q, k1p = rhs(q, p, t)
+        k2q, k2p = rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p, t + 0.5 * h)
+        k3q, k3p = rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p, t + 0.5 * h)
+        k4q, k4p = rhs(q + h * k3q, p + h * k3p, t + h)
+        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+
+
+def test_fan_matches_per_member_shoot_with_failures():
+    # member 1 coalesces first and leaves the batch, then member 3 does;
+    # the others run to t = 1
+    k = curlfree16()
+    q0 = F.LandmarkConfig(np.array([[-0.05, 0.0], [0.05, 0.0]]))
+    family = [np.array([[2.0, 0.0], [2.0, 0.0]]),
+              np.array([[80.0, 0.0], [-80.0, 0.0]]),
+              np.array([[5.0, 1.0], [-3.0, 2.0]]),
+              np.array([[60.0, 0.0], [-60.0, 0.0]]),
+              np.array([[20.0, -4.0], [-20.0, 4.0]])]
+    cfg = D.IntegratorConfig(step=1e-3, record_every=100)
+    fan = D.exp_map_fan(k, q0, family, cfg)
+    failures = dict(fan.failures)
+    assert sorted(failures) == [1, 3]
+    for i, p0 in enumerate(family):
+        if i in failures:
+            with pytest.raises(D.CoalescenceError) as err:
+                D.shoot(k, q0, F.MomentaSet(p0), cfg)
+            assert failures[i] == str(err.value)
+            with pytest.raises(D.CoalescenceError) as ref:
+                rk4_until_coalescence(k, q0.points, p0, cfg.step)
+            assert failures[i] == str(ref.value)
+            assert fan.trajectories[i] is None
+            continue
+        lone = D.shoot(k, q0, F.MomentaSet(p0), cfg)
+        traj = fan.trajectories[i]
+        np.testing.assert_array_equal(traj.times, lone.times)
+        for got, want in ((traj.q, lone.q), (traj.p, lone.p),
+                          (traj.hamiltonians, lone.hamiltonians)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_integrator_config_validation():

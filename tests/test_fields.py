@@ -90,6 +90,24 @@ def test_blockwise_quadratic_form_consistency(rng):
     assert al.ravel() @ gram @ al.ravel() == pytest.approx(direct, abs=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: K.gaussian_kernel(1.0, 2),
+    lambda: K.family_example1(1.5, 1.0, 1.0, 2),
+    lambda: K.make_curl_free(K.gaussian_profile(0.5, 1.0), 2),
+    lambda: K.make_div_free(K.gaussian_profile(0.5, 1.0), 2),
+], ids=["gaussian", "example1", "curl_free", "div_free"])
+def test_block_matrix_equals_per_pair_blocks(make, rng):
+    k = make()
+    pts = rng.normal(size=(7, 2))
+    gram = F.assemble_block_matrix(k, F.LandmarkConfig(pts)).matrix
+    for a in range(7):
+        for b in range(7):
+            want = K.eval_matrix(k, pts[a] - pts[b])
+            got = gram[2 * a:2 * a + 2, 2 * b:2 * b + 2]
+            assert np.max(np.abs(got - want)) <= 1e-14 * abs(k.k0)
+    np.testing.assert_array_equal(gram, gram.T)
+
+
 # --- interpolation ---------------------------------------------------------------
 
 def test_interpolate_zero_targets():
