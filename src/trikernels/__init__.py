@@ -19,13 +19,13 @@ from .specfun import (
     upper_gamma,
 )
 from .kernels import (
-    ProjectorPair,
     ScalarProfile,
     SingularityError,
     TriKernel,
     bessel_kernel,
     bessel_profile,
     cauchy_kernel,
+    cauchy_profile,
     curl_free_residual,
     div_free_residual,
     eval_matrix,
@@ -40,7 +40,6 @@ from .kernels import (
     make_curl_free,
     make_div_free,
     partial_matrix,
-    projector_pair,
     scalar_kernel,
     sobolev_green_constant,
 )
@@ -63,7 +62,6 @@ from .spectral import (
     spectrum_matrix,
 )
 from .fields import (
-    BlockKernelMatrix,
     InterpolationResult,
     LandmarkConfig,
     MomentaSet,

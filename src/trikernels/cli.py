@@ -138,8 +138,19 @@ def build_kernel(block: dict) -> ker.TriKernel:
         raise ConfigError(f"bad kernel parameters: {exc}") from exc
 
 
+def _finite_array(cfg: dict, name: str) -> np.ndarray:
+    value = _require(cfg, name, "top-level")
+    try:
+        arr = np.asarray(value, dtype=float)
+        if np.all(np.isfinite(arr)):
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"'{name}' must hold finite numbers only, got {value!r}")
+
+
 def _landmarks(cfg: dict, dim: int) -> flds.LandmarkConfig:
-    pts = np.asarray(_require(cfg, "landmarks", "top-level"), dtype=float)
+    pts = _finite_array(cfg, "landmarks")
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ConfigError(f"landmarks must be a list of {dim}-vectors")
     try:
@@ -149,7 +160,7 @@ def _landmarks(cfg: dict, dim: int) -> flds.LandmarkConfig:
 
 
 def _momenta(cfg: dict, n: int, dim: int) -> flds.MomentaSet:
-    vecs = np.asarray(_require(cfg, "momenta", "top-level"), dtype=float)
+    vecs = _finite_array(cfg, "momenta")
     if vecs.shape != (n, dim):
         raise ConfigError(f"momenta must be a list of {n} {dim}-vectors")
     return flds.MomentaSet(vecs)
@@ -163,11 +174,19 @@ def _finite_fields(block: dict, names, where: str) -> None:
 
 
 def _numeric_block(cfg: dict, where: str) -> dict:
-    """A certify/spectrum/hodge block merged with its defaults, every field finite."""
+    """A certify/spectrum/hodge block merged with its defaults, finite and in range."""
     block = {**_DEFAULTS[where], **cfg.get(where, {})}
     _check_fields(block, set(_DEFAULTS[where]), where)
     _finite_fields(block, block, where)
-    return {name: float(value) for name, value in block.items()}
+    block = {name: float(value) for name, value in block.items()}
+    lo, hi = ("r_min", "r_max") if where == "hodge" else ("rho_min", "rho_max")
+    if not 0.0 < block[lo] < block[hi]:
+        raise ConfigError(f"'{where}' needs 0 < {lo} < {hi}, got {block[lo]}, {block[hi]}")
+    if not (block["n"].is_integer() and block["n"] >= 2):
+        raise ConfigError(f"'{where}' field 'n' must be an integer >= 2, got {block['n']!r}")
+    if block.get("tol", 0.0) < 0.0:
+        raise ConfigError(f"'{where}' field 'tol' must be >= 0, got {block['tol']!r}")
+    return block
 
 
 def _integrator(cfg: dict) -> dyn.IntegratorConfig:
@@ -308,16 +327,13 @@ def cmd_field(cfg: dict, args) -> int:
         path.write_text(doc)
         print(f"wrote {path}")
 
-    # kernel-level residual footer over the evaluation points
+    # kernel-level residual footer over sample points x landmarks
     sample = pts[:: max(1, len(pts) // 64)]
-    div_max = curl_max = 0.0
-    for x in sample:
-        for q, a in zip(lmk.points, mom.vectors):
-            dx = x - q
-            if np.linalg.norm(dx) < 1e-8:
-                continue
-            div_max = max(div_max, abs(flds.divergence_at(k, dx, a)))
-            curl_max = max(curl_max, abs(flds.curl_magnitude_at(k, dx, a)))
+    dx = sample[:, None, :] - lmk.points[None, :, :]
+    keep = np.linalg.norm(dx, axis=-1) >= 1e-8
+    a = np.broadcast_to(mom.vectors, dx.shape)[keep]
+    div_max = np.max(np.abs(flds.divergence_at(k, dx[keep], a)), initial=0.0)
+    curl_max = np.max(np.abs(flds.curl_magnitude_at(k, dx[keep], a)), initial=0.0)
     print(f"max |div term| = {div_max:.3e}   max |curl term| = {curl_max:.3e}")
     return EXIT_OK
 

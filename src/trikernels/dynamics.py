@@ -298,9 +298,7 @@ def path_energy(k: TriKernel, traj: Trajectory) -> float:
     Written through the momenta as int_0^1 p . K(q) p dt, i.e. twice the
     recorded conserved value up to integrator error.
     """
-    vals = np.array([2.0 * _ham(k, traj.q[i], traj.p[i])
-                     for i in range(len(traj.times))])
-    return float(np.trapezoid(vals, traj.times))
+    return float(np.trapezoid(2.0 * _ham(k, traj.q, traj.p), traj.times))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Minimal-norm interpolation of point constraints, evaluation of fields
 spanned by kernel translates, and the pointwise divergence / rotational
-intensity of single-center fields.  The interpolation problem
+intensity of single-center fields, all from the kernels module's
+pairwise primitive (through `eval_matrix`, `pair_coefficients` and the
+differential residuals).  The interpolation problem
 
     u(x_a) = beta_a  for all a,   |u| minimal in the kernel's space
 
@@ -14,15 +16,14 @@ momenta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .kernels import (ZERO_RADIUS, TriKernel, eval_matrix, ktilde, pair_coefficients,
-                      partial_matrix)
+from .kernels import (ZERO_RADIUS, TriKernel, curl_free_residual, div_free_residual,
+                      eval_matrix, pair_coefficients, partial_matrix)
 
 MIN_SEPARATION = 1e-9
 
@@ -84,15 +85,6 @@ class MomentaSet:
 
 
 @dataclass(frozen=True)
-class BlockKernelMatrix:
-    """Dense (N d) x (N d) Gram matrix of kernel blocks."""
-
-    n_landmarks: int
-    dim: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class InterpolationResult:
     momenta: MomentaSet
     interpolant: Callable
@@ -100,22 +92,17 @@ class InterpolationResult:
     jittered: bool = False
 
 
-def assemble_block_matrix(k: TriKernel, cfg: LandmarkConfig) -> BlockKernelMatrix:
-    """Gram matrix with block (a, b) = k(x_a - x_b); symmetric by parity.
+def assemble_block_matrix(k: TriKernel, cfg: LandmarkConfig) -> np.ndarray:
+    """Dense (N d) x (N d) Gram matrix with block (a, b) = k(x_a - x_b).
 
-    Each block is kperp I + ktilde x x^T at x = x_a - x_b; the diagonal
-    blocks are k0 I, the zero-radius limit.
+    One `eval_matrix` call; the diagonal blocks are k0 I, and the matrix
+    is exactly symmetric since k(x) = k(-x) = k(x)^T hold exactly.
     """
     if k.dim != cfg.dim:
         raise ValueError("kernel and landmark dimensions differ")
     n, d = cfg.n, cfg.dim
-    x = cfg.points[:, None, :] - cfg.points[None, :, :]     # (N, N, d)
-    c = pair_coefficients(k, x)
-    # x x^T is formed first, so block (b, a) is exactly the transpose of (a, b)
-    outer = x[..., :, None] * x[..., None, :]
-    blocks = c.kperp[..., None, None] * np.eye(d) + c.ktilde[..., None, None] * outer
-    matrix = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    return BlockKernelMatrix(n_landmarks=n, dim=d, matrix=matrix)
+    blocks = eval_matrix(k, cfg.points[:, None, :] - cfg.points[None, :, :])
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
@@ -160,7 +147,7 @@ def interpolate(k: TriKernel, cfg: LandmarkConfig, targets) -> InterpolationResu
         np.atleast_2d(np.asarray(targets, dtype=float))
     if beta.shape != (cfg.n, cfg.dim):
         raise ValueError("targets must be an (N, d) array")
-    gram = assemble_block_matrix(k, cfg).matrix
+    gram = assemble_block_matrix(k, cfg)
     rhs = beta.ravel()
     jittered = False
     try:
@@ -184,38 +171,39 @@ def interpolate(k: TriKernel, cfg: LandmarkConfig, targets) -> InterpolationResu
                                jittered=jittered)
 
 
-def divergence_at(k: TriKernel, x, alpha) -> float:
+def _nonzero(x, alpha, what: str):
+    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    if np.any(r < ZERO_RADIUS):
+        raise ValueError(f"{what} formula needs x != 0")
+    return x, alpha, r
+
+
+def divergence_at(k: TriKernel, x, alpha):
     """Divergence of y -> k(y)alpha at x != 0.
 
-    Equals (alpha . xhat) [ (d-1)(kpar - kperp)/r + kpar'(r) ].
+    x and alpha broadcast to (..., d); the result has shape (...), a float
+    for single vectors.  Equals (alpha . xhat) times the div-free residual
+    (d-1)(kpar - kperp)/r + kpar'(r).
     """
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r < ZERO_RADIUS:
-        raise ValueError("divergence formula needs x != 0")
-    radial = (k.dim - 1) * r * float(ktilde(k, r)) + float(k.dk_par(r))
-    return float(alpha @ x) / r * radial
+    x, alpha, r = _nonzero(x, alpha, "divergence")
+    return (np.einsum("...i,...i->...", alpha, x) / r * div_free_residual(k, r))[()]
 
 
-def curl_magnitude_at(k: TriKernel, x, alpha) -> float:
+def curl_magnitude_at(k: TriKernel, x, alpha):
     """Rotational intensity of y -> k(y)alpha at x != 0.
 
-    The scalar factor (kpar - kperp)/r - kperp'(r) times |alpha ^ x| / r,
-    the norm of the wedge of the two vectors.  In the plane this matches
-    the scalar curl of the field up to orientation sign; in R^3 it is
-    (up to the same sign) the Euclidean norm of the classical curl.
+    The curl-free residual (kpar - kperp)/r - kperp'(r) times
+    |alpha ^ x| / r, the norm of the wedge of the two vectors; shapes as
+    in `divergence_at`.  In the plane this matches the scalar curl of the
+    field up to orientation sign; in R^3 it is (up to the same sign) the
+    Euclidean norm of the classical curl.
     """
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r < ZERO_RADIUS:
-        raise ValueError("curl formula needs x != 0")
-    factor = r * float(ktilde(k, r)) - float(k.dk_perp(r))
+    x, alpha, r = _nonzero(x, alpha, "curl")
     # |alpha ^ x|^2 as the sum of squared 2x2 minors: exact for parallel vectors
-    minors = np.outer(alpha, x) - np.outer(x, alpha)
-    wedge = math.sqrt(0.5 * float(np.sum(minors * minors)))
-    return factor * wedge / r
+    minors = alpha[..., :, None] * x[..., None, :] - x[..., :, None] * alpha[..., None, :]
+    wedge = np.sqrt(0.5 * np.sum(minors * minors, axis=(-2, -1)))
+    return (curl_free_residual(k, r) * wedge / r)[()]
 
 
 def field_zero(k: TriKernel, alpha, x0, tol: float = 1e-12,

@@ -6,26 +6,24 @@ orthogonal complement,
 
     k(x) = kpar(|x|) P(x) + kperp(|x|) (I - P(x)),    P(x) = x x^T / |x|^2,
 
-with k(0) = k0 * I.  This module holds the kernel data type, pointwise
-matrix evaluation and its analytic spatial derivative, the concrete
-Gaussian families, the curl-free / divergence-free constructions from
-scalar profiles, and the closed-form Hodge pair of the scalar Gaussian.
+with k(0) = k0 * I.  This module holds the kernel data type, the pairwise
+primitive, matrix evaluation and its analytic spatial derivative, the
+concrete Gaussian families, the curl-free / divergence-free
+constructions from scalar profiles, and the closed-form Hodge pair of
+the scalar Gaussian.
 
-The auxiliary coefficient
-
-    ktilde(r) = (kpar(r) - kperp(r)) / r^2
-
-shows up throughout (derivative formulas, field evaluation); families
-carry it in closed form to avoid cancellation at small radii.  Since
-k(x) alpha = kperp alpha + ktilde (x . alpha) x, the pairwise primitive
-`pair_coefficients` returns kperp and ktilde (and, on request, the
-radial derivatives) at a whole array of displacements.
+With ktilde(r) = (kpar(r) - kperp(r)) / r^2, which families carry in
+closed form to avoid cancellation at small radii, k(x) = kperp I +
+ktilde x x^T.  The primitive `pair_coefficients` returns the
+zero-radius-safe kperp, ktilde, dkpar and dkperp at a whole array of
+displacements; every kernel matrix, matrix derivative, field value and
+differential residual in the package is computed from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,8 +46,7 @@ class SingularityError(ValueError):
 class ScalarProfile:
     """A smooth even radial profile with derivatives.
 
-    value, d1, d2 : vectorized callables of r >= 0.
-    d3 : optional third derivative (finite differences otherwise).
+    value, d1, d2, d3 : vectorized callables of r >= 0.
     d2_zero, d4_zero : even-order Taylor data at r = 0, used by the
         kernel constructions for exact limits; estimated numerically
         when absent.
@@ -60,7 +57,7 @@ class ScalarProfile:
     value: Callable
     d1: Callable
     d2: Callable
-    d3: Optional[Callable] = None
+    d3: Callable
     d2_zero: Optional[float] = None
     d4_zero: Optional[float] = None
     tail_scale: float = np.inf
@@ -81,6 +78,23 @@ def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
         d4_zero=12.0 * a * c * c,
         tail_scale=math.sqrt(48.0 / c),
         decay="gaussian",
+    )
+
+
+def cauchy_profile(sigma: float) -> ScalarProfile:
+    """1 / (1 + u) with u = r^2 / sigma^2, the rational profile."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    s2 = sigma * sigma
+    return ScalarProfile(
+        value=lambda r: 1.0 / (1.0 + np.square(r) / s2),
+        d1=lambda r: -(2.0 * r / s2) / np.square(1.0 + np.square(r) / s2),
+        d2=lambda r: (6.0 * np.square(r) / s2 - 2.0) / s2 / (1.0 + np.square(r) / s2) ** 3,
+        d3=lambda r: 24.0 * r * (1.0 - np.square(r) / s2) / s2 ** 2
+                     / (1.0 + np.square(r) / s2) ** 4,
+        d2_zero=-2.0 / s2,
+        tail_scale=8.0 * sigma,
+        decay="power",
     )
 
 
@@ -131,14 +145,6 @@ def sobolev_green_constant(sigma: float, ell: float, dim: int) -> float:
                   * math.gamma(ell) * sigma ** dim)
 
 
-def _fd4(fn: Callable, r, h_scale: float = 1e-5):
-    """Fourth-order central difference, step scaled by max(1, r)."""
-    r = np.asarray(r, dtype=float)
-    h = h_scale * np.maximum(1.0, r)
-    h = np.minimum(h, np.maximum(r / 4.0, 1e-12))
-    return (-fn(r + 2 * h) + 8 * fn(r + h) - 8 * fn(r - h) + fn(r - 2 * h)) / (12 * h)
-
-
 def _limit_d2_zero(p: ScalarProfile) -> float:
     if p.d2_zero is not None:
         return float(p.d2_zero)
@@ -159,31 +165,8 @@ def _limit_d4_zero(p: ScalarProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# projectors and the kernel type
+# the kernel type and the pairwise primitive
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProjectorPair:
-    """Orthogonal projectors onto a direction and onto its complement.
-
-    Both matrices are symmetric and idempotent, they sum to the identity,
-    and their product vanishes.
-    """
-
-    point: np.ndarray
-    par: np.ndarray
-    perp: np.ndarray
-
-
-def projector_pair(x) -> ProjectorPair:
-    """Projector decomposition at a nonzero point."""
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    if r2 < ZERO_RADIUS ** 2:
-        raise ValueError("projectors are defined for x != 0")
-    par = np.outer(x, x) / r2
-    return ProjectorPair(point=x, par=par, perp=np.eye(len(x)) - par)
-
 
 @dataclass(frozen=True)
 class TriKernel:
@@ -216,19 +199,14 @@ class TriKernel:
         return self.dim / 2.0 - 1.0
 
 
-def _ktilde_safe(k: TriKernel, rs):
-    """ktilde at radii already clamped to at least ZERO_RADIUS."""
-    if k.ktilde_fn is not None:
-        return k.ktilde_fn(rs)
-    return (k.k_par(rs) - k.k_perp(rs)) / np.square(rs)
-
-
 def ktilde(k: TriKernel, r):
     """(kpar - kperp)/r^2 with its limit below the zero threshold."""
     r = np.asarray(r, dtype=float)
+    rs = np.maximum(r, ZERO_RADIUS)
     out = np.where(r < ZERO_RADIUS, k.small_r_ktilde,
-                   _ktilde_safe(k, np.maximum(r, ZERO_RADIUS)))
-    return out[()] if out.ndim == 0 else out
+                   k.ktilde_fn(rs) if k.ktilde_fn is not None
+                   else (k.k_par(rs) - k.k_perp(rs)) / np.square(rs))
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -254,15 +232,15 @@ def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoeffic
 
     Every array of the result has shape x.shape[:-1]; the radial
     derivatives are evaluated only when `derivatives` is set.  This is
-    the one place where Gram blocks, field values, the Hamiltonian and
-    the geodesic right-hand side get their kernel values.
+    the one place where every kernel value in the package is computed.
     """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    # ktilde first: its temporaries are freed before the other coefficients' are made
+    kt = np.asarray(ktilde(k, r))
     rs = np.maximum(r, ZERO_RADIUS)
     zero = r < ZERO_RADIUS
     kperp = np.where(zero, k.k0, k.k_perp(rs))
-    kt = np.where(zero, k.small_r_ktilde, _ktilde_safe(k, rs))
     if not derivatives:
         return PairCoefficients(r, kperp, kt)
     return PairCoefficients(r, kperp, kt, np.where(zero, 0.0, k.dk_par(rs)),
@@ -270,38 +248,39 @@ def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoeffic
 
 
 def eval_matrix(k: TriKernel, x) -> np.ndarray:
-    """The d x d kernel matrix at displacement x."""
+    """kperp I + ktilde x x^T, shape (..., d, d), at displacements x (..., d).
+
+    x x^T is formed first, so k(x) = k(-x) = k(x)^T hold exactly.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (k.dim,):
-        raise ValueError(f"expected a vector of length {k.dim}")
-    r = float(np.linalg.norm(x))
-    if r < ZERO_RADIUS:
-        return k.k0 * np.eye(k.dim)
-    pr = projector_pair(x)
-    return float(k.k_par(r)) * pr.par + float(k.k_perp(r)) * pr.perp
+    if x.ndim == 0 or x.shape[-1] != k.dim:
+        raise ValueError(f"expected vectors of length {k.dim}")
+    c = pair_coefficients(k, x)
+    outer = x[..., :, None] * x[..., None, :]
+    return c.kperp[..., None, None] * np.eye(k.dim) + c.ktilde[..., None, None] * outer
 
 
 def partial_matrix(k: TriKernel, x, axis: int) -> np.ndarray:
     """Derivative of the kernel matrix along coordinate `axis` (0-based).
 
-    Undefined at the origin; the smooth even extension has derivative 0
-    there, which callers handle themselves.
+    Equals (x_i / r) [dkperp I + ((dkpar - dkperp)/r^2 - 2 ktilde/r) x x^T]
+    + ktilde (e_i x^T + x e_i^T).  Undefined at the origin; the smooth
+    even extension has derivative 0 there, which callers handle themselves.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (k.dim,):
         raise ValueError(f"expected a vector of length {k.dim}")
     if not 0 <= axis < k.dim:
         raise ValueError("axis out of range")
-    r = float(np.linalg.norm(x))
+    c = pair_coefficients(k, x, derivatives=True)
+    r = float(c.r)
     if r < ZERO_RADIUS:
         raise SingularityError("kernel derivative evaluated at zero separation")
-    pr = projector_pair(x)
-    kt = float(ktilde(k, r))
     e = np.zeros(k.dim)
     e[axis] = 1.0
-    sym = np.outer(e, x) + np.outer(x, e)
-    return (x[axis] / r) * (float(k.dk_par(r)) * pr.par + float(k.dk_perp(r)) * pr.perp) \
-        + r * kt * (sym / r - 2.0 * (x[axis] / r) * pr.par)
+    radial = (c.dkpar - c.dkperp) / r ** 2 - 2.0 * c.ktilde / r
+    return (x[axis] / r) * (c.dkperp * np.eye(k.dim) + radial * np.outer(x, x)) \
+        + c.ktilde * (np.outer(e, x) + np.outer(x, e))
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +374,13 @@ def gaussian_kernel(c: float, dim: int, amplitude: float = 1.0) -> TriKernel:
     """Scalar Gaussian kernel amplitude * e^{-c r^2} * I."""
     k = scalar_kernel(gaussian_profile(amplitude, c), dim,
                       tag=f"gaussian(c={c},amp={amplitude})")
-    return _replace(k, pd_hint=amplitude >= 0)
+    return replace(k, pd_hint=amplitude >= 0)
 
 
 def cauchy_kernel(sigma: float, dim: int) -> TriKernel:
     """Scalar rational kernel 1 / (1 + r^2 / sigma^2) * I."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    s2 = sigma * sigma
-    prof = ScalarProfile(
-        value=lambda r: 1.0 / (1.0 + np.square(r) / s2),
-        d1=lambda r: -(2.0 * r / s2) / np.square(1.0 + np.square(r) / s2),
-        d2=lambda r: (6.0 * np.square(r) / s2 - 2.0) / s2 / (1.0 + np.square(r) / s2) ** 3,
-        d2_zero=-2.0 / s2,
-        tail_scale=8.0 * sigma,
-        decay="power",
-    )
-    k = scalar_kernel(prof, dim, tag=f"cauchy(sigma={sigma})")
-    return _replace(k, pd_hint=True)
+    k = scalar_kernel(cauchy_profile(sigma), dim, tag=f"cauchy(sigma={sigma})")
+    return replace(k, pd_hint=True)
 
 
 def bessel_kernel(sigma: float, ell: float, dim: int, normalized: bool = True) -> TriKernel:
@@ -421,12 +389,7 @@ def bessel_kernel(sigma: float, ell: float, dim: int, normalized: bool = True) -
     amp = sobolev_green_constant(sigma, ell, dim) if normalized else 1.0
     prof = bessel_profile(nu, sigma, amp)
     k = scalar_kernel(prof, dim, tag=f"bessel(sigma={sigma},ell={ell})")
-    return _replace(k, pd_hint=True)
-
-
-def _replace(k: TriKernel, **kw) -> TriKernel:
-    import dataclasses
-    return dataclasses.replace(k, **kw)
+    return replace(k, pd_hint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +416,7 @@ def make_curl_free(profile: ScalarProfile, dim: int) -> TriKernel:
         rs = np.maximum(r, small)
         return np.where(r < small, -d2_0, -profile.d1(rs) / rs)
 
-    if profile.d3 is not None:
-        dk_par = lambda r: -profile.d3(np.asarray(r, dtype=float))
-    else:
-        dk_par = lambda r: _fd4(k_par, r)
+    dk_par = lambda r: -profile.d3(np.asarray(r, dtype=float))
 
     def dk_perp(r):
         r = np.asarray(r, dtype=float)
@@ -511,10 +471,7 @@ def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
         return np.where(r < small, d4_0 * r / 3.0, out)
 
     dk_par = lambda r: -(d - 1) * dover_r(r)
-    if profile.d3 is not None:
-        dk_perp = lambda r: -(d - 2) * dover_r(r) - profile.d3(np.asarray(r, dtype=float))
-    else:
-        dk_perp = lambda r: _fd4(k_perp, r)
+    dk_perp = lambda r: -(d - 2) * dover_r(r) - profile.d3(np.asarray(r, dtype=float))
 
     def kt(r):
         r = np.asarray(r, dtype=float)
@@ -600,15 +557,16 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
     return k1, k2
 
 
-# residuals of the differential characterizations, used by tests and the CLI
+# residuals of the differential characterizations, used by the divergence and
+# curl of single-center fields; radii r >= 0 enter the primitive as 1-vectors
 
 def div_free_residual(k: TriKernel, r):
     """(d-1)(kpar - kperp)/r + kpar'; identically 0 for div-free kernels."""
-    r = np.asarray(r, dtype=float)
-    return (k.dim - 1) * r * ktilde(k, r) + k.dk_par(r)
+    c = pair_coefficients(k, np.asarray(r, dtype=float)[..., None], derivatives=True)
+    return (k.dim - 1) * c.r * c.ktilde + c.dkpar
 
 
 def curl_free_residual(k: TriKernel, r):
     """(kpar - kperp)/r - kperp'; identically 0 for curl-free kernels."""
-    r = np.asarray(r, dtype=float)
-    return r * ktilde(k, r) - k.dk_perp(r)
+    c = pair_coefficients(k, np.asarray(r, dtype=float)[..., None], derivatives=True)
+    return c.r * c.ktilde - c.dkperp

@@ -208,7 +208,7 @@ def test_criterion_07_interpolation():
             res2 = F.interpolate(k, cfg, adjusted)
             allpts = np.vstack([pts, extra])
             allmom = np.vstack([res2.momenta.vectors, gamma])
-            gram = F.assemble_block_matrix(k, F.LandmarkConfig(allpts)).matrix
+            gram = F.assemble_block_matrix(k, F.LandmarkConfig(allpts))
             assert float(allmom.ravel() @ gram @ allmom.ravel()) >= res.norm_sq - 1e-9
         info["detail"] = f"50 trials, worst residual {worst_resid:.1e}"
 

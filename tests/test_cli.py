@@ -113,10 +113,63 @@ ONE_LANDMARK = {"kernel": GAUSS2, "landmarks": [[0.0, 0.0]], "momenta": [[1.0, 0
                "grid": {"lo": [0.0, float("-inf")], "hi": [1.0, 1.0], "n": [3, 3]}}),
     ("shoot", {**ONE_LANDMARK, "integrator": {"step": float("nan")}}),
     ("shoot", {**ONE_LANDMARK, "integrator": {"record_every": float("inf")}}),
+    ("certify", {"kernel": GAUSS2, "certify": {"n": 0}}),
+    ("certify", {"kernel": GAUSS2, "certify": {"rho_min": 0.0}}),
+    ("certify", {"kernel": GAUSS2, "certify": {"rho_min": 5.0, "rho_max": 2.0}}),
+    ("certify", {"kernel": GAUSS2, "certify": {"tol": -1e-8}}),
+    ("spectrum", {"kernel": GAUSS2, "spectrum": {"n": 1}}),
+    ("spectrum", {"kernel": GAUSS2, "spectrum": {"n": 12.5}}),
+    ("hodge", {"kernel": GAUSS2, "hodge": {"n": 0}}),
+    ("hodge", {"kernel": GAUSS2, "hodge": {"r_min": 0.0}}),
+    ("hodge", {"kernel": GAUSS2, "hodge": {"r_min": 2.0, "r_max": 2.0}}),
 ], ids=["certify-tol-NaN", "spectrum-rho_max-Infinity", "hodge-r_max-NaN",
         "field-grid-n-1", "shoot-grid-n-1", "field-grid-lo-Infinity",
-        "shoot-step-NaN", "shoot-record_every-Infinity"])
+        "shoot-step-NaN", "shoot-record_every-Infinity",
+        "certify-n-0", "certify-rho_min-0", "certify-rho_min-above-rho_max",
+        "certify-tol-negative", "spectrum-n-1", "spectrum-n-fractional",
+        "hodge-n-0", "hodge-r_min-0", "hodge-r_min-equals-r_max"])
 def test_bad_numeric_block_field_is_input_error(tmp_path, capsys, command, config):
+    assert run(tmp_path, command, config) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+FIELD_GRID = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [3, 3]}
+EXPMAP_BLOCK = {"magnitude": 1.0, "count": 3}
+
+
+BAD_LANDMARKS = {
+    "NaN": [[float("nan"), 0.0], [0.0, 1.0]],
+    "Infinity": [[float("inf"), 0.0], [0.0, 1.0]],
+    "string": [["a", 0.0], [0.0, 1.0]],
+    "ragged": [[0.0, 0.0], [0.0]],
+}
+BAD_MOMENTA = {
+    "Infinity": [[1.0, 0.0], [float("inf"), 0.0]],
+    "NaN": [[1.0, float("nan")], [0.0, 0.0]],
+    "null": [[1.0, 0.0], [None, 0.0]],
+}
+# expmap builds its momenta from the 'expmap' block, so only its landmarks are poisoned
+BAD_VECTOR_CASES = (
+    [(c, "landmarks", v, f"{c}-landmark-{n}")
+     for c in ("shoot", "field", "expmap") for n, v in BAD_LANDMARKS.items()]
+    + [(c, "momenta", v, f"{c}-momentum-{n}")
+       for c in ("shoot", "field") for n, v in BAD_MOMENTA.items()])
+
+
+@pytest.mark.parametrize("command, field, value",
+                         [case[:3] for case in BAD_VECTOR_CASES],
+                         ids=[case[3] for case in BAD_VECTOR_CASES])
+def test_bad_landmarks_or_momenta_are_input_errors(tmp_path, capsys, command, field, value):
+    config = {"kernel": GAUSS2, "landmarks": [[0.0, 0.0], [0.0, 1.0]]}
+    if command == "expmap":
+        config["expmap"] = {"magnitude": 1.0, "count": 3}
+    else:
+        config["momenta"] = [[1.0, 0.0], [0.0, 0.0]]
+    if command == "field":
+        config["grid"] = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [3, 3]}
+    config[field] = value
     assert run(tmp_path, command, config) == 2
     captured = capsys.readouterr()
     assert "config error:" in captured.err

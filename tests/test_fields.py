@@ -7,6 +7,7 @@ import pytest
 
 from trikernels import fields as F
 from trikernels import kernels as K
+from conftest import projector_oracle
 
 
 def fd_divergence(k, x, alpha, h=1e-6):
@@ -55,13 +56,13 @@ def test_landmarks_shape():
 def test_block_matrix_single_landmark():
     k = K.gaussian_kernel(1.0, 2)
     cfg = F.LandmarkConfig(np.array([[0.3, -0.2]]))
-    np.testing.assert_allclose(F.assemble_block_matrix(k, cfg).matrix, np.eye(2))
+    np.testing.assert_allclose(F.assemble_block_matrix(k, cfg), np.eye(2))
 
 
 def test_block_matrix_two_points_gaussian():
     k = K.gaussian_kernel(0.5, 2)  # e^{-r^2/2}
     cfg = F.LandmarkConfig(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    m = F.assemble_block_matrix(k, cfg).matrix
+    m = F.assemble_block_matrix(k, cfg)
     np.testing.assert_allclose(m[:2, 2:], math.exp(-0.5) * np.eye(2), atol=1e-15)
     np.testing.assert_allclose(m, m.T, atol=0.0)
 
@@ -76,7 +77,7 @@ def test_block_matrix_positive_definite(rng):
     for k in (K.gaussian_kernel(1.0, 2), K.family_example1(1.5, 1.0, 1.0, 2)):
         for _ in range(5):
             pts = rng.normal(size=(5, 2)) * 2.0
-            gram = F.assemble_block_matrix(k, F.LandmarkConfig(pts)).matrix
+            gram = F.assemble_block_matrix(k, F.LandmarkConfig(pts))
             assert np.linalg.eigvalsh(gram).min() > 0
 
 
@@ -84,7 +85,7 @@ def test_blockwise_quadratic_form_consistency(rng):
     k = K.family_example1(1.5, 1.0, 1.0, 2)
     pts = rng.normal(size=(4, 2))
     al = rng.normal(size=(4, 2))
-    gram = F.assemble_block_matrix(k, F.LandmarkConfig(pts)).matrix
+    gram = F.assemble_block_matrix(k, F.LandmarkConfig(pts))
     direct = sum(al[a] @ K.eval_matrix(k, pts[a] - pts[b]) @ al[b]
                  for a in range(4) for b in range(4))
     assert al.ravel() @ gram @ al.ravel() == pytest.approx(direct, abs=1e-12)
@@ -99,10 +100,10 @@ def test_blockwise_quadratic_form_consistency(rng):
 def test_block_matrix_equals_per_pair_blocks(make, rng):
     k = make()
     pts = rng.normal(size=(7, 2))
-    gram = F.assemble_block_matrix(k, F.LandmarkConfig(pts)).matrix
+    gram = F.assemble_block_matrix(k, F.LandmarkConfig(pts))
     for a in range(7):
         for b in range(7):
-            want = K.eval_matrix(k, pts[a] - pts[b])
+            want = projector_oracle(k, pts[a] - pts[b])
             got = gram[2 * a:2 * a + 2, 2 * b:2 * b + 2]
             assert np.max(np.abs(got - want)) <= 1e-14 * abs(k.k0)
     np.testing.assert_array_equal(gram, gram.T)
@@ -153,7 +154,7 @@ def test_interpolate_minimal_norm_property(rng):
         res = F.interpolate(k, cfg, adjusted)
         allpts = np.vstack([pts, extra])
         allmom = np.vstack([res.momenta.vectors, gamma])
-        gram = F.assemble_block_matrix(k, F.LandmarkConfig(allpts)).matrix
+        gram = F.assemble_block_matrix(k, F.LandmarkConfig(allpts))
         norm_sq = float(allmom.ravel() @ gram @ allmom.ravel())
         assert norm_sq >= best.norm_sq - 1e-9
 
@@ -252,6 +253,32 @@ def test_curl_zero_for_parallel_momentum(rng):
     k = K.gaussian_kernel(1.0, 2)
     x = rng.normal(size=2)
     assert F.curl_magnitude_at(k, x, 3.0 * x) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: K.gaussian_kernel(1.0, 2),
+    lambda: K.family_example1(1.0, 1.0, 1.0, 3),
+    lambda: K.make_curl_free(K.gaussian_profile(0.5, 1.0), 2),
+    lambda: K.make_div_free(K.gaussian_profile(0.25, 1.0), 3),
+], ids=["gaussian", "example1_3d", "curl_free", "div_free"])
+def test_divergence_and_curl_batched_equal_per_point(make, rng):
+    k = make()
+    x = rng.normal(size=(5, 3, k.dim))
+    al = rng.normal(size=(3, k.dim))  # one momentum per column, broadcast over rows
+    div = F.divergence_at(k, x, al)
+    curl = F.curl_magnitude_at(k, x, al)
+    assert div.shape == curl.shape == (5, 3)
+    for i, j in np.ndindex(5, 3):
+        one_div = F.divergence_at(k, x[i, j], al[j])
+        one_curl = F.curl_magnitude_at(k, x[i, j], al[j])
+        assert isinstance(one_div, float) and isinstance(one_curl, float)
+        assert div[i, j] == pytest.approx(one_div, rel=1e-14, abs=1e-15 * abs(k.k0))
+        assert curl[i, j] == pytest.approx(one_curl, rel=1e-14, abs=1e-15 * abs(k.k0))
+    x[2, 1] = 0.0
+    with pytest.raises(ValueError):
+        F.divergence_at(k, x, al)
+    with pytest.raises(ValueError):
+        F.curl_magnitude_at(k, x, al)
 
 
 def test_divergence_matches_finite_differences(rng):

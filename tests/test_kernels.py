@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trikernels import kernels as K
-from conftest import random_rotation
+from conftest import projector_oracle, random_rotation
 
 R_GRID = np.geomspace(0.05, 5.0, 64)
 
@@ -28,22 +28,34 @@ def example2():
     return K.family_example2(1.5, 1.0, 1.0, 2)
 
 
-# --- projectors ----------------------------------------------------------------
-
-def test_projector_pair_invariants(rng):
-    for d in (2, 3, 5):
-        x = rng.normal(size=d)
-        pr = K.projector_pair(x)
-        np.testing.assert_allclose(pr.par @ pr.par, pr.par, atol=1e-14)
-        np.testing.assert_allclose(pr.perp @ pr.perp, pr.perp, atol=1e-14)
-        np.testing.assert_allclose(pr.par, pr.par.T, atol=0.0)
-        np.testing.assert_allclose(pr.par + pr.perp, np.eye(d), atol=1e-15)
-        np.testing.assert_allclose(pr.par @ pr.perp, 0.0, atol=1e-15)
-    with pytest.raises(ValueError):
-        K.projector_pair(np.zeros(3))
-
-
 # --- eval_matrix -------------------------------------------------------------
+
+# every kernel kind: scalar, both families, both constructions, both Hodge parts
+ORACLE_KERNELS = {
+    "gaussian": lambda: K.gaussian_kernel(1.0, 3),
+    "cauchy": lambda: K.cauchy_kernel(0.8, 2),
+    "bessel": lambda: K.bessel_kernel(1.0, 3.5, 2),
+    "example1": lambda: K.family_example1(1.5, 1.0, 1.0, 2),
+    "example2": lambda: K.family_example2(1.0, 1.0, 2.0, 3),
+    "curl_free": lambda: K.make_curl_free(K.gaussian_profile(0.5, 1.0), 2),
+    "div_free": lambda: K.make_div_free(K.gaussian_profile(0.25, 1.0), 3),
+    "hodge_curl_free": lambda: K.gaussian_hodge_pair(1.0, 2)[0],
+    "hodge_div_free": lambda: K.gaussian_hodge_pair(1.0, 3)[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+def test_eval_matrix_matches_projector_oracle(name, rng):
+    k = ORACLE_KERNELS[name]()
+    x = rng.normal(size=(4, 6, k.dim)) * rng.choice([0.05, 0.5, 1.5, 4.0], size=(4, 6, 1))
+    x[0, 0] = 0.0
+    batched = K.eval_matrix(k, x)
+    assert batched.shape == (4, 6, k.dim, k.dim)
+    for idx in np.ndindex(x.shape[:-1]):
+        want = projector_oracle(k, x[idx])
+        assert np.max(np.abs(K.eval_matrix(k, x[idx]) - want)) <= 1e-14 * abs(k.k0)
+        assert np.max(np.abs(batched[idx] - want)) <= 1e-14 * abs(k.k0)
+
 
 def test_eval_at_zero_is_scaled_identity():
     k = K.gaussian_kernel(0.5, 3)  # e^{-r^2/2}, k0 = 1
@@ -165,10 +177,23 @@ def test_curl_free_condition_residual():
     assert np.max(np.abs(K.curl_free_residual(built, R_GRID))) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+def test_cauchy_d3_matches_finite_differences(sigma):
+    # d3 = 24 r (1 - u) / (sigma^4 (1 + u)^4), u = r^2 / sigma^2
+    prof = K.cauchy_profile(sigma)
+    r = np.linspace(0.0, 6.0 * sigma, 241)
+    h = 1e-3 * sigma
+    fd = (-prof.d2(r + 2 * h) + 8 * prof.d2(r + h)
+          - 8 * prof.d2(r - h) + prof.d2(r - 2 * h)) / (12 * h)
+    d3 = prof.d3(r)
+    assert np.max(np.abs(d3 - fd)) <= 1e-9 * np.max(np.abs(d3))
+
+
 def test_curl_free_zero_profile_gives_zero_kernel():
     zero = K.ScalarProfile(value=lambda r: np.zeros_like(np.asarray(r, float)),
                            d1=lambda r: np.zeros_like(np.asarray(r, float)),
                            d2=lambda r: np.zeros_like(np.asarray(r, float)),
+                           d3=lambda r: np.zeros_like(np.asarray(r, float)),
                            d2_zero=0.0, d4_zero=0.0, tail_scale=1.0)
     k = K.make_curl_free(zero, 2)
     assert np.all(k.k_par(R_GRID) == 0.0) and np.all(k.k_perp(R_GRID) == 0.0)
