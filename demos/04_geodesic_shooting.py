@@ -14,7 +14,7 @@ import numpy as np
 
 from trikernels import (
     GridSpec, IntegratorConfig, LandmarkConfig, MomentaSet, flow_grid,
-    gaussian_kernel, gaussian_profile, make_curl_free, make_div_free, shoot,
+    gaussian_kernel, gaussian_profile, make_curl_free, make_div_free,
 )
 from trikernels import svg
 
@@ -41,9 +41,9 @@ spec = GridSpec(lo=(-0.55, -0.6), hi=(1.05, 0.6), n=(65, 49))  # spacing 0.025
 
 for row_name, (q0, p0) in rows.items():
     for kname, k in kernels.items():
-        traj = shoot(k, q0, p0, icfg)
+        fg = flow_grid(k, q0, p0, spec, icfg)
+        traj = fg.trajectory
         drift = traj.energy_drift() / abs(traj.hamiltonians[0])
-        fg = flow_grid(k, traj, spec, IntegratorConfig(step=1e-3))
         det_dev = float(np.max(np.abs(fg.jacobian_det - 1.0)))
         print(f"{row_name:>9} / {kname:>9}: H(0) = {traj.hamiltonians[0]:8.4f}, "
               f"relative drift {drift:.1e}, max |det-1| = {det_dev:6.3f}")

@@ -66,6 +66,7 @@ _DEFAULTS = {
     "spectrum": {"rho_min": 1e-3, "rho_max": 20.0, "n": 256},
     "hodge": {"r_min": 0.05, "r_max": 5.0, "n": 200},
     "output": {"format": "csv", "path": None, "arrow_scale": 0.2},
+    "expmap": {"theta_min": -math.pi / 2, "theta_max": math.pi / 2, "count": 33},
 }
 
 
@@ -82,10 +83,24 @@ def _require(block: dict, name: str, where: str):
 
 
 def _is_finite_number(value) -> bool:
+    if isinstance(value, bool):
+        return False
     try:
         return math.isfinite(float(value))
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _is_count(value, least: int) -> bool:
+    return _is_finite_number(value) and float(value).is_integer() and float(value) >= least
+
+
+def _block(cfg: dict, name: str, required: bool = False) -> dict:
+    """Config block `name`, which must be a JSON object, merged over its defaults."""
+    block = _require(cfg, name, "top-level") if required else cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{name}' block must be a JSON object, got {block!r}")
+    return {**_DEFAULTS.get(name, {}), **block}
 
 
 def build_kernel(block: dict) -> ker.TriKernel:
@@ -97,6 +112,8 @@ def build_kernel(block: dict) -> ker.TriKernel:
     for name, value in block.items():
         if name != "family" and not _is_finite_number(value):
             raise ConfigError(f"kernel field '{name}' must be a finite number, got {value!r}")
+    if not _is_count(block["dim"], 2):
+        raise ConfigError(f"kernel field 'dim' must be an integer >= 2, got {block['dim']!r}")
     dim = int(float(block["dim"]))
     try:
         if family == "gaussian":
@@ -132,7 +149,7 @@ def build_kernel(block: dict) -> ker.TriKernel:
         if family == "bessel_curl_free":
             return ker.make_curl_free(profile, dim)
         return ker.make_div_free(profile, dim)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad kernel parameters: {exc}") from exc
@@ -175,14 +192,14 @@ def _finite_fields(block: dict, names, where: str) -> None:
 
 def _numeric_block(cfg: dict, where: str) -> dict:
     """A certify/spectrum/hodge block merged with its defaults, finite and in range."""
-    block = {**_DEFAULTS[where], **cfg.get(where, {})}
+    block = _block(cfg, where)
     _check_fields(block, set(_DEFAULTS[where]), where)
     _finite_fields(block, block, where)
     block = {name: float(value) for name, value in block.items()}
     lo, hi = ("r_min", "r_max") if where == "hodge" else ("rho_min", "rho_max")
     if not 0.0 < block[lo] < block[hi]:
         raise ConfigError(f"'{where}' needs 0 < {lo} < {hi}, got {block[lo]}, {block[hi]}")
-    if not (block["n"].is_integer() and block["n"] >= 2):
+    if not _is_count(block["n"], 2):
         raise ConfigError(f"'{where}' field 'n' must be an integer >= 2, got {block['n']!r}")
     if block.get("tol", 0.0) < 0.0:
         raise ConfigError(f"'{where}' field 'tol' must be >= 0, got {block['tol']!r}")
@@ -190,9 +207,12 @@ def _numeric_block(cfg: dict, where: str) -> dict:
 
 
 def _integrator(cfg: dict) -> dyn.IntegratorConfig:
-    block = {**_DEFAULTS["integrator"], **cfg.get("integrator", {})}
-    _check_fields(block, {"scheme", "step", "record_every"}, "integrator")
+    block = _block(cfg, "integrator")
+    _check_fields(block, set(_DEFAULTS["integrator"]), "integrator")
     _finite_fields(block, ("step", "record_every"), "integrator")
+    if not _is_count(block["record_every"], 1):
+        raise ConfigError("'integrator' field 'record_every' must be an integer >= 1, "
+                          f"got {block['record_every']!r}")
     try:
         return dyn.IntegratorConfig(scheme=block["scheme"], step=float(block["step"]),
                                     record_every=int(block["record_every"]))
@@ -208,22 +228,32 @@ def _grid_axis(block: dict, name: str) -> tuple:
     return tuple(float(v) for v in values)
 
 
-def _grid_spec(block: dict) -> dyn.GridSpec:
+def _grid_spec(cfg: dict, dim: int) -> dyn.GridSpec:
+    block = _block(cfg, "grid", required=True)
     _check_fields(block, {"lo", "hi", "n"}, "grid")
-    lo, hi = _grid_axis(block, "lo"), _grid_axis(block, "hi")
-    n = tuple(int(v) for v in _grid_axis(block, "n"))
+    lo, hi, n = (_grid_axis(block, name) for name in ("lo", "hi", "n"))
     if not len(lo) == len(hi) == len(n):
         raise ConfigError("grid lo/hi/n must have equal lengths")
-    if min(n, default=2) < 2:
-        raise ConfigError(f"grid needs at least 2 points per axis, got n = {list(n)}")
-    return dyn.GridSpec(lo=lo, hi=hi, n=n)
+    if not all(_is_count(v, 2) for v in n):
+        raise ConfigError(f"grid needs an integer >= 2 points per axis, got n = {list(n)}")
+    if len(lo) != dim:
+        raise ConfigError("grid dimension must match the kernel dimension")
+    if not all(a < b for a, b in zip(lo, hi)):
+        raise ConfigError(f"grid needs lo < hi on every axis, got {list(lo)}, {list(hi)}")
+    return dyn.GridSpec(lo=lo, hi=hi, n=tuple(int(v) for v in n))
 
 
 def _output(cfg: dict) -> dict:
-    block = {**_DEFAULTS["output"], **cfg.get("output", {})}
-    _check_fields(block, {"format", "path", "arrow_scale"}, "output")
+    block = _block(cfg, "output")
+    _check_fields(block, set(_DEFAULTS["output"]), "output")
     if block["format"] not in ("csv", "svg"):
         raise ConfigError("output format must be 'csv' or 'svg'")
+    if not (block["path"] is None or isinstance(block["path"], str)):
+        raise ConfigError(f"output path must be a string or null, got {block['path']!r}")
+    _finite_fields(block, ("arrow_scale",), "output")
+    block["arrow_scale"] = float(block["arrow_scale"])
+    if not block["arrow_scale"] > 0.0:
+        raise ConfigError(f"output arrow_scale must be > 0, got {block['arrow_scale']!r}")
     return block
 
 
@@ -243,11 +273,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _effective(cfg: dict, command: str) -> dict:
     merged = dict(cfg)
-    merged["integrator"] = {**_DEFAULTS["integrator"], **cfg.get("integrator", {})}
-    merged["output"] = {**_DEFAULTS["output"], **cfg.get("output", {})}
-    for key in ("certify", "spectrum", "hodge"):
-        if key == command or key in cfg:
-            merged[key] = {**_DEFAULTS[key], **cfg.get(key, {})}
+    for key in _DEFAULTS:
+        if key in ("integrator", "output", command) or key in cfg:
+            merged[key] = _block(cfg, key)
     merged["command"] = command
     return merged
 
@@ -267,7 +295,7 @@ _TOP_LEVEL = {
 
 
 def cmd_certify(cfg: dict, args) -> int:
-    k = build_kernel(_require(cfg, "kernel", "top-level"))
+    k = build_kernel(_block(cfg, "kernel", required=True))
     block = _numeric_block(cfg, "certify")
     grid = np.geomspace(block["rho_min"], block["rho_max"], int(block["n"]))
     verdict = spec.certify_pd(k, grid, tol=float(block["tol"]))
@@ -284,7 +312,7 @@ def cmd_certify(cfg: dict, args) -> int:
 
 
 def cmd_spectrum(cfg: dict, args) -> int:
-    k = build_kernel(_require(cfg, "kernel", "top-level"))
+    k = build_kernel(_block(cfg, "kernel", required=True))
     block = _numeric_block(cfg, "spectrum")
     out = _output(cfg)
     grid = np.geomspace(block["rho_min"], block["rho_max"], int(block["n"]))
@@ -299,12 +327,10 @@ def cmd_spectrum(cfg: dict, args) -> int:
 
 
 def cmd_field(cfg: dict, args) -> int:
-    k = build_kernel(_require(cfg, "kernel", "top-level"))
+    k = build_kernel(_block(cfg, "kernel", required=True))
     lmk = _landmarks(cfg, k.dim)
     mom = _momenta(cfg, lmk.n, k.dim)
-    gspec = _grid_spec(_require(cfg, "grid", "top-level"))
-    if len(gspec.lo) != k.dim:
-        raise ConfigError("grid dimension must match the kernel dimension")
+    gspec = _grid_spec(cfg, k.dim)
     out = _output(cfg)
     field = flds.snapshot_field(k, lmk, mom)
     pts = gspec.lattice()
@@ -352,23 +378,24 @@ def _trajectory_csv(path: Path, traj: dyn.Trajectory) -> None:
 
 
 def cmd_shoot(cfg: dict, args) -> int:
-    k = build_kernel(_require(cfg, "kernel", "top-level"))
+    k = build_kernel(_block(cfg, "kernel", required=True))
     lmk = _landmarks(cfg, k.dim)
     mom = _momenta(cfg, lmk.n, k.dim)
     icfg = _integrator(cfg)
     out = _output(cfg)
-    traj = dyn.shoot(k, lmk, mom, icfg)
+    if "grid" in cfg:
+        # one pass integrates the landmarks and carries the lattice along
+        fg = dyn.flow_grid(k, lmk, mom, _grid_spec(cfg, k.dim), icfg)
+        traj = fg.trajectory
+    else:
+        fg, traj = None, dyn.shoot(k, lmk, mom, icfg)
     path = _out_path(args, out, "trajectory.csv")
     _trajectory_csv(path, traj)
     print(f"wrote {path}")
     h0 = traj.hamiltonians[0]
     print(f"H(0) = {h0:.9g}   max |H - H(0)| = {traj.energy_drift():.3e}")
 
-    grid_block = cfg.get("grid")
-    fg = None
-    if grid_block is not None:
-        gspec = _grid_spec(grid_block)
-        fg = dyn.flow_grid(k, traj, gspec, icfg)
+    if fg is not None:
         det_dev = float(np.max(np.abs(fg.jacobian_det - 1.0)))
         grid_path = path.with_name(path.stem + "_grid.csv")
         header = ([f"x0_{i+1}" for i in range(k.dim)]
@@ -410,14 +437,17 @@ def cmd_shoot(cfg: dict, args) -> int:
 
 
 def cmd_expmap(cfg: dict, args) -> int:
-    k = build_kernel(_require(cfg, "kernel", "top-level"))
+    k = build_kernel(_block(cfg, "kernel", required=True))
     lmk = _landmarks(cfg, k.dim)
-    block = _require(cfg, "expmap", "top-level")
-    _check_fields(block, {"magnitude", "theta_min", "theta_max", "count"}, "expmap")
-    mag = float(_require(block, "magnitude", "expmap"))
-    t0 = float(block.get("theta_min", -math.pi / 2))
-    t1 = float(block.get("theta_max", math.pi / 2))
-    count = int(block.get("count", 33))
+    block = _block(cfg, "expmap", required=True)
+    _check_fields(block, {"magnitude", *_DEFAULTS["expmap"]}, "expmap")
+    _require(block, "magnitude", "expmap")
+    _finite_fields(block, block, "expmap")
+    if not _is_count(block["count"], 1):
+        raise ConfigError(f"'expmap' field 'count' must be an integer >= 1, "
+                          f"got {block['count']!r}")
+    mag, t0, t1 = (float(block[name]) for name in ("magnitude", "theta_min", "theta_max"))
+    count = int(float(block["count"]))
     if lmk.n != 2 or k.dim != 2:
         raise ConfigError("expmap requires two landmarks in dimension 2")
     icfg = _integrator(cfg)
@@ -461,7 +491,7 @@ def cmd_expmap(cfg: dict, args) -> int:
 
 
 def cmd_hodge(cfg: dict, args) -> int:
-    k = build_kernel(_require(cfg, "kernel", "top-level"))
+    k = build_kernel(_block(cfg, "kernel", required=True))
     block = _numeric_block(cfg, "hodge")
     out = _output(cfg)
     with warnings.catch_warnings():
@@ -539,6 +569,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"the config must be a JSON object, got {cfg!r}")
         _check_fields(cfg, _TOP_LEVEL[args.command], "top-level")
         if args.print_effective_config:
             print(json.dumps(_effective(cfg, args.command), indent=2, default=str))

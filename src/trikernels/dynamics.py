@@ -12,16 +12,16 @@ solutions; its drift under the fixed-step integrator is the error
 diagnostic every experiment reports.  `shoot` and `exp_map_fan` share
 one fixed-step integrator that advances a batch of members with shared
 start positions at once, each with its own coalescence test; a single
-shoot is a batch of one.  A second integration pass transports an
-ambient lattice through the time-dependent velocity field spanned by
-the moving landmarks, yielding the deformation map and its Jacobian
-determinants.
+shoot is a batch of one.  `flow_grid` is that same integrator with an
+ambient lattice carried along: each stage moves the lattice with the
+velocity field spanned by the landmarks at that stage, yielding the
+deformation map and its Jacobian determinants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -125,6 +125,7 @@ class FlowGrid:
     original: np.ndarray       # (G, d)
     transported: np.ndarray    # (G, d)
     jacobian_det: np.ndarray   # (G,)
+    trajectory: Trajectory     # the landmark shoot of the same pass
 
     def det_array(self) -> np.ndarray:
         return self.jacobian_det.reshape(self.spec.n)
@@ -211,20 +212,23 @@ def hamilton_rhs(k: TriKernel, s: PhaseState):
 # ---------------------------------------------------------------------------
 
 def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
-               cfg: IntegratorConfig) -> list:
+               cfg: IntegratorConfig, points: Optional[np.ndarray] = None):
     """Integrate a batch of members from shared positions q0 (N, d).
 
     `momenta` holds one (N, d) initial momentum per member.  Each RK4
     stage evaluates every running member at once.  Each member has its
     own coalescence test; a member that fails at some stage is dropped
-    from the batch once the step ends, and the others continue.
-    Returns, per member, its Trajectory or the CoalescenceError that a
-    lone integration of that member raises.
+    from the batch once the step ends, and the others continue.  For a
+    batch of one, `points` (G, d) move in the same stages with the field
+    of each stage's (q, p).  Returns, per member, its Trajectory or the
+    CoalescenceError that a lone integration of that member raises, and
+    a list holding the final points (empty without points).
     """
     n_steps = cfg.n_steps
     h = 1.0 / n_steps
     p = np.array(momenta, dtype=float)
     q = np.broadcast_to(np.asarray(q0, dtype=float), p.shape).copy()
+    state = [q, p] if points is None else [q, p, np.array(points, dtype=float)]
     recorded = [i + 1 for i in range(n_steps)
                 if (i + 1) % cfg.record_every == 0 or i == n_steps - 1]
     qs = np.zeros((len(recorded) + 1,) + p.shape)
@@ -234,38 +238,42 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
     live = np.arange(len(p))
     errors: dict[int, CoalescenceError] = {}
 
-    def stage(qs_, ps_, t):
-        dq, dp, r = _rhs(k, qs_, ps_)
+    def rate(s, t):
+        dq, dp, r = _rhs(k, s[0], s[1])
         for m, err in _coalesced(r, t).items():
             errors.setdefault(int(live[m]), err)
-        return dq, dp
+        return [dq, dp] if len(s) == 2 else [dq, dp, field_apply(k, s[0][0], s[1][0], s[2])]
+
+    def shift(s, c, ds):
+        return [a + c * b for a, b in zip(s, ds)]
 
     row = 1
     for i in range(n_steps):
         t = i * h
         if cfg.scheme == "euler":
-            dq, dp = stage(q, p, t)
-            q, p = q + h * dq, p + h * dp
+            state = shift(state, h, rate(state, t))
         else:
-            k1q, k1p = stage(q, p, t)
-            k2q, k2p = stage(q + 0.5 * h * k1q, p + 0.5 * h * k1p, t + 0.5 * h)
-            k3q, k3p = stage(q + 0.5 * h * k2q, p + 0.5 * h * k2p, t + 0.5 * h)
-            k4q, k4p = stage(q + h * k3q, p + h * k3p, t + h)
-            q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            k1 = rate(state, t)
+            k2 = rate(shift(state, 0.5 * h, k1), t + 0.5 * h)
+            k3 = rate(shift(state, 0.5 * h, k2), t + 0.5 * h)
+            k4 = rate(shift(state, h, k3), t + h)
+            state = [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
         failed = [j for j, m in enumerate(live) if m in errors]
         if failed:
-            q, p, live = (np.delete(a, failed, axis=0) for a in (q, p, live))
+            live = np.delete(live, failed)
+            state = [np.delete(a, failed, axis=0) for a in state[:2]] + state[2:]
             if not len(live):
                 break
         if row <= len(recorded) and recorded[row - 1] == i + 1:
+            q, p = state[:2]
             qs[row, live], ps[row, live], hs[row, live] = q, p, _ham(k, q, p)
             row += 1
     times = np.array([0.0] + recorded) * h
     return [errors[m] if m in errors else
             Trajectory(times=times, q=qs[:, m].copy(), p=ps[:, m].copy(),
                        hamiltonians=hs[:, m].copy(), step=h)
-            for m in range(len(momenta))]
+            for m in range(len(momenta))], state[2:]
 
 
 def _check_shapes(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet):
@@ -286,7 +294,7 @@ def shoot(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet,
     landmarks approach within the threshold.
     """
     _check_shapes(k, q0, p0)
-    (result,) = _integrate(k, q0.points, p0.vectors[None], cfg)
+    (result,), _ = _integrate(k, q0.points, p0.vectors[None], cfg)
     if isinstance(result, CoalescenceError):
         raise result
     return result
@@ -305,22 +313,6 @@ def path_energy(k: TriKernel, traj: Trajectory) -> float:
 # ambient flow transport
 # ---------------------------------------------------------------------------
 
-def _qp_interpolator(traj: Trajectory) -> Callable:
-    times = traj.times
-    qs, ps = traj.q, traj.p
-
-    def at(t: float):
-        if t <= times[0]:
-            return qs[0], ps[0]
-        if t >= times[-1]:
-            return qs[-1], ps[-1]
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        return (1 - w) * qs[j] + w * qs[j + 1], (1 - w) * ps[j] + w * ps[j + 1]
-
-    return at
-
-
 def _lattice_jacobian_det(spec: GridSpec, transported: np.ndarray) -> np.ndarray:
     shape = tuple(int(m) for m in spec.n)
     d = len(shape)
@@ -333,37 +325,24 @@ def _lattice_jacobian_det(spec: GridSpec, transported: np.ndarray) -> np.ndarray
     return np.linalg.det(jac).reshape(-1)
 
 
-def flow_grid(k: TriKernel, traj: Trajectory, spec: GridSpec,
+def flow_grid(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet, spec: GridSpec,
               cfg: IntegratorConfig = IntegratorConfig()) -> FlowGrid:
-    """Advect a lattice through the landmark-spanned velocity field.
+    """Shoot from (q0, p0) and carry a lattice along in the same pass.
 
-    Each lattice point follows dx/dt = v(t, x) with v rebuilt from the
-    trajectory's (q, p) samples, linearly interpolated in time; the same
-    fixed-step scheme as the landmark shoot is used.  Jacobian
-    determinants come from central differences over lattice neighbors.
+    Each lattice point follows dx/dt = v(t, x), v the field of the
+    moving landmarks, taken at each RK4/Euler stage's exact (q, p), so
+    the lattice does not depend on `record_every`.  `trajectory` equals
+    `shoot`'s bit for bit, and coalescence raises the same error.
+    Jacobian determinants come from central differences over lattice
+    neighbors.
     """
+    _check_shapes(k, q0, p0)
     pts = spec.lattice()
-    at = _qp_interpolator(traj)
-    n_steps = cfg.n_steps
-    h = 1.0 / n_steps
-
-    def vel(t, x):
-        qt, pt = at(t)
-        return field_apply(k, qt, pt, x)
-
-    x = pts.copy()
-    for i in range(n_steps):
-        t = i * h
-        if cfg.scheme == "euler":
-            x = x + h * vel(t, x)
-        else:
-            k1 = vel(t, x)
-            k2 = vel(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = vel(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = vel(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    det = _lattice_jacobian_det(spec, x)
-    return FlowGrid(spec=spec, original=pts, transported=x, jacobian_det=det)
+    (result,), (x,) = _integrate(k, q0.points, p0.vectors[None], cfg, pts)
+    if isinstance(result, CoalescenceError):
+        raise result
+    return FlowGrid(spec=spec, original=pts, transported=x,
+                    jacobian_det=_lattice_jacobian_det(spec, x), trajectory=result)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +385,7 @@ def exp_map_fan(k: TriKernel, q0: LandmarkConfig, p_family,
               for p in p_family]
     for p0 in p_list:
         _check_shapes(k, q0, p0)
-    results = _integrate(k, q0.points, [p0.vectors for p0 in p_list], cfg) if p_list else []
+    results = _integrate(k, q0.points, [p0.vectors for p0 in p_list], cfg)[0] if p_list else []
     params = np.arange(len(p_list)) if parameters is None else np.asarray(parameters)
     return FanResult(
         parameters=params,

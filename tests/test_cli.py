@@ -103,6 +103,52 @@ GAUSS2 = {"family": "gaussian", "c": 1.0, "dim": 2}
 ONE_LANDMARK = {"kernel": GAUSS2, "landmarks": [[0.0, 0.0]], "momenta": [[1.0, 0.0]]}
 
 
+TWO_LANDMARKS = {"kernel": GAUSS2, "landmarks": [[0.0, 0.0], [0.0, 1.0]]}
+EXPMAP_CFG = {**TWO_LANDMARKS, "expmap": {"magnitude": 1.0, "count": 3},
+              "integrator": {"step": 0.05}}
+SHOOT_SMALL = {**ONE_LANDMARK, "integrator": {"step": 0.05}}
+FIELD_CFG = {**ONE_LANDMARK, "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [5, 5]}}
+
+# every block must be a JSON object, and the expmap, output and integrator
+# fields must be finite, in range and (for counts) integers
+MALFORMED_BLOCK_CASES = {
+    "expmap-magnitude-NaN": ("expmap", {**EXPMAP_CFG, "expmap": {"magnitude": float("nan")}}),
+    "expmap-count-string": ("expmap", {**EXPMAP_CFG, "expmap": {"magnitude": 1.0, "count": "x"}}),
+    "expmap-count-0": ("expmap", {**EXPMAP_CFG, "expmap": {"magnitude": 1.0, "count": 0}}),
+    "expmap-count-fractional": ("expmap",
+                                {**EXPMAP_CFG, "expmap": {"magnitude": 1.0, "count": 2.5}}),
+    "expmap-count-true": ("expmap", {**EXPMAP_CFG, "expmap": {"magnitude": 1.0, "count": True}}),
+    "expmap-theta_min-Infinity": ("expmap", {**EXPMAP_CFG, "expmap": {
+        "magnitude": 1.0, "count": 3, "theta_min": float("inf")}}),
+    "expmap-theta_max-null": ("expmap", {**EXPMAP_CFG, "expmap": {
+        "magnitude": 1.0, "count": 3, "theta_max": None}}),
+    "expmap-block-list": ("expmap", {**EXPMAP_CFG, "expmap": []}),
+    "certify-block-list": ("certify", {"kernel": GAUSS2, "certify": [1, 2]}),
+    "kernel-block-list": ("certify", {"kernel": [1]}),
+    "integrator-block-list": ("shoot", {**SHOOT_SMALL, "integrator": [1]}),
+    "integrator-block-null": ("shoot", {**SHOOT_SMALL, "integrator": None}),
+    "output-block-string": ("field", {**FIELD_CFG, "output": "svg"}),
+    "grid-block-number": ("shoot", {**SHOOT_SMALL, "grid": 5}),
+    "top-level-number": ("certify", 5),
+    "top-level-list": ("hodge", [1]),
+    "record_every-fractional": ("shoot", {**SHOOT_SMALL, "integrator": {
+        "step": 0.05, "record_every": 2.5}}),
+    "output-arrow_scale-NaN": ("field", {**FIELD_CFG, "output": {
+        "format": "svg", "arrow_scale": float("nan")}}),
+    "output-arrow_scale-0": ("field", {**FIELD_CFG, "output": {"arrow_scale": 0}}),
+    "output-path-number": ("field", {**FIELD_CFG, "output": {"path": 7}}),
+    "grid-n-fractional": ("field", {**FIELD_CFG, "grid": {
+        "lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [2.5, 5]}}),
+    "shoot-grid-dimension": ("shoot", {**SHOOT_SMALL, "grid": {
+        "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0], "n": [3, 3, 3]}}),
+    "shoot-grid-lo-equals-hi": ("shoot", {**SHOOT_SMALL, "grid": {
+        "lo": [0.0, 0.5], "hi": [1.0, 0.5], "n": [4, 3]}}),
+    "kernel-dim-fractional": ("certify", {"kernel": {**GAUSS2, "dim": 2.5}}),
+    "curl-free-c-0": ("certify", {"kernel": {"family": "gaussian_curl_free",
+                                             "b": 1.0, "c": 0, "dim": 2}}),
+}
+
+
 @pytest.mark.parametrize("command, config", [
     ("certify", {"kernel": GAUSS2, "certify": {"tol": float("nan")}}),
     ("spectrum", {"kernel": GAUSS2, "spectrum": {"rho_max": float("inf")}}),
@@ -122,12 +168,14 @@ ONE_LANDMARK = {"kernel": GAUSS2, "landmarks": [[0.0, 0.0]], "momenta": [[1.0, 0
     ("hodge", {"kernel": GAUSS2, "hodge": {"n": 0}}),
     ("hodge", {"kernel": GAUSS2, "hodge": {"r_min": 0.0}}),
     ("hodge", {"kernel": GAUSS2, "hodge": {"r_min": 2.0, "r_max": 2.0}}),
+    *MALFORMED_BLOCK_CASES.values(),
 ], ids=["certify-tol-NaN", "spectrum-rho_max-Infinity", "hodge-r_max-NaN",
         "field-grid-n-1", "shoot-grid-n-1", "field-grid-lo-Infinity",
         "shoot-step-NaN", "shoot-record_every-Infinity",
         "certify-n-0", "certify-rho_min-0", "certify-rho_min-above-rho_max",
         "certify-tol-negative", "spectrum-n-1", "spectrum-n-fractional",
-        "hodge-n-0", "hodge-r_min-0", "hodge-r_min-equals-r_max"])
+        "hodge-n-0", "hodge-r_min-0", "hodge-r_min-equals-r_max"]
+    + list(MALFORMED_BLOCK_CASES))
 def test_bad_numeric_block_field_is_input_error(tmp_path, capsys, command, config):
     assert run(tmp_path, command, config) == 2
     captured = capsys.readouterr()
@@ -294,6 +342,19 @@ def test_shoot_with_grid_and_svg(tmp_path, capsys):
     assert rows.shape[1] == 5  # x0, x1 pairs and det
     out = capsys.readouterr().out
     assert "max |det - 1|" in out
+
+
+def test_shoot_grid_leaves_trajectory_csv_unchanged(tmp_path):
+    plain, gridded = tmp_path / "plain", tmp_path / "grid"
+    base = dict(SHOOT_CFG, integrator={"step": 0.01, "record_every": 7})
+    for out, cfg in ((plain, base),
+                     (gridded, dict(base, grid={"lo": [-0.2, -0.3], "hi": [0.8, 0.5],
+                                                "n": [6, 5]}))):
+        out.mkdir()
+        assert run(out, "shoot", cfg) == 0
+    assert ((gridded / "trajectory.csv").read_bytes()
+            == (plain / "trajectory.csv").read_bytes())
+    assert (gridded / "trajectory_grid.csv").exists()
 
 
 def test_shoot_zero_momenta_identity_grid(tmp_path):

@@ -1,0 +1,118 @@
+"""Config fuzzing of the CLI exit-code contract.
+
+Each subcommand starts from a small valid config.  One field, one whole
+block or the whole config is replaced by a value drawn from a bounded
+set of awkward JSON values, and the run must end with an exit code in
+{0, 1, 2, 3} and no traceback.  No drawn value is a large count, so no
+case can allocate without bound.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from trikernels import cli  # noqa: E402
+
+NAN, INF = float("nan"), float("inf")
+VALUES = [NAN, INF, -INF, 0, -1, 2.5, "x", None, True, [], [1], {}]
+
+GRID = {"lo": [-0.5, -0.5], "hi": [0.5, 0.5], "n": [4, 3]}
+INTEGRATOR = {"scheme": "rk4", "step": 0.05, "record_every": 2}
+OUTPUT = {"format": "svg", "path": None, "arrow_scale": 0.2}
+TWO_LANDMARKS = [[0.0, 0.0], [0.0, 0.3]]
+MOMENTA = [[1.0, 0.0], [1.0, 0.0]]
+
+# every field of every block is written out, so each one can be replaced
+BASE = {
+    "certify": {
+        "kernel": {"family": "gaussian_div_free", "b": 1.0, "c": 1.0, "dim": 2},
+        "certify": {"rho_min": 1e-2, "rho_max": 10.0, "n": 16, "tol": 1e-8},
+    },
+    "spectrum": {
+        "kernel": {"family": "gaussian_curl_free", "b": 1.0, "c": 1.0, "dim": 2},
+        "spectrum": {"rho_min": 1e-2, "rho_max": 10.0, "n": 16},
+        "output": {**OUTPUT, "format": "csv"},
+    },
+    "field": {
+        "kernel": {"family": "gaussian", "c": 4.0, "b": 1.0, "dim": 2},
+        "landmarks": TWO_LANDMARKS, "momenta": MOMENTA, "grid": GRID, "output": OUTPUT,
+    },
+    "shoot": {
+        "kernel": {"family": "gaussian_div_free", "b": 0.1, "c": 4.0, "dim": 2},
+        "landmarks": TWO_LANDMARKS, "momenta": MOMENTA, "integrator": INTEGRATOR,
+        "grid": GRID, "output": OUTPUT,
+    },
+    "expmap": {
+        "kernel": {"family": "gaussian_curl_free", "b": 0.1, "c": 4.0, "dim": 2},
+        "landmarks": TWO_LANDMARKS, "integrator": INTEGRATOR, "output": OUTPUT,
+        "expmap": {"magnitude": 1.0, "theta_min": -0.5, "theta_max": 0.5, "count": 3},
+    },
+    "hodge": {
+        "kernel": {"family": "gaussian", "c": 1.0, "b": 1.0, "dim": 2},
+        "hodge": {"r_min": 0.1, "r_max": 2.0, "n": 8},
+        "output": {**OUTPUT, "format": "csv"},
+    },
+}
+
+# (command, path): () is the whole config, (block,) a block, (block, field) a field
+TARGETS = [(command, path) for command, cfg in BASE.items()
+           for path in [(), *[(b,) for b in cfg],
+                        *[(b, f) for b, v in cfg.items() if isinstance(v, dict) for f in v]]]
+
+
+def replaced(command: str, path: tuple, value):
+    cfg = json.loads(json.dumps(BASE[command]))
+    if not path:
+        return value
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def run_cli(command: str, config) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), "--out", tmp])
+    return code, err.getvalue()
+
+
+def test_base_configs_succeed():
+    for command in BASE:
+        assert run_cli(command, BASE[command]) == (0, ""), command
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(TARGETS), value=st.sampled_from(VALUES))
+@example(target=("expmap", ("expmap", "magnitude")), value=NAN)
+@example(target=("expmap", ("expmap", "count")), value="x")
+@example(target=("expmap", ("expmap", "count")), value=0)
+@example(target=("expmap", ("expmap", "count")), value=2.5)
+@example(target=("expmap", ("expmap", "theta_min")), value=INF)
+@example(target=("certify", ("certify",)), value=[1, 2])
+@example(target=("shoot", ("integrator",)), value=[1])
+@example(target=("field", ("output",)), value="svg")
+@example(target=("certify", ()), value=5)
+@example(target=("shoot", ("integrator", "record_every")), value=2.5)
+@example(target=("field", ("output", "arrow_scale")), value=NAN)
+@example(target=("field", ("output", "path")), value=7)
+@example(target=("spectrum", ("kernel", "c")), value=0)
+@example(target=("hodge", ("kernel", "b")), value=0)
+def test_any_single_replacement_keeps_the_exit_code_contract(target, value):
+    command, path = target
+    code, err = run_cli(command, replaced(command, path, value))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

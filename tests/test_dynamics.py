@@ -238,9 +238,8 @@ def test_path_energy_single_landmark():
 def test_flow_grid_identity_for_zero_momenta():
     k = scalar16()
     q0, _ = row_a()
-    traj = D.shoot(k, q0, F.MomentaSet(np.zeros((2, 2))), D.IntegratorConfig(step=1e-2))
     spec = D.GridSpec(lo=(-0.5, -0.5), hi=(0.5, 0.5), n=(11, 11))
-    fg = D.flow_grid(k, traj, spec, D.IntegratorConfig(step=1e-2))
+    fg = D.flow_grid(k, q0, F.MomentaSet(np.zeros((2, 2))), spec, D.IntegratorConfig(step=1e-2))
     assert np.max(np.abs(fg.transported - fg.original)) == 0.0
     np.testing.assert_allclose(fg.jacobian_det, 1.0, atol=1e-12)
 
@@ -248,9 +247,8 @@ def test_flow_grid_identity_for_zero_momenta():
 def test_flow_grid_far_points_unmoved():
     k = scalar16()  # width 0.25: points 2.5 away feel nothing
     q0, p0 = row_a()
-    traj = D.shoot(k, q0, p0, D.IntegratorConfig(step=2e-3, record_every=1))
     spec = D.GridSpec(lo=(-3.0, 2.5), hi=(-2.5, 3.0), n=(6, 6))
-    fg = D.flow_grid(k, traj, spec, D.IntegratorConfig(step=2e-3))
+    fg = D.flow_grid(k, q0, p0, spec, D.IntegratorConfig(step=2e-3))
     assert np.max(np.linalg.norm(fg.transported - fg.original, axis=1)) < 1e-6
 
 
@@ -258,9 +256,8 @@ def test_flow_grid_volume_preservation_div_free():
     k = divfree16()
     q0 = F.LandmarkConfig(np.array([[0.0, 0.0]]))
     p0 = F.MomentaSet(np.array([[3.0, 0.0]]))
-    traj = D.shoot(k, q0, p0, D.IntegratorConfig(step=1e-3, record_every=1))
     spec = D.GridSpec(lo=(-0.4, -0.4), hi=(0.6, 0.4), n=(51, 41))  # spacing 0.02
-    fg = D.flow_grid(k, traj, spec, D.IntegratorConfig(step=1e-3))
+    fg = D.flow_grid(k, q0, p0, spec, D.IntegratorConfig(step=1e-3))
     assert np.max(np.abs(fg.jacobian_det - 1.0)) <= 1e-2
 
 
@@ -268,10 +265,75 @@ def test_flow_grid_scalar_kernel_compresses():
     k = scalar16()
     q0 = F.LandmarkConfig(np.array([[0.0, 0.0]]))
     p0 = F.MomentaSet(np.array([[3.0, 0.0]]))
-    traj = D.shoot(k, q0, p0, D.IntegratorConfig(step=1e-3, record_every=1))
     spec = D.GridSpec(lo=(-0.4, -0.4), hi=(0.6, 0.4), n=(51, 41))
-    fg = D.flow_grid(k, traj, spec, D.IntegratorConfig(step=1e-3))
+    fg = D.flow_grid(k, q0, p0, spec, D.IntegratorConfig(step=1e-3))
     assert np.max(np.abs(fg.jacobian_det - 1.0)) > 0.05
+
+
+# the transport benchmark's lattice and step, and its strongest sampled momentum
+TRANSPORT_SPEC = D.GridSpec(lo=(-0.3, -0.5), hi=(1.1, 0.7), n=(36, 31))
+
+
+def transport_momenta(mag=20.0, theta=-0.3):
+    return F.MomentaSet(np.array([[mag * np.cos(theta), mag * np.sin(theta)],
+                                  [mag * np.cos(theta), -mag * np.sin(theta)]]))
+
+
+def test_flow_grid_lattice_independent_of_record_every():
+    k = curlfree16()
+    q0, _ = row_a()
+    spec = D.GridSpec(lo=(-0.3, -0.5), hi=(1.1, 0.7), n=(15, 13))
+    grids = [D.flow_grid(k, q0, transport_momenta(), spec,
+                         D.IntegratorConfig(step=1e-2, record_every=r)).transported
+             for r in (1, 10, 50)]
+    for g in grids[1:]:
+        assert np.array_equal(g, grids[0])
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_flow_grid_trajectory_equals_shoot(scheme):
+    k = divfree16()
+    q0, p0 = row_a()
+    cfg = D.IntegratorConfig(scheme=scheme, step=1e-2, record_every=7)
+    traj = D.shoot(k, q0, p0, cfg)
+    fg = D.flow_grid(k, q0, p0, D.GridSpec(lo=(-0.2, -0.3), hi=(0.8, 0.5), n=(6, 5)), cfg)
+    for name in ("times", "q", "p", "hamiltonians"):
+        assert np.array_equal(getattr(fg.trajectory, name), getattr(traj, name)), name
+    assert fg.trajectory.step == traj.step
+
+
+@pytest.mark.parametrize("make_kernel", [scalar16, curlfree16, divfree16])
+def test_flow_grid_converges_to_refined_step(make_kernel):
+    k = make_kernel()
+    q0, _ = row_a()
+
+    def lattice(step, record_every):
+        cfg = D.IntegratorConfig(step=step, record_every=record_every)
+        return D.flow_grid(k, q0, transport_momenta(), TRANSPORT_SPEC, cfg).transported
+
+    assert np.max(np.abs(lattice(1e-2, 10) - lattice(2.5e-3, 1))) <= 1e-5
+
+
+def test_flow_grid_points_on_landmarks_follow_them():
+    # the field at a landmark is that landmark's velocity, stage by stage
+    k = curlfree16()
+    q0, _ = row_a()
+    spec = D.GridSpec(lo=(0.0, 0.0), hi=(0.15, 0.15), n=(2, 2))  # holds both landmarks
+    fg = D.flow_grid(k, q0, transport_momenta(), spec, D.IntegratorConfig(step=1e-2))
+    assert np.array_equal(fg.original[:2], q0.points)
+    assert np.max(np.abs(fg.transported[:2] - fg.trajectory.q[-1])) <= 1e-12
+
+
+def test_flow_grid_coalescence_matches_shoot():
+    k = curlfree16()
+    q0 = F.LandmarkConfig(np.array([[-0.05, 0.0], [0.05, 0.0]]))
+    p0 = F.MomentaSet(np.array([[60.0, 0.0], [-60.0, 0.0]]))
+    cfg = D.IntegratorConfig(step=2e-3, record_every=100)
+    with pytest.raises(D.CoalescenceError) as shot:
+        D.shoot(k, q0, p0, cfg)
+    with pytest.raises(D.CoalescenceError) as flowed:
+        D.flow_grid(k, q0, p0, D.GridSpec(lo=(-0.1, -0.1), hi=(0.1, 0.1), n=(3, 3)), cfg)
+    assert str(flowed.value) == str(shot.value)
 
 
 # --- exponential map fans ----------------------------------------------------------
