@@ -11,8 +11,10 @@ emit CSV/SVG artifacts:
     hodge     split a kernel into curl-free + div-free parts, table + quivers
 
 Exit codes: 0 success, 1 analysis-negative, 2 input error, 3 numerical
-failure.  Unknown config fields are rejected; `--print-effective-config`
-dumps the merged config (all defaults explicit) and exits.
+failure.  One schema table describes every config block, and `validate`
+checks a config against it before any work starts.
+`--print-effective-config` prints the validated config with every
+default filled in; it runs unchanged as a config.
 """
 
 from __future__ import annotations
@@ -45,222 +47,258 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 # ---------------------------------------------------------------------------
+#
+# Each block maps its fields to (kind, default).  A kind turns a JSON value
+# into the checked value or raises ValueError naming what it expected; the
+# default is a value, REQUIRED, or OPTIONAL (absent unless given).  Defaults
+# pass through their kind, so a block's default is the block `{}` checked.
 
-_KERNEL_FIELDS = {
-    "gaussian": {"c", "sigma", "b"},
-    "cauchy": {"sigma"},
-    "bessel": {"sigma", "ell"},
-    "example1": {"a", "b", "c"},
-    "example2": {"a", "b", "c"},
-    "gaussian_curl_free": {"b", "c"},
-    "gaussian_div_free": {"b", "c"},
-    "bessel_curl_free": {"sigma", "ell"},
-    "bessel_div_free": {"sigma", "ell"},
-}
-
-_DEFAULTS = {
-    "integrator": {"scheme": "rk4", "step": 1e-3, "record_every": 10},
-    "certify": {"rho_min": 1e-3, "rho_max": 20.0, "n": 256, "tol": 1e-8},
-    "spectrum": {"rho_min": 1e-3, "rho_max": 20.0, "n": 256},
-    "hodge": {"r_min": 0.05, "r_max": 5.0, "n": 200},
-    "output": {"format": "csv", "path": None, "arrow_scale": 0.2},
-    "expmap": {"theta_min": -math.pi / 2, "theta_max": math.pi / 2, "count": 33},
-}
+REQUIRED = object()
+OPTIONAL = object()
 
 
-def _check_fields(block: dict, allowed: set, where: str):
-    unknown = set(block) - allowed
+def _number(value) -> float:
+    """A finite JSON number in float range; booleans and numeric strings are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError("a finite number")
+
+
+def _count(least: int):
+    def count(value) -> int:
+        number = _number(value)
+        if number.is_integer() and number >= least:
+            return int(number)
+        raise ValueError(f"an integer >= {least}")
+    return count
+
+
+def _enum(*choices: str):
+    def enum(value) -> str:
+        if isinstance(value, str) and value in choices:
+            return value
+        raise ValueError("one of " + ", ".join(map(repr, choices)))
+    return enum
+
+
+def _string_or_null(value):
+    if value is None or isinstance(value, str):
+        return value
+    raise ValueError("a string or null")
+
+
+def _list(kind, what: str, least: int = 0):
+    def listed(value) -> list:
+        if isinstance(value, list) and len(value) >= least:
+            try:
+                return [kind(v) for v in value]
+            except ValueError:
+                pass
+        raise ValueError(what)
+    return listed
+
+
+_numbers = _list(_number, "a list of finite numbers")
+_vectors = _list(_numbers, "a non-empty list of lists of finite numbers", least=1)
+
+
+def _fields(block, table: dict, where: str) -> dict:
+    """`block` checked against `table`: no unknown fields, defaults merged, values coerced.
+
+    A kind that is itself a table describes a nested block named after its field.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{where}' block must be a JSON object, got {block!r}")
+    unknown = set(block) - set(table)
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in '{where}' block")
+    checked = {}
+    for name, (kind, default) in table.items():
+        value = block.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required field '{name}' in '{where}' block")
+        if value is OPTIONAL:
+            continue
+        if isinstance(kind, dict):
+            checked[name] = _fields(value, kind, name)
+            continue
+        try:
+            checked[name] = kind(value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"'{where}' field '{name}' must be {exc}, got {value!r}") from None
+    return checked
 
 
-def _require(block: dict, name: str, where: str):
-    if name not in block:
-        raise ConfigError(f"missing required field '{name}' in '{where}' block")
-    return block[name]
+def _gaussian_c(p: dict) -> float:
+    """The Gaussian rate: `c` when given, else 1 / (2 sigma^2)."""
+    return p["c"] if "c" in p else 1.0 / (2.0 * p["sigma"] ** 2)
 
 
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool):
-        return False
+def _sobolev_profile(p: dict):
+    amp = ker.sobolev_green_constant(p["sigma"], p["ell"], p["dim"])
+    return ker.bessel_profile(p["ell"] - p["dim"] / 2.0, p["sigma"], amp)
+
+
+_NUMBER = (_number, REQUIRED)
+
+# family -> (its parameter fields, its constructor from the checked block)
+_KERNELS = {
+    "gaussian": ({"c": (_number, OPTIONAL), "sigma": (_number, OPTIONAL), "b": (_number, 1.0)},
+                 lambda p: ker.gaussian_kernel(_gaussian_c(p), p["dim"], amplitude=p["b"])),
+    "cauchy": ({"sigma": _NUMBER}, lambda p: ker.cauchy_kernel(p["sigma"], p["dim"])),
+    "bessel": ({"sigma": _NUMBER, "ell": _NUMBER},
+               lambda p: ker.bessel_kernel(p["sigma"], p["ell"], p["dim"])),
+    "example1": ({"a": _NUMBER, "b": _NUMBER, "c": _NUMBER},
+                 lambda p: ker.family_example1(p["a"], p["b"], p["c"], p["dim"])),
+    "example2": ({"a": _NUMBER, "b": _NUMBER, "c": _NUMBER},
+                 lambda p: ker.family_example2(p["a"], p["b"], p["c"], p["dim"])),
+    "gaussian_curl_free": ({"b": _NUMBER, "c": _NUMBER}, lambda p: ker.make_curl_free(
+        ker.gaussian_profile(p["b"] / (2.0 * p["c"]), p["c"]), p["dim"])),
+    "gaussian_div_free": ({"b": _NUMBER, "c": _NUMBER}, lambda p: ker.make_div_free(
+        ker.gaussian_profile(p["b"] / (2.0 * p["c"] * (p["dim"] - 1)), p["c"]), p["dim"])),
+    "bessel_curl_free": ({"sigma": _NUMBER, "ell": _NUMBER},
+                         lambda p: ker.make_curl_free(_sobolev_profile(p), p["dim"])),
+    "bessel_div_free": ({"sigma": _NUMBER, "ell": _NUMBER},
+                        lambda p: ker.make_div_free(_sobolev_profile(p), p["dim"])),
+}
+
+
+def kernel_fields(family) -> dict:
+    """The kernel block's table; `family` chooses the parameter fields."""
+    params = _KERNELS[family][0] if isinstance(family, str) and family in _KERNELS else {}
+    return {"family": (_enum(*_KERNELS), REQUIRED), "dim": (_count(2), REQUIRED), **params}
+
+
+def _kernel(block) -> dict:
+    family = block.get("family") if isinstance(block, dict) else None
+    checked = _fields(block, kernel_fields(family), "kernel")
+    if family == "gaussian" and "c" not in checked and "sigma" not in checked:
+        raise ConfigError("gaussian kernel needs 'c' or 'sigma'")
+    return checked
+
+
+BLOCKS = {
+    "certify": {"rho_min": (_number, 1e-3), "rho_max": (_number, 20.0),
+                "n": (_count(2), 256), "tol": (_number, 1e-8)},
+    "spectrum": {"rho_min": (_number, 1e-3), "rho_max": (_number, 20.0), "n": (_count(2), 256)},
+    "hodge": {"r_min": (_number, 0.05), "r_max": (_number, 5.0), "n": (_count(2), 200)},
+    "expmap": {"magnitude": _NUMBER, "theta_min": (_number, -math.pi / 2),
+               "theta_max": (_number, math.pi / 2), "count": (_count(1), 33)},
+    "integrator": {"scheme": (_enum("rk4", "euler"), "rk4"), "step": (_number, 1e-3),
+                   "record_every": (_count(1), 10)},
+    "grid": {"lo": (_numbers, REQUIRED), "hi": (_numbers, REQUIRED),
+             "n": (_list(_count(2), "a list of integers >= 2"), REQUIRED)},
+    "output": {"format": (_enum("csv", "svg"), "csv"), "path": (_string_or_null, None),
+               "arrow_scale": (_number, 0.2)},
+}
+
+
+_KERNEL = (_kernel, REQUIRED)
+_VECTORS = (_vectors, REQUIRED)
+_OUTPUT = (BLOCKS["output"], {})
+_INTEGRATOR = (BLOCKS["integrator"], {})
+
+# subcommand -> the top-level fields it accepts
+COMMAND_FIELDS = {
+    "certify": {"kernel": _KERNEL, "certify": (BLOCKS["certify"], {})},
+    "spectrum": {"kernel": _KERNEL, "spectrum": (BLOCKS["spectrum"], {}), "output": _OUTPUT},
+    "field": {"kernel": _KERNEL, "landmarks": _VECTORS, "momenta": _VECTORS,
+              "grid": (BLOCKS["grid"], REQUIRED), "output": _OUTPUT},
+    "shoot": {"kernel": _KERNEL, "landmarks": _VECTORS, "momenta": _VECTORS,
+              "integrator": _INTEGRATOR, "grid": (BLOCKS["grid"], OPTIONAL), "output": _OUTPUT},
+    "expmap": {"kernel": _KERNEL, "landmarks": _VECTORS, "expmap": (BLOCKS["expmap"], REQUIRED),
+               "integrator": _INTEGRATOR, "output": _OUTPUT},
+    "hodge": {"kernel": _KERNEL, "hodge": (BLOCKS["hodge"], {}), "output": _OUTPUT},
+}
+
+
+# cross-field rules, each applied to a checked config and acting on the blocks it holds
+
+def _ranges_ordered(cfg: dict) -> None:
+    for where, lo, hi in (("certify", "rho_min", "rho_max"), ("spectrum", "rho_min", "rho_max"),
+                          ("hodge", "r_min", "r_max")):
+        block = cfg.get(where)
+        if block is not None and not 0.0 < block[lo] < block[hi]:
+            raise ConfigError(f"'{where}' needs 0 < {lo} < {hi}, got {block[lo]}, {block[hi]}")
+
+
+def _signs(cfg: dict) -> None:
+    if cfg.get("certify", {}).get("tol", 0.0) < 0.0:
+        raise ConfigError(f"'certify' field 'tol' must be >= 0, got {cfg['certify']['tol']!r}")
+    if cfg.get("output", {}).get("arrow_scale", 1.0) <= 0.0:
+        raise ConfigError(f"output arrow_scale must be > 0, got {cfg['output']['arrow_scale']!r}")
+
+
+def _grid_axes(cfg: dict) -> None:
+    if "grid" not in cfg:
+        return
+    lo, hi, n = (cfg["grid"][axis] for axis in ("lo", "hi", "n"))
+    if not len(lo) == len(hi) == len(n):
+        raise ConfigError("grid lo/hi/n must have equal lengths")
+    if len(lo) != cfg["kernel"]["dim"]:
+        raise ConfigError("grid dimension must match the kernel dimension")
+    if not all(a < b for a, b in zip(lo, hi)):
+        raise ConfigError(f"grid needs lo < hi on every axis, got {lo}, {hi}")
+
+
+def _landmark_shapes(cfg: dict) -> None:
+    if "landmarks" not in cfg:
+        return
+    n, dim = len(cfg["landmarks"]), cfg["kernel"]["dim"]
+    if any(len(v) != dim for v in cfg["landmarks"]):
+        raise ConfigError(f"landmarks must be a list of {dim}-vectors")
+    if "momenta" in cfg and [len(v) for v in cfg["momenta"]] != [dim] * n:
+        raise ConfigError(f"momenta must be a list of {n} {dim}-vectors")
+    if "expmap" in cfg and (n != 2 or dim != 2):
+        raise ConfigError("expmap requires two landmarks in dimension 2")
+    # hodge, which has no landmarks, skips its quivers off the plane instead
+    if cfg["output"]["format"] == "svg" and dim != 2:
+        raise ConfigError("svg output requires dim = 2")
+
+
+def _library_invariants(cfg: dict) -> None:
+    """What the library's own constructors check: distinct landmarks, the step range."""
     try:
-        return math.isfinite(float(value))
-    except (TypeError, ValueError, OverflowError):
-        return False
+        if "landmarks" in cfg:
+            flds.LandmarkConfig(cfg["landmarks"])
+        if "integrator" in cfg:
+            dyn.IntegratorConfig(**cfg["integrator"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _is_count(value, least: int) -> bool:
-    return _is_finite_number(value) and float(value).is_integer() and float(value) >= least
+_RULES = (_ranges_ordered, _signs, _grid_axes, _landmark_shapes, _library_invariants)
 
 
-def _block(cfg: dict, name: str, required: bool = False) -> dict:
-    """Config block `name`, which must be a JSON object, merged over its defaults."""
-    block = _require(cfg, name, "top-level") if required else cfg.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{name}' block must be a JSON object, got {block!r}")
-    return {**_DEFAULTS.get(name, {}), **block}
+def validate(cfg, command: str) -> dict:
+    """The effective config of `command`: every field checked, defaults merged, rules applied.
+
+    It holds exactly the blocks `command` accepts and runs unchanged as a config.
+    """
+    checked = _fields(cfg, COMMAND_FIELDS[command], "config")
+    for rule in _RULES:
+        rule(checked)
+    return checked
 
 
 def build_kernel(block: dict) -> ker.TriKernel:
-    family = _require(block, "family", "kernel")
-    _require(block, "dim", "kernel")
-    if not isinstance(family, str) or family not in _KERNEL_FIELDS:
-        raise ConfigError(f"unknown kernel family '{family}'")
-    _check_fields(block, _KERNEL_FIELDS[family] | {"family", "dim"}, "kernel")
-    for name, value in block.items():
-        if name != "family" and not _is_finite_number(value):
-            raise ConfigError(f"kernel field '{name}' must be a finite number, got {value!r}")
-    if not _is_count(block["dim"], 2):
-        raise ConfigError(f"kernel field 'dim' must be an integer >= 2, got {block['dim']!r}")
-    dim = int(float(block["dim"]))
+    """The kernel a `kernel` config block describes; the block is checked first."""
+    p = _kernel(block)
     try:
-        if family == "gaussian":
-            if "c" in block:
-                c = float(block["c"])
-            elif "sigma" in block:
-                c = 1.0 / (2.0 * float(block["sigma"]) ** 2)
-            else:
-                raise ConfigError("gaussian kernel needs 'c' or 'sigma'")
-            return ker.gaussian_kernel(c, dim, amplitude=float(block.get("b", 1.0)))
-        if family == "cauchy":
-            return ker.cauchy_kernel(float(_require(block, "sigma", "kernel")), dim)
-        if family == "bessel":
-            return ker.bessel_kernel(float(_require(block, "sigma", "kernel")),
-                                     float(_require(block, "ell", "kernel")), dim)
-        a = float(block["a"]) if "a" in block else None
-        b = float(block["b"]) if "b" in block else None
-        c = float(block["c"]) if "c" in block else None
-        if family == "example1":
-            return ker.family_example1(a, b, c, dim)
-        if family == "example2":
-            return ker.family_example2(a, b, c, dim)
-        if family == "gaussian_curl_free":
-            return ker.make_curl_free(ker.gaussian_profile(b / (2.0 * c), c), dim)
-        if family == "gaussian_div_free":
-            return ker.make_div_free(
-                ker.gaussian_profile(b / (2.0 * c * (dim - 1)), c), dim)
-        sigma = float(_require(block, "sigma", "kernel"))
-        ell = float(_require(block, "ell", "kernel"))
-        nu = ell - dim / 2.0
-        amp = ker.sobolev_green_constant(sigma, ell, dim)
-        profile = ker.bessel_profile(nu, sigma, amp)
-        if family == "bessel_curl_free":
-            return ker.make_curl_free(profile, dim)
-        return ker.make_div_free(profile, dim)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        return _KERNELS[p["family"]][1](p)
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad kernel parameters: {exc}") from exc
 
 
-def _finite_array(cfg: dict, name: str) -> np.ndarray:
-    value = _require(cfg, name, "top-level")
-    try:
-        arr = np.asarray(value, dtype=float)
-        if np.all(np.isfinite(arr)):
-            return arr
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"'{name}' must hold finite numbers only, got {value!r}")
-
-
-def _landmarks(cfg: dict, dim: int) -> flds.LandmarkConfig:
-    pts = _finite_array(cfg, "landmarks")
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ConfigError(f"landmarks must be a list of {dim}-vectors")
-    try:
-        return flds.LandmarkConfig(pts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _momenta(cfg: dict, n: int, dim: int) -> flds.MomentaSet:
-    vecs = _finite_array(cfg, "momenta")
-    if vecs.shape != (n, dim):
-        raise ConfigError(f"momenta must be a list of {n} {dim}-vectors")
-    return flds.MomentaSet(vecs)
-
-
-def _finite_fields(block: dict, names, where: str) -> None:
-    for name in names:
-        if not _is_finite_number(block[name]):
-            raise ConfigError(f"'{where}' field '{name}' must be a finite number, "
-                              f"got {block[name]!r}")
-
-
-def _numeric_block(cfg: dict, where: str) -> dict:
-    """A certify/spectrum/hodge block merged with its defaults, finite and in range."""
-    block = _block(cfg, where)
-    _check_fields(block, set(_DEFAULTS[where]), where)
-    _finite_fields(block, block, where)
-    block = {name: float(value) for name, value in block.items()}
-    lo, hi = ("r_min", "r_max") if where == "hodge" else ("rho_min", "rho_max")
-    if not 0.0 < block[lo] < block[hi]:
-        raise ConfigError(f"'{where}' needs 0 < {lo} < {hi}, got {block[lo]}, {block[hi]}")
-    if not _is_count(block["n"], 2):
-        raise ConfigError(f"'{where}' field 'n' must be an integer >= 2, got {block['n']!r}")
-    if block.get("tol", 0.0) < 0.0:
-        raise ConfigError(f"'{where}' field 'tol' must be >= 0, got {block['tol']!r}")
-    return block
-
-
-def _integrator(cfg: dict) -> dyn.IntegratorConfig:
-    block = _block(cfg, "integrator")
-    _check_fields(block, set(_DEFAULTS["integrator"]), "integrator")
-    _finite_fields(block, ("step", "record_every"), "integrator")
-    if not _is_count(block["record_every"], 1):
-        raise ConfigError("'integrator' field 'record_every' must be an integer >= 1, "
-                          f"got {block['record_every']!r}")
-    try:
-        return dyn.IntegratorConfig(scheme=block["scheme"], step=float(block["step"]),
-                                    record_every=int(block["record_every"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _grid_axis(block: dict, name: str) -> tuple:
-    values = _require(block, name, "grid")
-    if not isinstance(values, list) or not all(map(_is_finite_number, values)):
-        raise ConfigError(f"'grid' field '{name}' must be a list of finite numbers, "
-                          f"got {values!r}")
-    return tuple(float(v) for v in values)
-
-
-def _grid_spec(cfg: dict, dim: int) -> dyn.GridSpec:
-    block = _block(cfg, "grid", required=True)
-    _check_fields(block, {"lo", "hi", "n"}, "grid")
-    lo, hi, n = (_grid_axis(block, name) for name in ("lo", "hi", "n"))
-    if not len(lo) == len(hi) == len(n):
-        raise ConfigError("grid lo/hi/n must have equal lengths")
-    if not all(_is_count(v, 2) for v in n):
-        raise ConfigError(f"grid needs an integer >= 2 points per axis, got n = {list(n)}")
-    if len(lo) != dim:
-        raise ConfigError("grid dimension must match the kernel dimension")
-    if not all(a < b for a, b in zip(lo, hi)):
-        raise ConfigError(f"grid needs lo < hi on every axis, got {list(lo)}, {list(hi)}")
-    return dyn.GridSpec(lo=lo, hi=hi, n=tuple(int(v) for v in n))
-
-
-def _output(cfg: dict) -> dict:
-    block = _block(cfg, "output")
-    _check_fields(block, set(_DEFAULTS["output"]), "output")
-    if block["format"] not in ("csv", "svg"):
-        raise ConfigError("output format must be 'csv' or 'svg'")
-    if not (block["path"] is None or isinstance(block["path"], str)):
-        raise ConfigError(f"output path must be a string or null, got {block['path']!r}")
-    _finite_fields(block, ("arrow_scale",), "output")
-    block["arrow_scale"] = float(block["arrow_scale"])
-    if not block["arrow_scale"] > 0.0:
-        raise ConfigError(f"output arrow_scale must be > 0, got {block['arrow_scale']!r}")
-    return block
-
-
 def _out_path(args, out_block: dict, default_name: str) -> Path:
-    base = Path(args.out) if args.out else Path(".")
-    base.mkdir(parents=True, exist_ok=True)
-    return base / (out_block["path"] or default_name)
+    path = Path(args.out or ".") / (out_block["path"] or default_name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -271,34 +309,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([repr(float(v)) for v in row])
 
 
-def _effective(cfg: dict, command: str) -> dict:
-    merged = dict(cfg)
-    for key in _DEFAULTS:
-        if key in ("integrator", "output", command) or key in cfg:
-            merged[key] = _block(cfg, key)
-    merged["command"] = command
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-_TOP_LEVEL = {
-    "certify": {"kernel", "certify"},
-    "spectrum": {"kernel", "spectrum", "output"},
-    "field": {"kernel", "landmarks", "momenta", "grid", "output"},
-    "shoot": {"kernel", "landmarks", "momenta", "integrator", "grid", "output"},
-    "expmap": {"kernel", "landmarks", "expmap", "integrator", "output"},
-    "hodge": {"kernel", "hodge", "output"},
-}
-
-
-def cmd_certify(cfg: dict, args) -> int:
-    k = build_kernel(_block(cfg, "kernel", required=True))
-    block = _numeric_block(cfg, "certify")
-    grid = np.geomspace(block["rho_min"], block["rho_max"], int(block["n"]))
-    verdict = spec.certify_pd(k, grid, tol=float(block["tol"]))
+def cmd_certify(cfg: dict, k: ker.TriKernel, args) -> int:
+    block = cfg["certify"]
+    grid = np.geomspace(block["rho_min"], block["rho_max"], block["n"])
+    verdict = spec.certify_pd(k, grid, tol=block["tol"])
     if verdict.positive:
         print(f"PD: yes ({'strict' if verdict.strictly else 'not strict'})")
     else:
@@ -311,13 +329,11 @@ def cmd_certify(cfg: dict, args) -> int:
     return EXIT_OK if (verdict.positive and verdict.strictly) else EXIT_NEGATIVE
 
 
-def cmd_spectrum(cfg: dict, args) -> int:
-    k = build_kernel(_block(cfg, "kernel", required=True))
-    block = _numeric_block(cfg, "spectrum")
-    out = _output(cfg)
-    grid = np.geomspace(block["rho_min"], block["rho_max"], int(block["n"]))
+def cmd_spectrum(cfg: dict, k: ker.TriKernel, args) -> int:
+    block = cfg["spectrum"]
+    grid = np.geomspace(block["rho_min"], block["rho_max"], block["n"])
     s = spec.forward_map(k, grid)
-    stem = _out_path(args, out, "spectrum.csv")
+    stem = _out_path(args, cfg["output"], "spectrum.csv")
     par_path = stem.with_name(stem.stem + "_hpar.csv")
     perp_path = stem.with_name(stem.stem + "_hperp.csv")
     _write_csv(par_path, ["rho", "h_par"], zip(grid, s.h_par_samples))
@@ -326,12 +342,11 @@ def cmd_spectrum(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_field(cfg: dict, args) -> int:
-    k = build_kernel(_block(cfg, "kernel", required=True))
-    lmk = _landmarks(cfg, k.dim)
-    mom = _momenta(cfg, lmk.n, k.dim)
-    gspec = _grid_spec(cfg, k.dim)
-    out = _output(cfg)
+def cmd_field(cfg: dict, k: ker.TriKernel, args) -> int:
+    lmk = flds.LandmarkConfig(cfg["landmarks"])
+    mom = flds.MomentaSet(cfg["momenta"])
+    gspec = dyn.GridSpec(**cfg["grid"])
+    out = cfg["output"]
     field = flds.snapshot_field(k, lmk, mom)
     pts = gspec.lattice()
     vals = field(pts)
@@ -342,8 +357,6 @@ def cmd_field(cfg: dict, args) -> int:
         _write_csv(path, header, np.hstack([pts, vals]))
         print(f"wrote {path}")
     else:
-        if k.dim != 2:
-            raise ConfigError("svg output requires dim = 2")
         proj = svg.Projector(gspec.lo, gspec.hi)
         els = svg.quiver(pts, vals, proj, out["arrow_scale"])
         els += svg.dots(lmk.points, proj, color="#c0392b")
@@ -377,15 +390,14 @@ def _trajectory_csv(path: Path, traj: dyn.Trajectory) -> None:
     _write_csv(path, header, rows)
 
 
-def cmd_shoot(cfg: dict, args) -> int:
-    k = build_kernel(_block(cfg, "kernel", required=True))
-    lmk = _landmarks(cfg, k.dim)
-    mom = _momenta(cfg, lmk.n, k.dim)
-    icfg = _integrator(cfg)
-    out = _output(cfg)
+def cmd_shoot(cfg: dict, k: ker.TriKernel, args) -> int:
+    lmk = flds.LandmarkConfig(cfg["landmarks"])
+    mom = flds.MomentaSet(cfg["momenta"])
+    icfg = dyn.IntegratorConfig(**cfg["integrator"])
+    out = cfg["output"]
     if "grid" in cfg:
         # one pass integrates the landmarks and carries the lattice along
-        fg = dyn.flow_grid(k, lmk, mom, _grid_spec(cfg, k.dim), icfg)
+        fg = dyn.flow_grid(k, lmk, mom, dyn.GridSpec(**cfg["grid"]), icfg)
         traj = fg.trajectory
     else:
         fg, traj = None, dyn.shoot(k, lmk, mom, icfg)
@@ -409,8 +421,6 @@ def cmd_shoot(cfg: dict, args) -> int:
             print(f"max |det - 1| = {det_dev:.3e}")
 
     if out["format"] == "svg":
-        if k.dim != 2:
-            raise ConfigError("svg output requires dim = 2")
         allq = traj.q.reshape(-1, 2)
         lo = allq.min(axis=0) - 0.1
         hi = allq.max(axis=0) + 0.1
@@ -436,22 +446,11 @@ def cmd_shoot(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def cmd_expmap(cfg: dict, args) -> int:
-    k = build_kernel(_block(cfg, "kernel", required=True))
-    lmk = _landmarks(cfg, k.dim)
-    block = _block(cfg, "expmap", required=True)
-    _check_fields(block, {"magnitude", *_DEFAULTS["expmap"]}, "expmap")
-    _require(block, "magnitude", "expmap")
-    _finite_fields(block, block, "expmap")
-    if not _is_count(block["count"], 1):
-        raise ConfigError(f"'expmap' field 'count' must be an integer >= 1, "
-                          f"got {block['count']!r}")
-    mag, t0, t1 = (float(block[name]) for name in ("magnitude", "theta_min", "theta_max"))
-    count = int(float(block["count"]))
-    if lmk.n != 2 or k.dim != 2:
-        raise ConfigError("expmap requires two landmarks in dimension 2")
-    icfg = _integrator(cfg)
-    out = _output(cfg)
+def cmd_expmap(cfg: dict, k: ker.TriKernel, args) -> int:
+    lmk = flds.LandmarkConfig(cfg["landmarks"])
+    mag, t0, t1, count = map(cfg["expmap"].get, ("magnitude", "theta_min", "theta_max", "count"))
+    icfg = dyn.IntegratorConfig(**cfg["integrator"])
+    out = cfg["output"]
     thetas = np.linspace(t0, t1, count)
     fan = dyn.exp_map_fan(k, lmk, dyn.theta_momenta(mag, thetas), icfg,
                           parameters=thetas)
@@ -490,22 +489,21 @@ def cmd_expmap(cfg: dict, args) -> int:
     return EXIT_OK if len(fan.failures) < count else EXIT_NUMERICAL
 
 
-def cmd_hodge(cfg: dict, args) -> int:
-    k = build_kernel(_block(cfg, "kernel", required=True))
-    block = _numeric_block(cfg, "hodge")
-    out = _output(cfg)
+def cmd_hodge(cfg: dict, k: ker.TriKernel, args) -> int:
+    block = cfg["hodge"]
+    out = cfg["output"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spec.HeavyTailWarning)
         k1, k2 = spec.hodge_split(k)
-    r = np.linspace(block["r_min"], block["r_max"], int(block["n"]))
+    r = np.linspace(block["r_min"], block["r_max"], block["n"])
     table = np.column_stack([r, k1.k_par(r), k1.k_perp(r), k2.k_par(r), k2.k_perp(r)])
     path = _out_path(args, out, "hodge.csv")
     _write_csv(path, ["r", "k1_par", "k1_perp", "k2_par", "k2_perp"], table)
     print(f"wrote {path}")
 
     kb = cfg["kernel"]
-    if kb.get("family") == "gaussian" and k.dim == 2 and float(kb.get("b", 1.0)) == 1.0:
-        c = 1.0 / (2.0 * float(kb["sigma"]) ** 2) if "sigma" in kb else float(kb["c"])
+    if kb["family"] == "gaussian" and k.dim == 2 and kb["b"] == 1.0:
+        c = _gaussian_c(kb)
         closed = (1.0 - np.exp(-c * r * r)) / (2.0 * c * r * r)
         dev = float(np.max(np.abs(k1.k_perp(r) - closed)))
         print(f"closed-form transverse check: max dev = {dev:.3e}")
@@ -556,7 +554,8 @@ def main(argv=None) -> int:
     common.add_argument("--config", required=True, help="JSON experiment config")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--print-effective-config", action="store_true",
-                        help="dump the merged config with defaults and exit")
+                        help="validate the config, print it with every default filled "
+                             "in, and exit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -564,19 +563,18 @@ def main(argv=None) -> int:
 
     try:
         cfg = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     try:
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"the config must be a JSON object, got {cfg!r}")
-        _check_fields(cfg, _TOP_LEVEL[args.command], "top-level")
+        cfg = validate(cfg, args.command)
+        k = build_kernel(cfg["kernel"])
         if args.print_effective_config:
-            print(json.dumps(_effective(cfg, args.command), indent=2, default=str))
+            print(json.dumps(cfg, indent=2))
             return EXIT_OK
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
+        return _COMMANDS[args.command](cfg, k, args)
+    except (ConfigError, OSError) as exc:  # OSError: output.path or --out is unwritable
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (HankelConvergenceError, dyn.CoalescenceError,

@@ -146,6 +146,14 @@ MALFORMED_BLOCK_CASES = {
     "kernel-dim-fractional": ("certify", {"kernel": {**GAUSS2, "dim": 2.5}}),
     "curl-free-c-0": ("certify", {"kernel": {"family": "gaussian_curl_free",
                                              "b": 1.0, "c": 0, "dim": 2}}),
+    "certify-numeric-strings": ("certify", {
+        "kernel": {"family": "gaussian", "c": "1.0", "dim": "2"}, "certify": {"n": "16"}}),
+    "gaussian-no-width": ("certify", {"kernel": {"family": "gaussian", "b": 1.0, "dim": 2}}),
+    "example1-missing-a": ("certify", {"kernel": {"family": "example1", "b": 1.0, "c": 1.0,
+                                                  "dim": 2}}),
+    "shoot-dim-3-svg": ("shoot", {
+        "kernel": {**GAUSS2, "dim": 3}, "landmarks": [[0.0, 0.0, 0.0]],
+        "momenta": [[1.0, 0.0, 0.0]], "integrator": {"step": 0.05}, "output": {"format": "svg"}}),
 }
 
 
@@ -183,6 +191,32 @@ def test_bad_numeric_block_field_is_input_error(tmp_path, capsys, command, confi
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_missing_kernel_field_is_named(tmp_path, capsys):
+    assert run(tmp_path, *MALFORMED_BLOCK_CASES["example1-missing-a"]) == 2
+    assert "'a'" in capsys.readouterr().err
+
+
+def test_rejected_config_writes_nothing(tmp_path):
+    command, config = MALFORMED_BLOCK_CASES["shoot-dim-3-svg"]
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"kernel": {"family": "nope", "dim": 2}},
+    {"kernel": GAUSS2, "certify": {"n": "x"}},
+    {"kernel": GAUSS2, "certify": {"mystery": 1}},
+], ids=["unknown-family", "n-string", "unknown-field"])
+def test_print_effective_config_validates(tmp_path, capsys, config):
+    assert run(tmp_path, "certify", config, extra=("--print-effective-config",)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error:" in captured.err
+
+
 FIELD_GRID = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [3, 3]}
 EXPMAP_BLOCK = {"magnitude": 1.0, "count": 3}
 
@@ -192,11 +226,16 @@ BAD_LANDMARKS = {
     "Infinity": [[float("inf"), 0.0], [0.0, 1.0]],
     "string": [["a", 0.0], [0.0, 1.0]],
     "ragged": [[0.0, 0.0], [0.0]],
+    "numeric-string": [["0.5", 0.0], [0.0, 1.0]],
+    "bool": [[True, 0.0], [0.0, 1.0]],
 }
 BAD_MOMENTA = {
     "Infinity": [[1.0, 0.0], [float("inf"), 0.0]],
     "NaN": [[1.0, float("nan")], [0.0, 0.0]],
     "null": [[1.0, 0.0], [None, 0.0]],
+    "numeric-string": [["1.0", 0.0], [0.0, 0.0]],
+    "bool": [[1.0, False], [0.0, 0.0]],
+    "one-for-two-landmarks": [[1.0, 0.0]],
 }
 # expmap builds its momenta from the 'expmap' block, so only its landmarks are poisoned
 BAD_VECTOR_CASES = (
@@ -254,6 +293,16 @@ def test_spectrum_dump(tmp_path, capsys):
     np.testing.assert_allclose(rows[:, 1], want, atol=1e-7 * want.max())
 
 
+def test_spectrum_output_path_in_subdirectory(tmp_path):
+    code = run(tmp_path, "spectrum",
+               {"kernel": {"family": "gaussian", "sigma": 1.0, "dim": 2},
+                "spectrum": {"rho_min": 0.05, "rho_max": 2.0, "n": 12},
+                "output": {"path": "sub/x.csv"}})
+    assert code == 0
+    assert read_csv(tmp_path / "sub" / "x_hpar.csv")[0] == ["rho", "h_par"]
+    assert read_csv(tmp_path / "sub" / "x_hperp.csv")[0] == ["rho", "h_perp"]
+
+
 # --- field ------------------------------------------------------------------------
 
 FIELD_CFG = {
@@ -274,6 +323,12 @@ def test_field_csv_dump(tmp_path):
     i = 17
     want = K.eval_matrix(k, rows[i, :2]) @ np.array([1.0, 0.0])
     np.testing.assert_allclose(rows[i, 2:], want, atol=1e-12)
+
+
+def test_field_output_path_in_subdirectory(tmp_path):
+    assert run(tmp_path, "field", dict(FIELD_CFG, output={"path": "sub/deeper/x.csv"})) == 0
+    _, rows = read_csv(tmp_path / "sub" / "deeper" / "x.csv")
+    assert len(rows) == 81
 
 
 def test_field_zero_momenta_dump(tmp_path):
@@ -342,6 +397,14 @@ def test_shoot_with_grid_and_svg(tmp_path, capsys):
     assert rows.shape[1] == 5  # x0, x1 pairs and det
     out = capsys.readouterr().out
     assert "max |det - 1|" in out
+
+
+def test_shoot_companions_follow_output_path_into_subdirectory(tmp_path):
+    cfg = dict(SHOOT_CFG, grid={"lo": [-0.2, -0.3], "hi": [0.8, 0.5], "n": [6, 5]},
+               output={"format": "svg", "arrow_scale": 0.01, "path": "sub/run.csv"})
+    assert run(tmp_path, "shoot", cfg) == 0
+    names = sorted(p.name for p in (tmp_path / "sub").iterdir())
+    assert names == ["run.csv", "run.svg", "run_grid.csv"]
 
 
 def test_shoot_grid_leaves_trajectory_csv_unchanged(tmp_path):

@@ -4,7 +4,8 @@ Each subcommand starts from a small valid config.  One field, one whole
 block or the whole config is replaced by a value drawn from a bounded
 set of awkward JSON values, and the run must end with an exit code in
 {0, 1, 2, 3} and no traceback.  No drawn value is a large count, so no
-case can allocate without bound.
+case can allocate without bound.  The replaced fields come from the
+CLI's schema table, so a field added there is fuzzed without a test edit.
 """
 
 import contextlib
@@ -30,7 +31,8 @@ OUTPUT = {"format": "svg", "path": None, "arrow_scale": 0.2}
 TWO_LANDMARKS = [[0.0, 0.0], [0.0, 0.3]]
 MOMENTA = [[1.0, 0.0], [1.0, 0.0]]
 
-# every field of every block is written out, so each one can be replaced
+# every field of every block is written out, so each one can be replaced; a
+# gaussian kernel takes `c` or `sigma` and uses `c` when both are given
 BASE = {
     "certify": {
         "kernel": {"family": "gaussian_div_free", "b": 1.0, "c": 1.0, "dim": 2},
@@ -42,7 +44,8 @@ BASE = {
         "output": {**OUTPUT, "format": "csv"},
     },
     "field": {
-        "kernel": {"family": "gaussian", "c": 4.0, "b": 1.0, "dim": 2},
+        "kernel": {"family": "gaussian", "c": 4.0, "sigma": 0.3535533905932738, "b": 1.0,
+                   "dim": 2},
         "landmarks": TWO_LANDMARKS, "momenta": MOMENTA, "grid": GRID, "output": OUTPUT,
     },
     "shoot": {
@@ -56,16 +59,26 @@ BASE = {
         "expmap": {"magnitude": 1.0, "theta_min": -0.5, "theta_max": 0.5, "count": 3},
     },
     "hodge": {
-        "kernel": {"family": "gaussian", "c": 1.0, "b": 1.0, "dim": 2},
+        "kernel": {"family": "gaussian", "c": 1.0, "sigma": 0.7071067811865476, "b": 1.0,
+                   "dim": 2},
         "hodge": {"r_min": 0.1, "r_max": 2.0, "n": 8},
         "output": {**OUTPUT, "format": "csv"},
     },
 }
 
+
+def schema(command: str) -> dict:
+    """Top-level field -> its field table (None for a list field) for BASE[command]."""
+    family = BASE[command]["kernel"]["family"]
+    return {name: (cli.kernel_fields(family) if name == "kernel"
+                   else kind if isinstance(kind, dict) else None)
+            for name, (kind, _) in cli.COMMAND_FIELDS[command].items()}
+
+
 # (command, path): () is the whole config, (block,) a block, (block, field) a field
-TARGETS = [(command, path) for command, cfg in BASE.items()
-           for path in [(), *[(b,) for b in cfg],
-                        *[(b, f) for b, v in cfg.items() if isinstance(v, dict) for f in v]]]
+TARGETS = [(command, path) for command in BASE
+           for path in [(), *[(b,) for b in schema(command)],
+                        *[(b, f) for b, table in schema(command).items() for f in table or ()]]]
 
 
 def replaced(command: str, path: tuple, value):
@@ -79,19 +92,74 @@ def replaced(command: str, path: tuple, value):
     return cfg
 
 
-def run_cli(command: str, config) -> tuple[int, str]:
+def run_capture(command: str, config, *extra) -> tuple[int, str, str]:
+    """Exit code, stdout with the output directory written as <out>, and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([command, "--config", str(path), "--out", tmp])
-    return code, err.getvalue()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), "--out", tmp, *extra])
+    return code, out.getvalue().replace(tmp, "<out>"), err.getvalue()
+
+
+def run_cli(command: str, config) -> tuple[int, str]:
+    code, _, err = run_capture(command, config)
+    return code, err
 
 
 def test_base_configs_succeed():
     for command in BASE:
         assert run_cli(command, BASE[command]) == (0, ""), command
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_base_configs_write_out_every_schema_field(command):
+    for block, table in schema(command).items():
+        assert block in BASE[command], block
+        if table is not None:
+            assert set(BASE[command][block]) == set(table), block
+
+
+@pytest.mark.parametrize("command", sorted(BASE))
+def test_effective_config_runs_unchanged(command):
+    code, printed, err = run_capture(command, BASE[command], "--print-effective-config")
+    assert (code, err) == (0, "")
+    effective = json.loads(printed)
+    assert "command" not in effective
+    assert run_capture(command, effective) == run_capture(command, BASE[command])
+
+
+def numeric_entries(value, path=()):
+    """Paths to every JSON number in `value`, which is a number or nested lists."""
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in numeric_entries(v, (*path, i))]
+    return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+# (command, top-level field, field or None, index path into a list value)
+NUMERIC_FIELDS = [
+    (command, block, field, index)
+    for command in BASE for block, table in schema(command).items()
+    for field in (table or [None])
+    for index in numeric_entries(BASE[command][block] if field is None
+                                 else BASE[command][block][field])[:1]]
+
+
+@pytest.mark.parametrize("kind", ["string", "true"])
+@pytest.mark.parametrize("command, block, field, index", NUMERIC_FIELDS,
+                         ids=["-".join(x for x in case[:3] if x is not None)
+                              for case in NUMERIC_FIELDS])
+def test_numeric_field_rejects_strings_and_booleans(command, block, field, index, kind):
+    cfg = json.loads(json.dumps(BASE[command]))
+    parent, key = (cfg, block) if field is None else (cfg[block], field)
+    for i in index:
+        parent, key = parent[key], i
+    parent[key] = str(parent[key]) if kind == "string" else True
+    code, out, err = run_capture(command, cfg)
+    assert code == 2, (out, err)
+    assert "config error:" in err
+    assert "Traceback" not in out + err
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
