@@ -84,10 +84,15 @@ def _enum(*choices: str):
     return enum
 
 
-def _string_or_null(value):
-    if value is None or isinstance(value, str):
+def _inner_path_or_null(value):
+    """Null, or a relative file path that stays strictly inside --out."""
+    if value is None:
         return value
-    raise ValueError("a string or null")
+    if isinstance(value, str):
+        path = Path(value)
+        if path.parts and not path.is_absolute() and ".." not in path.parts:
+            return value
+    raise ValueError("null or a relative file path without '..' components")
 
 
 def _list(kind, what: str, least: int = 0):
@@ -193,7 +198,7 @@ BLOCKS = {
                    "record_every": (_count(1), 10)},
     "grid": {"lo": (_numbers, REQUIRED), "hi": (_numbers, REQUIRED),
              "n": (_list(_count(2), "a list of integers >= 2"), REQUIRED)},
-    "output": {"format": (_enum("csv", "svg"), "csv"), "path": (_string_or_null, None),
+    "output": {"format": (_enum("csv", "svg"), "csv"), "path": (_inner_path_or_null, None),
                "arrow_scale": (_number, 0.2)},
 }
 

@@ -20,12 +20,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .kernels import (ZERO_RADIUS, TriKernel, curl_free_residual, div_free_residual,
                       eval_matrix, pair_coefficients, partial_matrix)
 
 MIN_SEPARATION = 1e-9
+
+
+def cho_factor(a, **kwargs):
+    """scipy.linalg.cho_factor, imported on first use: scipy.linalg costs
+    ~0.3 s of start-up that runs which never interpolate do not need."""
+    from scipy.linalg import cho_factor as factor
+
+    return factor(a, **kwargs)
 
 
 class NearSingularMatrixError(RuntimeError):
@@ -162,6 +170,8 @@ def interpolate(k: TriKernel, cfg: LandmarkConfig, targets) -> InterpolationResu
             raise NearSingularMatrixError(
                 "block kernel matrix is not positive definite",
                 condition=float(np.linalg.cond(gram))) from None
+    from scipy.linalg import cho_solve
+
     alpha = cho_solve(factor, rhs, check_finite=False)
     norm_sq = float(alpha @ rhs)
     mom = MomentaSet(alpha.reshape(cfg.n, cfg.dim))

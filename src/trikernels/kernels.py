@@ -12,11 +12,17 @@ concrete Gaussian families, the curl-free / divergence-free
 constructions from scalar profiles, and the closed-form Hodge pair of
 the scalar Gaussian.
 
-With ktilde(r) = (kpar(r) - kperp(r)) / r^2, which families carry in
-closed form to avoid cancellation at small radii, k(x) = kperp I +
-ktilde x x^T.  The primitive `pair_coefficients` returns the
-zero-radius-safe kperp, ktilde, dkpar and dkperp at a whole array of
-displacements; every kernel matrix, matrix derivative, field value and
+With ktilde(r) = (kpar(r) - kperp(r)) / r^2, k(x) = kperp I + ktilde x x^T.
+Every kernel is evaluated through one callable,
+
+    radial(r, derivatives) -> (kperp, ktilde[, dkpar, dkperp]),
+
+which shares its transcendental evaluations across the coefficients and
+returns the exact r -> 0 limits (k0, small_r_ktilde, 0, 0) by contract.
+The constructions are linear maps of a scalar profile's fused tuple
+(f, f'/r, (f'' - f'/r)/r^2, f'''), which a Gaussian profile gives in
+closed form with one exp.  The primitive `pair_coefficients` is one call
+to `radial`; every kernel matrix, matrix derivative, field value and
 differential residual in the package is computed from it.
 """
 
@@ -47,11 +53,14 @@ class ScalarProfile:
     """A smooth even radial profile with derivatives.
 
     value, d1, d2, d3 : vectorized callables of r >= 0.
-    d2_zero, d4_zero : even-order Taylor data at r = 0, used by the
-        kernel constructions for exact limits; estimated numerically
-        when absent.
+    d2_zero, d4_zero : even-order Taylor data at r = 0, used for the
+        exact limits of the fused tuple; estimated numerically when absent.
     tail_scale : radius beyond which the profile is negligible.
     decay : "gaussian", "exponential" or "power"; a quadrature hint only.
+    fused : (r, order) -> the first order + 1 entries of
+        [f, f'/r, g, f'''] with g = (f'' - f'/r)/r^2, at an array of
+        radii r >= 0, holding the limits f''(0) and f''''(0)/3 of f'/r
+        and g at r = 0.  Built from value/d1/d2/d3 when not given.
     """
 
     value: Callable
@@ -62,13 +71,65 @@ class ScalarProfile:
     d4_zero: Optional[float] = None
     tail_scale: float = np.inf
     decay: str = "gaussian"
+    fused: Optional[Callable] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.fused is None:
+            object.__setattr__(self, "fused", _fused_from_derivatives(self))
+
+
+def _fused_from_derivatives(p: ScalarProfile) -> Callable:
+    """The fused tuple of a profile known only by value/d1/d2/d3.
+
+    Below `small` the two ratios take their limits d2(0) and d4(0)/3 at
+    the origin, extrapolated from d2 near 0 (Richardson) when not given.
+    """
+    # the callables, not p: a closure over p would make p.fused a reference cycle
+    value, d1, d2, d3 = p.value, p.d1, p.d2, p.d3
+    m = min(1.0, p.tail_scale)
+    at = lambda r: float(d2(r))
+    q0 = p.d2_zero if p.d2_zero is not None else (4.0 * at(1e-4 * m) - at(2e-4 * m)) / 3.0
+    if p.d4_zero is not None:
+        g0 = p.d4_zero / 3.0
+    else:
+        # d2(r) = d2(0) + d4(0) r^2 / 2 + O(r^4), at r = h and 2h
+        h = 1e-3 * m
+        g0 = (8.0 * (at(h) - q0) - (at(2 * h) - q0) / 2.0) / (9.0 * h * h)
+    small = 1e-9 * m
+
+    def fused(r, order=3):
+        out = [value(r)]
+        if order >= 1:
+            rs = np.maximum(r, small)
+            near = r < small
+            q = d1(rs) / rs
+            out.append(np.where(near, q0, q))
+        if order >= 2:
+            out.append(np.where(near, g0, (d2(rs) - q) / np.square(rs)))
+        if order >= 3:
+            # f''' is odd: f'''(r) = f''''(0) r + O(r^3)
+            out.append(np.where(near, 3.0 * g0 * r, d3(rs)))
+        return out
+
+    return fused
 
 
 def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
-    """amplitude * exp(-c r^2)."""
+    """amplitude * exp(-c r^2); its fused tuple takes one exp."""
     if c <= 0:
         raise ValueError("c must be positive")
     a = float(amplitude)
+
+    def fused(r, order=3):
+        out = [a * np.exp(-c * np.square(r))]
+        if order >= 1:
+            out.append((-2.0 * c) * out[0])
+        if order >= 2:
+            out.append((4.0 * c * c) * out[0])
+        if order >= 3:
+            out.append(r * (3.0 - 2.0 * c * np.square(r)) * out[2])
+        return out
+
     return ScalarProfile(
         value=lambda r: a * np.exp(-c * np.square(r)),
         d1=lambda r: -2.0 * a * c * r * np.exp(-c * np.square(r)),
@@ -78,6 +139,7 @@ def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
         d4_zero=12.0 * a * c * c,
         tail_scale=math.sqrt(48.0 / c),
         decay="gaussian",
+        fused=fused,
     )
 
 
@@ -145,25 +207,6 @@ def sobolev_green_constant(sigma: float, ell: float, dim: int) -> float:
                   * math.gamma(ell) * sigma ** dim)
 
 
-def _limit_d2_zero(p: ScalarProfile) -> float:
-    if p.d2_zero is not None:
-        return float(p.d2_zero)
-    h = 1e-4 * min(1.0, p.tail_scale if np.isfinite(p.tail_scale) else 1.0)
-    a, b = float(p.d2(h)), float(p.d2(2 * h))
-    return (4.0 * a - b) / 3.0
-
-
-def _limit_d4_zero(p: ScalarProfile) -> float:
-    if p.d4_zero is not None:
-        return float(p.d4_zero)
-    # d2(r) = d2(0) + d4(0) r^2 / 2 + O(r^4)
-    h = 1e-3 * min(1.0, p.tail_scale if np.isfinite(p.tail_scale) else 1.0)
-    d20 = _limit_d2_zero(p)
-    a = (float(p.d2(h)) - d20) / (h * h) * 2.0
-    b = (float(p.d2(2 * h)) - d20) / (4 * h * h) * 2.0
-    return (4.0 * a - b) / 3.0
-
-
 # ---------------------------------------------------------------------------
 # the kernel type and the pairwise primitive
 # ---------------------------------------------------------------------------
@@ -172,26 +215,48 @@ def _limit_d4_zero(p: ScalarProfile) -> float:
 class TriKernel:
     """Coefficient description of a TRI matrix kernel on R^d.
 
-    All profile callables are vectorized over arrays of radii.  Instances
-    are immutable; evaluation is pure and thread-safe.
+    `radial(r, derivatives)` maps an array of radii r >= 0 to
+    (kperp, ktilde) or (kperp, ktilde, dkpar, dkperp), each of r's shape,
+    with the limits (k0, small_r_ktilde, 0, 0) at r = 0.  Without it, the
+    per-coefficient callables k_par, k_perp, dk_par, dk_perp (optionally
+    ktilde_fn), k0 and small_r_ktilde define it, with those limits below
+    ZERO_RADIUS.  k0, small_r_ktilde, k_par and k_perp (which the spectral
+    side integrates) default to what `radial` gives.  Instances are
+    immutable; evaluation is pure and thread-safe.
     """
 
     dim: int
-    k_par: Callable
-    k_perp: Callable
-    dk_par: Callable
-    dk_perp: Callable
-    k0: float
-    small_r_ktilde: float
+    k0: Optional[float] = None
+    small_r_ktilde: Optional[float] = None
+    radial: Optional[Callable] = field(default=None, repr=False)
     family_tag: str = "generic"
-    ktilde_fn: Optional[Callable] = field(default=None, repr=False)
     tail_scale: float = np.inf
     decay: str = "gaussian"
     pd_hint: Optional[bool] = None
+    k_par: Optional[Callable] = field(default=None, repr=False)
+    k_perp: Optional[Callable] = field(default=None, repr=False)
+    dk_par: Optional[Callable] = field(default=None, repr=False)
+    dk_perp: Optional[Callable] = field(default=None, repr=False)
+    ktilde_fn: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("ambient dimension must be >= 2")
+        if self.radial is None:
+            object.__setattr__(self, "radial", _radial_from_coefficients(self))
+        radial = self.radial
+
+        def k_par(r):
+            r = np.asarray(r, dtype=float)
+            kperp, kt = radial(r)
+            return kperp + np.square(r) * kt
+
+        kperp0, kt0 = radial(np.zeros(1))
+        for name, value in (("k0", float(kperp0[0])), ("small_r_ktilde", float(kt0[0])),
+                            ("k_perp", lambda r: radial(np.asarray(r, dtype=float))[0]),
+                            ("k_par", k_par)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
 
     @property
     def mu(self) -> float:
@@ -199,14 +264,31 @@ class TriKernel:
         return self.dim / 2.0 - 1.0
 
 
+def _radial_from_coefficients(k: TriKernel) -> Callable:
+    """`radial` of a kernel given by its per-coefficient callables."""
+    k_par, k_perp, dk_par, dk_perp, kt_fn = k.k_par, k.k_perp, k.dk_par, k.dk_perp, k.ktilde_fn
+    k0, kt0 = k.k0, k.small_r_ktilde
+    if any(v is None for v in (k_par, k_perp, dk_par, dk_perp, k0, kt0)):
+        raise ValueError("a kernel needs `radial`, or k_par, k_perp, dk_par, dk_perp, "
+                         "k0 and small_r_ktilde")
+
+    def radial(r, derivatives=False):
+        rs = np.maximum(r, ZERO_RADIUS)
+        zero = r < ZERO_RADIUS
+        # ktilde first: its temporaries are freed before the other coefficients' are made
+        kt = np.where(zero, kt0, kt_fn(rs) if kt_fn is not None
+                      else (k_par(rs) - k_perp(rs)) / np.square(rs))
+        kperp = np.where(zero, k0, k_perp(rs))
+        if not derivatives:
+            return kperp, kt
+        return kperp, kt, np.where(zero, 0.0, dk_par(rs)), np.where(zero, 0.0, dk_perp(rs))
+
+    return radial
+
+
 def ktilde(k: TriKernel, r):
-    """(kpar - kperp)/r^2 with its limit below the zero threshold."""
-    r = np.asarray(r, dtype=float)
-    rs = np.maximum(r, ZERO_RADIUS)
-    out = np.where(r < ZERO_RADIUS, k.small_r_ktilde,
-                   k.ktilde_fn(rs) if k.ktilde_fn is not None
-                   else (k.k_par(rs) - k.k_perp(rs)) / np.square(rs))
-    return out[()]
+    """(kpar - kperp)/r^2 at radii r, with its limit at the origin."""
+    return np.asarray(k.radial(np.asarray(r, dtype=float))[1])[()]
 
 
 @dataclass(frozen=True)
@@ -215,9 +297,9 @@ class PairCoefficients:
 
     With x a displacement and r = |x|, the kernel acts as
     k(x) alpha = kperp alpha + ktilde (x . alpha) x, and its coordinate
-    derivatives need dkpar and dkperp as well.  Below ZERO_RADIUS the
-    entries hold the limits at the origin: kperp = k0, ktilde its stored
-    small-r value, and dkpar = dkperp = 0 (odd functions of r).
+    derivatives need dkpar and dkperp as well.  At r = 0 the entries hold
+    the limits at the origin: kperp = k0, ktilde its small-r value, and
+    dkpar = dkperp = 0 (odd functions of r).
     """
 
     r: np.ndarray
@@ -228,7 +310,7 @@ class PairCoefficients:
 
 
 def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoefficients:
-    """Zero-radius-safe coefficients at displacements x of shape (..., d).
+    """Coefficients at displacements x of shape (..., d), safe at x = 0.
 
     Every array of the result has shape x.shape[:-1]; the radial
     derivatives are evaluated only when `derivatives` is set.  This is
@@ -236,15 +318,7 @@ def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoeffic
     """
     x = np.asarray(x, dtype=float)
     r = np.sqrt(np.einsum("...i,...i->...", x, x))
-    # ktilde first: its temporaries are freed before the other coefficients' are made
-    kt = np.asarray(ktilde(k, r))
-    rs = np.maximum(r, ZERO_RADIUS)
-    zero = r < ZERO_RADIUS
-    kperp = np.where(zero, k.k0, k.k_perp(rs))
-    if not derivatives:
-        return PairCoefficients(r, kperp, kt)
-    return PairCoefficients(r, kperp, kt, np.where(zero, 0.0, k.dk_par(rs)),
-                            np.where(zero, 0.0, k.dk_perp(rs)))
+    return PairCoefficients(r, *k.radial(r, derivatives))
 
 
 def eval_matrix(k: TriKernel, x) -> np.ndarray:
@@ -309,21 +383,18 @@ def family_example1(a: float, b: float, c: float, dim: int) -> TriKernel:
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    g = lambda r: np.exp(-c * np.square(r))
-    return TriKernel(
-        dim=dim,
-        k_par=lambda r: b * g(r),
-        k_perp=lambda r: (b - a * np.square(r)) * g(r),
-        dk_par=lambda r: -2.0 * b * c * r * g(r),
-        dk_perp=lambda r: (-2.0 * a * r - 2.0 * c * r * (b - a * np.square(r))) * g(r),
-        k0=float(b),
-        small_r_ktilde=float(a),
-        family_tag=f"example1(a={a},b={b},c={c})",
-        ktilde_fn=lambda r: a * g(r),
-        tail_scale=math.sqrt(52.0 / c),
-        decay="gaussian",
-        pd_hint=in_D1(a, b, c, dim),
-    )
+
+    def radial(r, derivatives=False):
+        e = np.exp(-c * np.square(r))
+        kt = a * e
+        kperp = b * e - np.square(r) * kt
+        if not derivatives:
+            return kperp, kt
+        return kperp, kt, (-2.0 * b * c) * r * e, -2.0 * r * (kt + c * kperp)
+
+    return TriKernel(dim=dim, radial=radial, family_tag=f"example1(a={a},b={b},c={c})",
+                     tail_scale=math.sqrt(52.0 / c), decay="gaussian",
+                     pd_hint=in_D1(a, b, c, dim))
 
 
 def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
@@ -334,40 +405,34 @@ def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    g = lambda r: np.exp(-c * np.square(r))
-    return TriKernel(
-        dim=dim,
-        k_par=lambda r: (b - a * np.square(r)) * g(r),
-        k_perp=lambda r: b * g(r),
-        dk_par=lambda r: (-2.0 * a * r - 2.0 * c * r * (b - a * np.square(r))) * g(r),
-        dk_perp=lambda r: -2.0 * b * c * r * g(r),
-        k0=float(b),
-        small_r_ktilde=float(-a),
-        family_tag=f"example2(a={a},b={b},c={c})",
-        ktilde_fn=lambda r: -a * g(r),
-        tail_scale=math.sqrt(52.0 / c),
-        decay="gaussian",
-        pd_hint=in_D2(a, b, c),
-    )
+
+    def radial(r, derivatives=False):
+        e = np.exp(-c * np.square(r))
+        kt = -a * e
+        kperp = b * e
+        if not derivatives:
+            return kperp, kt
+        kpar = kperp + np.square(r) * kt
+        return kperp, kt, -2.0 * r * (c * kpar - kt), (-2.0 * c) * r * kperp
+
+    return TriKernel(dim=dim, radial=radial, family_tag=f"example2(a={a},b={b},c={c})",
+                     tail_scale=math.sqrt(52.0 / c), decay="gaussian", pd_hint=in_D2(a, b, c))
 
 
 def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriKernel:
-    """Kernel k(|x|) * I built from one radial profile."""
-    k0 = float(profile.value(0.0))
-    return TriKernel(
-        dim=dim,
-        k_par=profile.value,
-        k_perp=profile.value,
-        dk_par=profile.d1,
-        dk_perp=profile.d1,
-        k0=k0,
-        small_r_ktilde=0.0,
-        family_tag=tag,
-        ktilde_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        tail_scale=profile.tail_scale,
-        decay=profile.decay,
-        pd_hint=None,
-    )
+    """Kernel f(|x|) * I built from one radial profile: kperp = f, ktilde = 0."""
+    fused = profile.fused
+
+    def radial(r, derivatives=False):
+        f, *q = fused(r, 1 if derivatives else 0)
+        kt = np.zeros_like(f)
+        if not derivatives:
+            return f, kt
+        dk = r * q[0]
+        return f, kt, dk, dk
+
+    return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale,
+                     decay=profile.decay, k_par=profile.value, k_perp=profile.value)
 
 
 def gaussian_kernel(c: float, dim: int, amplitude: float = 1.0) -> TriKernel:
@@ -399,100 +464,53 @@ def bessel_kernel(sigma: float, ell: float, dim: int, normalized: bool = True) -
 def make_curl_free(profile: ScalarProfile, dim: int) -> TriKernel:
     """Curl-free kernel from a scalar generator: the negative Hessian route.
 
-    Coefficients: kpar = -profile'' , kperp = -profile'/r.  Every field
-    k(.)alpha of the result is a gradient, hence irrotational.
+    Coefficients: kpar = -profile'' , kperp = -profile'/r, so with the
+    fused tuple (f, q, g, f''') ktilde = -g, dkpar = -f''' and
+    dkperp = -r g.  Every field k(.)alpha of the result is a gradient,
+    hence irrotational.
     """
-    if dim < 2:
-        raise ValueError("ambient dimension must be >= 2")
-    d2_0 = _limit_d2_zero(profile)
-    d4_0 = _limit_d4_zero(profile)
-    small = 1e-9 * min(1.0, profile.tail_scale if np.isfinite(profile.tail_scale) else 1.0)
+    fused = profile.fused
 
-    def k_par(r):
-        return -profile.d2(np.asarray(r, dtype=float))
+    def radial(r, derivatives=False):
+        _, q, g, *f3 = fused(r, 3 if derivatives else 2)
+        if not derivatives:
+            return -q, -g
+        return -q, -g, -f3[0], -r * g
 
-    def k_perp(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        return np.where(r < small, -d2_0, -profile.d1(rs) / rs)
-
-    dk_par = lambda r: -profile.d3(np.asarray(r, dtype=float))
-
-    def dk_perp(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        out = -(profile.d2(rs) * rs - profile.d1(rs)) / np.square(rs)
-        return np.where(r < small, -d4_0 * r / 3.0, out)
-
-    def kt(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        out = (-profile.d2(rs) + profile.d1(rs) / rs) / np.square(rs)
-        return np.where(r < small, -d4_0 / 3.0, out)
-
-    return TriKernel(
-        dim=dim, k_par=k_par, k_perp=k_perp, dk_par=dk_par, dk_perp=dk_perp,
-        k0=-d2_0, small_r_ktilde=-d4_0 / 3.0,
-        family_tag="curl_free", ktilde_fn=kt,
-        tail_scale=profile.tail_scale, decay=profile.decay, pd_hint=True,
-    )
+    return TriKernel(dim=dim, radial=radial, family_tag="curl_free",
+                     tail_scale=profile.tail_scale, decay=profile.decay, pd_hint=True)
 
 
 def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
     """Divergence-free kernel from a scalar generator: the double-curl route.
 
-    Coefficients: kpar = -(d-1) profile'/r, kperp = -(d-2) profile'/r - profile''.
-    Every field k(.)alpha of the result is incompressible.
+    Coefficients: kpar = -(d-1) profile'/r, kperp = -(d-2) profile'/r - profile'',
+    so with the fused tuple (f, q, g, f''') ktilde = g,
+    dkpar = -(d-1) r g and dkperp = -(d-2) r g - f'''.  Every field
+    k(.)alpha of the result is incompressible.
     """
-    if dim < 2:
-        raise ValueError("ambient dimension must be >= 2")
+    fused = profile.fused
     d = dim
-    d2_0 = _limit_d2_zero(profile)
-    d4_0 = _limit_d4_zero(profile)
-    small = 1e-9 * min(1.0, profile.tail_scale if np.isfinite(profile.tail_scale) else 1.0)
 
-    def over_r(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        return np.where(r < small, d2_0, profile.d1(rs) / rs)
+    def radial(r, derivatives=False):
+        _, q, g, *f3 = fused(r, 3 if derivatives else 2)
+        kperp = -(d - 1) * q - np.square(r) * g
+        if not derivatives:
+            return kperp, g
+        rg = r * g
+        return kperp, g, -(d - 1) * rg, -(d - 2) * rg - f3[0]
 
-    def k_par(r):
-        return -(d - 1) * over_r(r)
-
-    def k_perp(r):
-        r = np.asarray(r, dtype=float)
-        return -(d - 2) * over_r(r) - profile.d2(r)
-
-    def dover_r(r):
-        # derivative of profile'/r, with the odd small-r limit
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        out = (profile.d2(rs) * rs - profile.d1(rs)) / np.square(rs)
-        return np.where(r < small, d4_0 * r / 3.0, out)
-
-    dk_par = lambda r: -(d - 1) * dover_r(r)
-    dk_perp = lambda r: -(d - 2) * dover_r(r) - profile.d3(np.asarray(r, dtype=float))
-
-    def kt(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        out = (profile.d2(rs) - profile.d1(rs) / rs) / np.square(rs)
-        return np.where(r < small, d4_0 / 3.0, out)
-
-    return TriKernel(
-        dim=dim, k_par=k_par, k_perp=k_perp, dk_par=dk_par, dk_perp=dk_perp,
-        k0=-(d - 1) * d2_0, small_r_ktilde=d4_0 / 3.0,
-        family_tag="div_free", ktilde_fn=kt,
-        tail_scale=profile.tail_scale, decay=profile.decay, pd_hint=True,
-    )
+    return TriKernel(dim=dim, radial=radial, family_tag="div_free",
+                     tail_scale=profile.tail_scale, decay=profile.decay, pd_hint=True)
 
 
 def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
     """Closed-form curl-free + divergence-free split of e^{-c r^2} * I.
 
     The transverse coefficient of the curl-free part is
-    g(r) = lowergamma(mu+1, c r^2) / (2 c^{mu+1} r^{2mu+2}), mu = d/2 - 1;
-    all other coefficients follow from the scalar profile by linearity.
+    h(r) = lowergamma(mu+1, c r^2) / (2 c^{mu+1} r^{2mu+2}), mu = d/2 - 1,
+    with h' = (e^{-cr^2} - d h)/r = r t.  The curl-free part has kperp = h
+    and ktilde = t; the divergence-free part is the Gaussian minus it.
     Both parts decay like r^{-(2mu+2)}, much slower than the Gaussian.
     """
     if c <= 0:
@@ -501,60 +519,33 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
     mu = d / 2.0 - 1.0
     small = 1e-6 / math.sqrt(c)
 
-    k = lambda r: np.exp(-c * np.square(r))
-    dk = lambda r: -2.0 * c * r * np.exp(-c * np.square(r))
-
-    def g(r):
-        r = np.asarray(r, dtype=float)
+    def parts(r):
+        """(e^{-cr^2}, h, t), with the series h = 1/d - c r^2/(d+2) below `small`."""
         rs = np.maximum(r, small)
-        s = c * np.square(rs)
-        out = lower_gamma(mu + 1.0, s) / (2.0 * c ** (mu + 1.0) * rs ** (2.0 * mu + 2.0))
-        # series: 1/d - c r^2/(d+2) + O(r^4)
-        return np.where(r < small, 1.0 / d - c * np.square(r) / (d + 2.0), out)
+        near = r < small
+        e = np.exp(-c * np.square(r))
+        h = np.where(near, 1.0 / d - c * np.square(r) / (d + 2.0),
+                     lower_gamma(mu + 1.0, c * np.square(rs))
+                     / (2.0 * c ** (mu + 1.0) * rs ** (2.0 * mu + 2.0)))
+        t = np.where(near, -2.0 * c / (d + 2.0), (e - d * h) / np.square(rs))
+        return e, h, t
 
-    def dg(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        out = (k(rs) - d * g(rs)) / rs
-        return np.where(r < small, -2.0 * c * r / (d + 2.0), out)
+    def curl_free(r, derivatives=False):
+        e, h, t = parts(r)
+        if not derivatives:
+            return h, t
+        return h, t, -2.0 * c * r * e - (d - 1) * r * t, r * t
 
-    m = 2.0 * mu + 1.0  # = d - 1
+    def div_free(r, derivatives=False):
+        e, h, t = parts(r)
+        if not derivatives:
+            return e - h, -t
+        return e - h, -t, (d - 1) * r * t, -2.0 * c * r * e - r * t
 
-    def kt1(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, small)
-        out = (k(rs) - d * g(rs)) / np.square(rs)
-        return np.where(r < small, -2.0 * c / (d + 2.0), out)
-
-    k1 = TriKernel(
-        dim=d,
-        k_par=lambda r: k(r) - m * g(r),
-        k_perp=g,
-        dk_par=lambda r: dk(r) - m * dg(r),
-        dk_perp=dg,
-        k0=1.0 / d,
-        small_r_ktilde=-2.0 * c / (d + 2.0),
-        family_tag=f"gaussian_hodge_curl_free(c={c})",
-        ktilde_fn=kt1,
-        tail_scale=max(math.sqrt(48.0 / c), 8.0 / math.sqrt(c)),
-        decay="power",
-        pd_hint=True,
-    )
-    k2 = TriKernel(
-        dim=d,
-        k_par=lambda r: m * g(r),
-        k_perp=lambda r: k(r) - g(r),
-        dk_par=lambda r: m * dg(r),
-        dk_perp=lambda r: dk(r) - dg(r),
-        k0=(d - 1.0) / d,
-        small_r_ktilde=2.0 * c / (d + 2.0),
-        family_tag=f"gaussian_hodge_div_free(c={c})",
-        ktilde_fn=lambda r: -kt1(r),
-        tail_scale=max(math.sqrt(48.0 / c), 8.0 / math.sqrt(c)),
-        decay="power",
-        pd_hint=True,
-    )
-    return k1, k2
+    tail = max(math.sqrt(48.0 / c), 8.0 / math.sqrt(c))
+    return tuple(TriKernel(dim=d, radial=radial, family_tag=f"gaussian_hodge_{tag}(c={c})",
+                           tail_scale=tail, decay="power", pd_hint=True)
+                 for radial, tag in ((curl_free, "curl_free"), (div_free, "div_free")))
 
 
 # residuals of the differential characterizations, used by the divergence and

@@ -2,7 +2,8 @@
 
 Bessel and incomplete-gamma evaluations are thin wrappers around
 ``scipy.special`` (which comfortably exceeds the 1e-10 accuracy needed in
-the working range); this module adds the domain contracts and the
+the working range), imported on first use so that runs which never call
+them start at numpy's cost; this module adds the domain contracts and the
 segmented quadrature for semi-infinite oscillatory integrals
 
     I(rho) = int_0^inf  r**w  f(r)  J_nu(rho * r)  dr,
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as sp
 
 
 class HankelConvergenceError(RuntimeError):
@@ -66,8 +66,17 @@ DEFAULT_QUAD = HankelQuadConfig()
 _MEAN_WINDOW = 48
 
 
+@lru_cache(maxsize=None)
+def _special():
+    """scipy.special, imported on first use."""
+    from scipy import special
+
+    return special
+
+
 def _jv(nu, x):
     """J_nu(x) for x >= 0, dispatched on the order class of a scalar nu."""
+    sp = _special()
     if np.ndim(nu) == 0:
         nu = float(nu)
         if nu == 0.0:
@@ -104,6 +113,7 @@ def bessel_k(nu, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("K_nu requires x > 0 (K_nu diverges at 0)")
+    sp = _special()
     return sp.kv(nu, x)[()] if x.ndim == 0 else sp.kv(nu, x)
 
 
@@ -114,6 +124,7 @@ def lower_gamma(nu, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be >= 0")
+    sp = _special()
     out = sp.gamma(nu) * sp.gammainc(nu, x)
     return out[()] if x.ndim == 0 else out
 
@@ -125,6 +136,7 @@ def upper_gamma(nu, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be >= 0")
+    sp = _special()
     out = sp.gamma(nu) * sp.gammaincc(nu, x)
     return out[()] if x.ndim == 0 else out
 

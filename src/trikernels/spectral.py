@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as sp
 
 from .kernels import TriKernel, ktilde
 from .specfun import DEFAULT_QUAD, HankelQuadConfig, hankel_integral, radial_moment
@@ -282,6 +281,8 @@ def cauchy_spectrum(sigma: float, dim: int) -> Spectrum:
     mu = dim / 2.0 - 1.0
 
     def h(rho):
+        from scipy import special as sp
+
         rho = np.asarray(rho, dtype=float)
         return TWO_PI * sigma ** 2 * (sigma / rho) ** mu * sp.kv(mu, TWO_PI * sigma * rho)
 
@@ -337,6 +338,8 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
 
     def gamma_diff(rho):
         # upper(mu+1, x2) - upper(mu+1, x1) = lower(mu+1, x1) - lower(mu+1, x2)
+        from scipy import special as sp
+
         rho = np.asarray(rho, dtype=float)
         x1 = math.pi ** 2 * np.square(rho) / c1
         x2 = math.pi ** 2 * np.square(rho) / c2

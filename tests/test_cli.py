@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,27 @@ def test_bad_numeric_block_field_is_input_error(tmp_path, capsys, command, confi
     captured = capsys.readouterr()
     assert "config error:" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("field", FIELD_CFG), ("shoot", SHOOT_SMALL),
+    ("spectrum", {"kernel": GAUSS2, "spectrum": {"n": 4}}),
+], ids=["field", "shoot", "spectrum"])
+@pytest.mark.parametrize("bad", [".", "", "..", "sub/..", "sub/../../x.csv", "ABSOLUTE"],
+                         ids=["dot", "empty", "dotdot", "sub-dotdot", "escape", "absolute"])
+def test_output_path_outside_out_is_input_error(tmp_path, capsys, command, config, bad):
+    # output.path names a file strictly inside --out; the absolute case points
+    # into this test's own directory, so an unchecked path writes nothing elsewhere
+    if bad == "ABSOLUTE":
+        bad = str(tmp_path / "abs" / "x.csv")
+    out = tmp_path / "run" / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, "output": {"path": bad}}))
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "abs").exists()
 
 
 def test_missing_kernel_field_is_named(tmp_path, capsys):
@@ -505,3 +530,32 @@ def test_hodge_div_free_input_has_tiny_curl_component(tmp_path):
     _, rows = read_csv(tmp_path / "hodge.csv")
     scale = np.max(np.abs(rows[:, 3:5]))
     assert np.max(np.abs(rows[:, 1:3])) <= 1e-6 * scale
+
+
+HEAVY_SCIPY = ("scipy.special", "scipy.linalg", "scipy.interpolate")
+
+
+@pytest.mark.parametrize("family", ["gaussian", "gaussian_div_free"])
+def test_gaussian_shoot_loads_no_heavy_scipy(tmp_path, family):
+    # scipy is imported on first use: neither the import of the CLI nor a
+    # Gaussian shoot with a transported grid needs special, linalg or interpolate
+    cfg = {"kernel": {"family": family, "b": 1.0, "c": 4.0, "dim": 2}, "landmarks": [[0.0, 0.0], [0.5, 0.0]],
+           "momenta": [[0.0, 0.3], [0.0, -0.3]], "integrator": {"step": 0.05},
+           "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [5, 5]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    script = (
+        "import sys\n"
+        "from trikernels import cli\n"
+        f"heavy = {HEAVY_SCIPY!r}\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, ('import', loaded)\n"
+        "rc = cli.main(['shoot', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert rc == 0 and not loaded, ('shoot', rc, loaded)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    res = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr

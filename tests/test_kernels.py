@@ -328,3 +328,19 @@ def test_gaussian_hodge_pair_derivatives(rng):
             for axis in range(2):
                 fd = fd_matrix_derivative(k, x, axis)
                 np.testing.assert_allclose(K.partial_matrix(k, x, axis), fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("make, sign", [(K.make_div_free, 1.0), (K.make_curl_free, -1.0)],
+                         ids=["div_free", "curl_free"])
+def test_gaussian_construction_ktilde_exact_at_small_r(make, sign, d):
+    # ktilde = +-g = +-4ac^2 e^{-cr^2} in closed form; (f'' - f'/r)/r^2 from the
+    # profile's derivatives loses ~1e-6 to cancellation at r = 1e-6
+    a, c = 0.3, 16.0
+    k = make(K.gaussian_profile(a, c), d)
+    r = np.geomspace(1e-7, 1.0, 57)
+    x = np.zeros((len(r), d))
+    x[:, 0] = r
+    want = sign * 4.0 * a * c * c * np.exp(-c * r * r)
+    got = K.pair_coefficients(k, x).ktilde
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14

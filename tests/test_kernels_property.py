@@ -1,4 +1,7 @@
-"""Property tests: eval_matrix is rotation-equivariant and batch-consistent."""
+"""Property tests: eval_matrix is rotation-equivariant and batch-consistent, and
+every family's pair coefficients match the paper's formulas."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from trikernels import kernels as K  # noqa: E402
 from conftest import random_rotation  # noqa: E402
+from trikernels.specfun import lower_gamma  # noqa: E402
 
 KERNELS = {
     "gaussian": lambda d: K.gaussian_kernel(1.0, d),
@@ -37,3 +41,150 @@ def test_eval_matrix_rotation_equivariant_and_batch_consistent(name, dim, n, sca
         single = K.eval_matrix(k, x[i])
         np.testing.assert_allclose(batched[i], single, rtol=0, atol=1e-15 * abs(k.k0))
         np.testing.assert_allclose(rotated[i], rot @ single @ rot.T, rtol=0, atol=tol)
+
+
+# --- pair coefficients against the paper's formulas ---------------------------
+#
+# Each family's (kpar, kperp, dkpar, dkperp) as the paper writes them, computed
+# here from the generating profile's value/d1/d2/d3 (and the incomplete gamma
+# function for the Hodge pair), never from the kernel under test.
+
+def _paper_example(sign_par, a, b, c):
+    p = K.gaussian_profile(1.0, c)
+
+    def coefficients(r, d):
+        e, de = p.value(r), p.d1(r)
+        slanted, dslanted = (b - a * r * r) * e, -2.0 * a * r * e + (b - a * r * r) * de
+        flat, dflat = b * e, b * de
+        if sign_par:   # example1: kpar = b e, kperp = (b - a r^2) e
+            return flat, slanted, dflat, dslanted
+        return slanted, flat, dslanted, dflat
+    return coefficients
+
+
+def _paper_scalar(p):
+    return lambda r, d: (p.value(r), p.value(r), p.d1(r), p.d1(r))
+
+
+def _paper_curl_free(p):
+    return lambda r, d: (-p.d2(r), -p.d1(r) / r, -p.d3(r),
+                         -(p.d2(r) * r - p.d1(r)) / (r * r))
+
+
+def _paper_div_free(p):
+    def coefficients(r, d):
+        over_r = p.d1(r) / r
+        dover_r = (p.d2(r) * r - p.d1(r)) / (r * r)
+        return (-(d - 1) * over_r, -(d - 2) * over_r - p.d2(r),
+                -(d - 1) * dover_r, -(d - 2) * dover_r - p.d3(r))
+    return coefficients
+
+
+def _paper_hodge(part, c):
+    p = K.gaussian_profile(1.0, c)
+
+    def coefficients(r, d):
+        mu = d / 2.0 - 1.0
+        e, de = p.value(r), p.d1(r)
+        h = lower_gamma(mu + 1.0, c * r * r) / (2.0 * c ** (mu + 1.0) * r ** (2.0 * mu + 2.0))
+        dh = (e - d * h) / r
+        curl_free = (e - (d - 1) * h, h, de - (d - 1) * dh, dh)
+        if part == 0:
+            return curl_free
+        return tuple(g - k for g, k in zip((e, e, de, de), curl_free))
+    return coefficients
+
+
+def _bessel(sigma, offset, d):
+    """Normalized Sobolev profile of order nu = offset > 2 (C^4 at the origin)."""
+    ell = offset + d / 2.0
+    return K.bessel_profile(offset, sigma, K.sobolev_green_constant(sigma, ell, d))
+
+
+# name -> (kernel, paper coefficients, length scale) from drawn (a, b, c) and d;
+# a and b lie in [0.1, 3], c in [0.5, 16]
+FAMILIES = {
+    "gaussian": lambda a, b, c, d: (K.gaussian_kernel(c, d, amplitude=a),
+                                    _paper_scalar(K.gaussian_profile(a, c)), c ** -0.5),
+    "cauchy": lambda a, b, c, d: (K.cauchy_kernel(b, d), _paper_scalar(K.cauchy_profile(b)), b),
+    "bessel": lambda a, b, c, d: (K.bessel_kernel(b, 2.5 + a + d / 2.0, d),
+                                  _paper_scalar(_bessel(b, 2.5 + a, d)), b),
+    "example1": lambda a, b, c, d: (K.family_example1(a, b, c, d),
+                                    _paper_example(True, a, b, c), c ** -0.5),
+    "example2": lambda a, b, c, d: (K.family_example2(a, b, c, d),
+                                    _paper_example(False, a, b, c), c ** -0.5),
+    "curl_free_gaussian": lambda a, b, c, d: (
+        K.make_curl_free(K.gaussian_profile(a, c), d),
+        _paper_curl_free(K.gaussian_profile(a, c)), c ** -0.5),
+    "div_free_gaussian": lambda a, b, c, d: (
+        K.make_div_free(K.gaussian_profile(a, c), d),
+        _paper_div_free(K.gaussian_profile(a, c)), c ** -0.5),
+    # the Gaussian through the fused tuple built from value/d1/d2/d3 and its Taylor data
+    "div_free_gaussian_generic": lambda a, b, c, d: (
+        K.make_div_free(replace(K.gaussian_profile(a, c), fused=None), d),
+        _paper_div_free(K.gaussian_profile(a, c)), c ** -0.5),
+    "curl_free_bessel": lambda a, b, c, d: (
+        K.make_curl_free(_bessel(b, 2.5 + a, d), d),
+        _paper_curl_free(_bessel(b, 2.5 + a, d)), b),
+    "div_free_bessel": lambda a, b, c, d: (
+        K.make_div_free(_bessel(b, 2.5 + a, d), d),
+        _paper_div_free(_bessel(b, 2.5 + a, d)), b),
+    "hodge_curl_free": lambda a, b, c, d: (K.gaussian_hodge_pair(c, d)[0],
+                                           _paper_hodge(0, c), c ** -0.5),
+    "hodge_div_free": lambda a, b, c, d: (K.gaussian_hodge_pair(c, d)[1],
+                                          _paper_hodge(1, c), c ** -0.5),
+}
+
+
+def _coefficients(k, r):
+    """(kpar, kperp, dkpar, dkperp) of k from the primitive, at radii r along e_1."""
+    x = np.zeros(np.shape(r) + (k.dim,))
+    x[..., 0] = r
+    c = K.pair_coefficients(k, x, derivatives=True)
+    return c.kperp + c.r * c.r * c.ktilde, c.kperp, c.dkpar, c.dkperp
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(FAMILIES)), dim=st.sampled_from([2, 3]),
+       a=st.floats(0.1, 3.0), b=st.floats(0.1, 3.0), c=st.floats(0.5, 16.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_coefficients_match_paper_formulas(name, dim, a, b, c, seed):
+    k, paper, scale = FAMILIES[name](a, b, c, dim)
+    r = scale * np.random.default_rng(seed).uniform(0.1, 3.0, 16)
+    got = _coefficients(k, r)
+    want = paper(r, dim)
+    labels = ("kpar", "kperp", "dkpar", "dkperp")
+    for label, g, w in zip(labels, got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)),
+                                   err_msg=f"{name} {label}")
+
+    # the derivatives are those of the coefficients: 4th-order central differences
+    h = 1e-3 * scale
+    at = [_coefficients(k, r + j * h) for j in (-2, -1, 1, 2)]
+    for i, label in ((0, "dkpar"), (1, "dkperp")):
+        fd = (at[0][i] - 8.0 * at[1][i] + 8.0 * at[2][i] - at[3][i]) / (12.0 * h)
+        np.testing.assert_allclose(got[2 + i], fd, rtol=0,
+                                   atol=1e-7 * np.max(np.abs(got[2 + i])),
+                                   err_msg=f"{name} {label}")
+
+    # the origin row holds the limits exactly; at r = 1e-13 the values hold them
+    # to rounding and the odd derivatives are O(r)
+    kpar0, kperp0, dkpar0, dkperp0 = _coefficients(k, np.zeros(1))
+    assert kperp0[0] == k.k0 and kpar0[0] == k.k0
+    assert dkpar0[0] == 0.0 and dkperp0[0] == 0.0
+    tiny = 1e-13
+    row = K.pair_coefficients(k, np.eye(dim)[0] * tiny, derivatives=True)
+    size = abs(k.k0) / scale ** 2 + abs(k.small_r_ktilde)
+    assert abs(row.kperp - k.k0) <= 1e-12 * abs(k.k0)
+    assert abs(row.ktilde - k.small_r_ktilde) <= 1e-12 * size
+    assert abs(row.dkpar) <= 10.0 * tiny * size and abs(row.dkperp) <= 10.0 * tiny * size
+    # ... and the limits are the paper's: k0 is kperp at the origin, and the
+    # small-r ktilde is (kpar - kperp)/r^2 as r -> 0
+    rz = 1e-4 * scale
+    wpar, wperp, _, _ = paper(np.array([rz]), dim)
+    assert k.k0 == pytest.approx(wperp[0], rel=1e-6)
+    # a Bessel profile's 4th derivative at 0 is a Richardson estimate from d2 near
+    # the origin, whose next term is O(r^(2 nu - 2)), not O(r^4): a few 1e-3 here
+    kt_tol = 1e-2 if "bessel" in name else 1e-5
+    assert k.small_r_ktilde == pytest.approx((wpar[0] - wperp[0]) / rz ** 2, rel=kt_tol,
+                                             abs=1e-9 * size)
