@@ -56,7 +56,6 @@ class ScalarProfile:
     d2_zero, d4_zero : even-order Taylor data at r = 0, used for the
         exact limits of the fused tuple; estimated numerically when absent.
     tail_scale : radius beyond which the profile is negligible.
-    decay : "gaussian", "exponential" or "power"; a quadrature hint only.
     fused : (r, order) -> the first order + 1 entries of
         [f, f'/r, g, f'''] with g = (f'' - f'/r)/r^2, at an array of
         radii r >= 0, holding the limits f''(0) and f''''(0)/3 of f'/r
@@ -70,7 +69,6 @@ class ScalarProfile:
     d2_zero: Optional[float] = None
     d4_zero: Optional[float] = None
     tail_scale: float = np.inf
-    decay: str = "gaussian"
     fused: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -138,7 +136,6 @@ def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
         d2_zero=-2.0 * a * c,
         d4_zero=12.0 * a * c * c,
         tail_scale=math.sqrt(48.0 / c),
-        decay="gaussian",
         fused=fused,
     )
 
@@ -156,7 +153,6 @@ def cauchy_profile(sigma: float) -> ScalarProfile:
                      / (1.0 + np.square(r) / s2) ** 4,
         d2_zero=-2.0 / s2,
         tail_scale=8.0 * sigma,
-        decay="power",
     )
 
 
@@ -172,6 +168,10 @@ def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> Sca
         raise ValueError("nu must be positive for a bounded profile")
     a = float(amplitude)
     s = float(sigma)
+    # z^nu K_nu(z) = 2^{nu-1} Gamma(nu) [1 - z^2/(4(nu-1)) + z^4/(32(nu-1)(nu-2)) + ...]
+    # + O(z^{2nu}) gives f''(0) for nu > 1 and f''''(0) for nu > 2
+    d2_zero = -a * 2.0 ** (nu - 2.0) * math.gamma(nu - 1.0) / s ** 2 if nu > 1 else None
+    d4_zero = 3.0 * a * 2.0 ** (nu - 3.0) * math.gamma(nu - 2.0) / s ** 4 if nu > 2 else None
 
     # z^nu K_nu(z) tends to 2^{nu-1} Gamma(nu); flooring z keeps the
     # product finite so the where-mask never sees overflow
@@ -197,8 +197,8 @@ def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> Sca
         rs = np.maximum(r, 1e-300)
         return f1(r) / s ** 2 + (2.0 * nu - 1.0) * (f2(r) / rs - f1(r) / rs ** 2)
 
-    return ScalarProfile(value=f, d1=f1, d2=f2, d3=f3,
-                         tail_scale=60.0 * s, decay="exponential")
+    return ScalarProfile(value=f, d1=f1, d2=f2, d3=f3, d2_zero=d2_zero, d4_zero=d4_zero,
+                         tail_scale=60.0 * s)
 
 
 def sobolev_green_constant(sigma: float, ell: float, dim: int) -> float:
@@ -231,7 +231,6 @@ class TriKernel:
     radial: Optional[Callable] = field(default=None, repr=False)
     family_tag: str = "generic"
     tail_scale: float = np.inf
-    decay: str = "gaussian"
     pd_hint: Optional[bool] = None
     k_par: Optional[Callable] = field(default=None, repr=False)
     k_perp: Optional[Callable] = field(default=None, repr=False)
@@ -393,8 +392,7 @@ def family_example1(a: float, b: float, c: float, dim: int) -> TriKernel:
         return kperp, kt, (-2.0 * b * c) * r * e, -2.0 * r * (kt + c * kperp)
 
     return TriKernel(dim=dim, radial=radial, family_tag=f"example1(a={a},b={b},c={c})",
-                     tail_scale=math.sqrt(52.0 / c), decay="gaussian",
-                     pd_hint=in_D1(a, b, c, dim))
+                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D1(a, b, c, dim))
 
 
 def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
@@ -416,7 +414,7 @@ def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
         return kperp, kt, -2.0 * r * (c * kpar - kt), (-2.0 * c) * r * kperp
 
     return TriKernel(dim=dim, radial=radial, family_tag=f"example2(a={a},b={b},c={c})",
-                     tail_scale=math.sqrt(52.0 / c), decay="gaussian", pd_hint=in_D2(a, b, c))
+                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D2(a, b, c))
 
 
 def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriKernel:
@@ -432,7 +430,7 @@ def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriK
         return f, kt, dk, dk
 
     return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale,
-                     decay=profile.decay, k_par=profile.value, k_perp=profile.value)
+                     k_par=profile.value, k_perp=profile.value)
 
 
 def gaussian_kernel(c: float, dim: int, amplitude: float = 1.0) -> TriKernel:
@@ -478,7 +476,7 @@ def make_curl_free(profile: ScalarProfile, dim: int) -> TriKernel:
         return -q, -g, -f3[0], -r * g
 
     return TriKernel(dim=dim, radial=radial, family_tag="curl_free",
-                     tail_scale=profile.tail_scale, decay=profile.decay, pd_hint=True)
+                     tail_scale=profile.tail_scale, pd_hint=True)
 
 
 def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
@@ -501,7 +499,7 @@ def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
         return kperp, g, -(d - 1) * rg, -(d - 2) * rg - f3[0]
 
     return TriKernel(dim=dim, radial=radial, family_tag="div_free",
-                     tail_scale=profile.tail_scale, decay=profile.decay, pd_hint=True)
+                     tail_scale=profile.tail_scale, pd_hint=True)
 
 
 def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
@@ -517,17 +515,23 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
         raise ValueError("c must be positive")
     d = dim
     mu = d / 2.0 - 1.0
-    small = 1e-6 / math.sqrt(c)
+    # in y = -c r^2, h = sum y^m / (m! (d+2m)) and t = -2c sum y^m / (m! (d+2m+2));
+    # below x = c r^2 = 1/2, where the closed form of t cancels, 16 terms reach 1e-18
+    m = np.arange(16)
+    fact = np.array([math.factorial(i) for i in m], dtype=float)
+    h_series = 1.0 / (fact * (d + 2.0 * m))
+    t_series = -2.0 * c / (fact * (d + 2.0 * m + 2.0))
+    poly = np.polynomial.polynomial.polyval
 
     def parts(r):
-        """(e^{-cr^2}, h, t), with the series h = 1/d - c r^2/(d+2) below `small`."""
-        rs = np.maximum(r, small)
-        near = r < small
-        e = np.exp(-c * np.square(r))
-        h = np.where(near, 1.0 / d - c * np.square(r) / (d + 2.0),
-                     lower_gamma(mu + 1.0, c * np.square(rs))
-                     / (2.0 * c ** (mu + 1.0) * rs ** (2.0 * mu + 2.0)))
-        t = np.where(near, -2.0 * c / (d + 2.0), (e - d * h) / np.square(rs))
+        """(e^{-cr^2}, h, t): the series below x = 1/2, the closed form above."""
+        x = c * np.square(r)
+        xs = np.maximum(x, 0.5)
+        near = x < 0.5
+        e = np.exp(-x)
+        h = np.where(near, poly(-x, h_series),
+                     lower_gamma(mu + 1.0, xs) / (2.0 * xs ** (mu + 1.0)))
+        t = np.where(near, poly(-x, t_series), c * (e - d * h) / xs)
         return e, h, t
 
     def curl_free(r, derivatives=False):
@@ -544,7 +548,7 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
 
     tail = max(math.sqrt(48.0 / c), 8.0 / math.sqrt(c))
     return tuple(TriKernel(dim=d, radial=radial, family_tag=f"gaussian_hodge_{tag}(c={c})",
-                           tail_scale=tail, decay="power", pd_hint=True)
+                           tail_scale=tail, pd_hint=True)
                  for radial, tag in ((curl_free, "curl_free"), (div_free, "div_free")))
 
 

@@ -4,16 +4,16 @@ The Fourier transform of a TRI kernel is again of projector form, with
 radial coefficients (hpar, hperp).  The linear map taking (kpar, kperp)
 to (hpar, hperp),
 
-  hpar(p) = 2pi/p^mu  I[r^{mu+1} kpar; J_mu] - (2mu+1)/p^{mu+1} I[r^{mu+2} kt; J_{mu+1}],
-  hperp(p) = 2pi/p^mu I[r^{mu+1} kperp; J_mu] +       1/p^{mu+1} I[r^{mu+2} kt; J_{mu+1}],
+  hpar(p) = 2pi/p^mu  I[r^{mu+1} kpar; J_mu] - (2mu+1)/p^{mu+1} I[r^mu kdiff; J_{mu+1}],
+  hperp(p) = 2pi/p^mu I[r^{mu+1} kperp; J_mu] +       1/p^{mu+1} I[r^mu kdiff; J_{mu+1}],
 
-with mu = d/2 - 1, kt = (kpar - kperp)/r^2 and I[.; J_nu] the oscillatory
-integral against J_nu(2 pi p r), is an involution: applying the same
-formulas to (hpar, hperp) returns (kpar, kperp).  Nonnegativity of both
-spectral coefficients is equivalent to positive definiteness, and
-hpar = 0 / hperp = 0 characterize divergence-free / curl-free kernels,
-which makes the Hodge decomposition a matter of masking one coefficient
-and transforming back.
+with mu = d/2 - 1, kdiff = kpar - kperp and I[.; J_nu] the oscillatory
+integral against J_nu(2 pi p r), is an involution: the same formulas,
+written once in `_transform`, take (hpar, hperp) back to (kpar, kperp).
+Nonnegativity of both spectral coefficients is equivalent to positive
+definiteness, and hpar = 0 / hperp = 0 characterize divergence-free /
+curl-free kernels, which makes the Hodge decomposition a matter of
+masking one coefficient and transforming back.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import TriKernel, ktilde
-from .specfun import DEFAULT_QUAD, HankelQuadConfig, hankel_integral, radial_moment
+from .specfun import hankel_integral, radial_moment
 
 TWO_PI = 2.0 * math.pi
 
-# radius below which the inverse transform switches to its analytic limit
-SMALL_R_LIMIT = 1e-3
+# r * tail_scale below which the inverse transform takes its analytic r -> 0
+# limit: on that scale the kernel has not yet moved from k0
+SMALL_R_LIMIT = 2e-3
 
 
 class HeavyTailWarning(UserWarning):
@@ -43,7 +44,6 @@ class Spectrum:
     """Radial coefficient pair of a kernel's Fourier transform.
 
     h_par, h_perp : vectorized callables of the radial frequency.
-    provenance : "closed-form" or "tabulated-from-quadrature".
     rho_grid / samples : present for tabulated spectra.
     tail_scale : frequency beyond which both coefficients are negligible.
     """
@@ -51,7 +51,6 @@ class Spectrum:
     dim: int
     h_par: Callable
     h_perp: Callable
-    provenance: str
     tail_scale: float
     rho_grid: Optional[np.ndarray] = None
     h_par_samples: Optional[np.ndarray] = None
@@ -102,23 +101,33 @@ def _cubic_spline(x, y):
     return CubicSpline(x, y)
 
 
-class _TabulatedRadial:
-    """Spline over log-spaced samples, constant below and zero above."""
+def _spline(grid, samples, head, power=0.0, derivative=False):
+    """Cubic spline through samples on a grid, held at `head` below it.
 
-    def __init__(self, grid: np.ndarray, samples: np.ndarray):
-        self.grid = np.asarray(grid, dtype=float)
-        self.samples = np.asarray(samples, dtype=float)
-        self.spline = _cubic_spline(self.grid, self.samples)
-        self.lo = float(self.grid[0])
-        self.hi = float(self.grid[-1])
-        self.left = float(self.samples[0])
+    Above the grid it continues as the tail samples[-1] (grid[-1]/r)^power
+    matched at the grid end when a `power` is given, and as zero otherwise.
+    With `derivative`, returns the pair (value, derivative); the
+    derivative's head is zero.
+    """
+    spline = _cubic_spline(grid, samples)
+    lo, hi = float(grid[0]), float(grid[-1])
+    coef = float(samples[-1]) * hi ** power
 
-    def __call__(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        out = self.spline(np.clip(rho, self.lo, self.hi))
-        out = np.where(rho < self.lo, self.left, out)
-        out = np.where(rho > self.hi, 0.0, out)
-        return out[()] if out.ndim == 0 else out
+    def piecewise(inside, below, tail):
+        def evaluate(r):
+            r = np.asarray(r, dtype=float)
+            out = inside(np.clip(r, lo, hi))
+            out = np.where(r < lo, below, out)
+            out = np.where(r > hi, tail(np.maximum(r, hi)) if power else 0.0, out)
+            return out[()] if out.ndim == 0 else out
+
+        return evaluate
+
+    value = piecewise(spline, head, lambda r: coef / r ** power)
+    if not derivative:
+        return value
+    return value, piecewise(spline.derivative(), 0.0,
+                            lambda r: -power * coef / r ** (power + 1.0))
 
 
 def _tail_scale_from_samples(grid, a, b) -> float:
@@ -130,27 +139,33 @@ def _tail_scale_from_samples(grid, a, b) -> float:
     return float(grid[min(alive[-1] + 1, len(grid) - 1)])
 
 
-def spectral_pair_at(k: TriKernel, rho, cfg: HankelQuadConfig = DEFAULT_QUAD):
+def _transform(par, perp, diff, mu, x, tail):
+    """The coefficient transform of (par, perp) at an array x > 0.
+
+    diff = par - perp.  The same formulas take kernel coefficients to
+    spectral ones (x a frequency) and spectral ones back (x a radius).
+    """
+    w = TWO_PI * x
+    i_par = hankel_integral(par, mu + 1.0, mu, w, tail_hint=tail)
+    i_perp = hankel_integral(perp, mu + 1.0, mu, w, tail_hint=tail)
+    i_diff = hankel_integral(diff, mu, mu + 1.0, w, tail_hint=tail)
+    lead = TWO_PI / x ** mu
+    cross = i_diff / x ** (mu + 1.0)
+    return lead * i_par - (2.0 * mu + 1.0) * cross, lead * i_perp + cross
+
+
+def spectral_pair_at(k: TriKernel, rho):
     """(hpar, hperp) of kernel k by quadrature, at one frequency or an array.
 
     An array of frequencies takes one whole-grid pass per integrand and
     gives two arrays of its shape; a scalar frequency gives two floats.
+    kpar - kperp enters as r^2 ktilde, which does not cancel near r = 0.
     """
-    mu = k.mu
-    rho = np.asarray(rho, dtype=float)
-    w = TWO_PI * rho
-    i_par = hankel_integral(k.k_par, mu + 1.0, mu, w, cfg, tail_hint=k.tail_scale)
-    i_perp = hankel_integral(k.k_perp, mu + 1.0, mu, w, cfg, tail_hint=k.tail_scale)
-    i_t = hankel_integral(lambda r: ktilde(k, r), mu + 2.0, mu + 1.0, w, cfg,
-                          tail_hint=k.tail_scale)
-    lead = TWO_PI / rho ** mu
-    cross = i_t / rho ** (mu + 1.0)
-    return (lead * i_par - (2.0 * mu + 1.0) * cross,
-            lead * i_perp + cross)
+    return _transform(k.k_par, k.k_perp, lambda r: np.square(r) * ktilde(k, r),
+                      k.mu, np.asarray(rho, dtype=float), k.tail_scale)
 
 
-def forward_map(k: TriKernel, rho_grid=None,
-                cfg: HankelQuadConfig = DEFAULT_QUAD) -> Spectrum:
+def forward_map(k: TriKernel, rho_grid=None) -> Spectrum:
     """Spectral coefficients of k, tabulated on a frequency grid.
 
     Requires the coefficients to be integrable against r^{d-1}; quadrature
@@ -161,12 +176,11 @@ def forward_map(k: TriKernel, rho_grid=None,
     rho_grid = np.asarray(rho_grid, dtype=float)
     if np.any(rho_grid <= 0):
         raise ValueError("rho grid must be positive")
-    hp, hq = spectral_pair_at(k, rho_grid, cfg)
+    hp, hq = spectral_pair_at(k, rho_grid)
     return Spectrum(
         dim=k.dim,
-        h_par=_TabulatedRadial(rho_grid, hp),
-        h_perp=_TabulatedRadial(rho_grid, hq),
-        provenance="tabulated-from-quadrature",
+        h_par=_spline(rho_grid, hp, float(hp[0])),
+        h_perp=_spline(rho_grid, hq, float(hq[0])),
         tail_scale=_tail_scale_from_samples(rho_grid, hp, hq),
         rho_grid=rho_grid,
         h_par_samples=hp,
@@ -185,43 +199,28 @@ def inverse_limits(s: Spectrum) -> float:
     return lead * m_par - cross * m_diff
 
 
-def inverse_map(s: Spectrum, r_grid,
-                cfg: HankelQuadConfig = DEFAULT_QUAD) -> tuple[np.ndarray, np.ndarray]:
+def inverse_map(s: Spectrum, r_grid) -> tuple[np.ndarray, np.ndarray]:
     """Spatial coefficients (kpar, kperp) of a spectrum, sampled on r_grid.
 
-    The same transform formulas are applied with the roles of the two
-    sides swapped (the map is an involution).  Radii below 1e-3 return
+    The transform is an involution, so this is the forward one applied to
+    (hpar, hperp).  Radii with r * s.tail_scale below SMALL_R_LIMIT return
     the analytic r -> 0 limit, where the oscillatory factors degenerate.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid < 0):
         raise ValueError("r grid must be nonnegative")
-    mu = s.mu
-    diff = lambda p: s.h_par(p) - s.h_perp(p)
-    small = r_grid < SMALL_R_LIMIT
-    kp = np.empty_like(r_grid)
-    kq = np.empty_like(r_grid)
+    small = r_grid * s.tail_scale < SMALL_R_LIMIT
+    kp, kq = np.empty_like(r_grid), np.empty_like(r_grid)
     if small.any():
         kp[small] = kq[small] = inverse_limits(s)
-    r = r_grid[~small]
-    w = TWO_PI * r
-    i_par = hankel_integral(s.h_par, mu + 1.0, mu, w, cfg, tail_hint=s.tail_scale)
-    i_perp = hankel_integral(s.h_perp, mu + 1.0, mu, w, cfg, tail_hint=s.tail_scale)
-    i_d = hankel_integral(diff, mu, mu + 1.0, w, cfg, tail_hint=s.tail_scale)
-    lead = TWO_PI / r ** mu
-    cross = i_d / r ** (mu + 1.0)
-    kp[~small] = lead * i_par - (2.0 * mu + 1.0) * cross
-    kq[~small] = lead * i_perp + cross
+    kp[~small], kq[~small] = _transform(s.h_par, s.h_perp, lambda p: s.h_par(p) - s.h_perp(p),
+                                        s.mu, r_grid[~small], s.tail_scale)
     return kp, kq
 
 
-def certify_pd(k: TriKernel, rho_grid=None, tol: float = 1e-8,
-               cfg: HankelQuadConfig = DEFAULT_QUAD) -> PdVerdict:
+def certify_pd(k: TriKernel, rho_grid=None, tol: float = 1e-8) -> PdVerdict:
     """Sampled positive-definiteness certificate from the spectral signs."""
-    if rho_grid is None:
-        rho_grid = _grid_for(k)
-    s = forward_map(k, rho_grid, cfg)
-    return certify_spectrum(s, tol)
+    return certify_spectrum(forward_map(k, rho_grid), tol)
 
 
 def certify_spectrum(s: Spectrum, tol: float = 1e-8) -> PdVerdict:
@@ -272,8 +271,7 @@ def gaussian_spectrum(c: float, dim: int, amplitude: float = 1.0) -> Spectrum:
     def h(rho):
         return A * np.exp(-math.pi ** 2 * np.square(rho) / c)
 
-    return Spectrum(dim=dim, h_par=h, h_perp=h, provenance="closed-form",
-                    tail_scale=math.sqrt(44.0 * c) / math.pi)
+    return Spectrum(dim=dim, h_par=h, h_perp=h, tail_scale=math.sqrt(44.0 * c) / math.pi)
 
 
 def cauchy_spectrum(sigma: float, dim: int) -> Spectrum:
@@ -286,8 +284,7 @@ def cauchy_spectrum(sigma: float, dim: int) -> Spectrum:
         rho = np.asarray(rho, dtype=float)
         return TWO_PI * sigma ** 2 * (sigma / rho) ** mu * sp.kv(mu, TWO_PI * sigma * rho)
 
-    return Spectrum(dim=dim, h_par=h, h_perp=h, provenance="closed-form",
-                    tail_scale=8.0 / sigma)
+    return Spectrum(dim=dim, h_par=h, h_perp=h, tail_scale=8.0 / sigma)
 
 
 def example1_spectrum(a: float, b: float, c: float, dim: int) -> Spectrum:
@@ -301,7 +298,6 @@ def example1_spectrum(a: float, b: float, c: float, dim: int) -> Spectrum:
         dim=dim,
         h_par=lambda rho: lead * const * env(rho),
         h_perp=lambda rho: lead * (const + quad * np.square(rho)) * env(rho),
-        provenance="closed-form",
         tail_scale=math.sqrt(48.0 * c) / math.pi,
     )
 
@@ -317,7 +313,6 @@ def example2_spectrum(a: float, b: float, c: float, dim: int) -> Spectrum:
         dim=dim,
         h_par=lambda rho: lead * (const + quad * np.square(rho)) * env(rho),
         h_perp=lambda rho: lead * const * env(rho),
-        provenance="closed-form",
         tail_scale=math.sqrt(48.0 * c) / math.pi,
     )
 
@@ -371,7 +366,7 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
         out = main + corr
         return np.where(rho < 1e-8, main + lim_perp, out)
 
-    return Spectrum(dim=dim, h_par=h_par, h_perp=h_perp, provenance="closed-form",
+    return Spectrum(dim=dim, h_par=h_par, h_perp=h_perp,
                     tail_scale=math.sqrt(48.0 * max(c1, c2)) / math.pi)
 
 
@@ -379,35 +374,27 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
 # Hodge decomposition
 # ---------------------------------------------------------------------------
 
-def _profile_from_samples(r_grid, samples, k0, power):
-    """Spline profile with constant head and matched power-law tail."""
-    spline = _cubic_spline(r_grid, samples)
-    lo, hi = float(r_grid[0]), float(r_grid[-1])
-    tail_coef = float(samples[-1]) * hi ** power
-
-    def value(r):
-        r = np.asarray(r, dtype=float)
-        out = spline(np.clip(r, lo, hi))
-        out = np.where(r < lo, k0, out)
-        rs = np.maximum(r, hi)
-        out = np.where(r > hi, tail_coef / rs ** power, out)
-        return out[()] if out.ndim == 0 else out
-
-    dspline = spline.derivative()
-
-    def deriv(r):
-        r = np.asarray(r, dtype=float)
-        out = dspline(np.clip(r, lo, hi))
-        out = np.where(r < lo, 0.0, out)
-        rs = np.maximum(r, hi)
-        out = np.where(r > hi, -power * tail_coef / rs ** (power + 1.0), out)
-        return out[()] if out.ndim == 0 else out
-
-    return value, deriv
+def _hodge_part(s: Spectrum, r_grid: np.ndarray, k: TriKernel, tag: str) -> TriKernel:
+    """The kernel of a masked spectrum, splined on r_grid with its tail."""
+    kp, kq = inverse_map(s, r_grid)
+    k0 = inverse_limits(s)
+    power = 2.0 * s.mu + 2.0
+    vp, dp = _spline(r_grid, kp, k0, power, derivative=True)
+    vq, dq = _spline(r_grid, kq, k0, power, derivative=True)
+    # quadratic small-r limit of (kpar - kperp)/r^2 by extrapolation
+    probe = max(2.0 * r_grid[0], 1e-2 * r_grid[-1] / 24.0)
+    t1 = (vp(probe) - vq(probe)) / probe ** 2
+    t2 = (vp(2 * probe) - vq(2 * probe)) / (4 * probe ** 2)
+    small_kt = float((4.0 * t1 - t2) / 3.0)
+    # below the grid both splines hold k0, so their difference carries no ktilde
+    kt = lambda r: np.where(r < r_grid[0], small_kt, (vp(r) - vq(r)) / np.square(r))
+    return TriKernel(dim=k.dim, k_par=vp, k_perp=vq, dk_par=dp, dk_perp=dq, ktilde_fn=kt,
+                     k0=k0, small_r_ktilde=small_kt,
+                     family_tag=f"{tag}({k.family_tag})", tail_scale=float(r_grid[-1]),
+                     pd_hint=k.pd_hint)
 
 
-def hodge_split(k: TriKernel, r_grid=None, rho_grid=None,
-                cfg: HankelQuadConfig = DEFAULT_QUAD) -> tuple[TriKernel, TriKernel]:
+def hodge_split(k: TriKernel, r_grid=None, rho_grid=None) -> tuple[TriKernel, TriKernel]:
     """Split k into its curl-free and divergence-free kernel components.
 
     The spectrum is tabulated, each coefficient masked in turn, and the
@@ -421,31 +408,12 @@ def hodge_split(k: TriKernel, r_grid=None, rho_grid=None,
         scale = k.tail_scale / 7.0 if np.isfinite(k.tail_scale) else 1.0
         r_grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)
     r_grid = np.asarray(r_grid, dtype=float)
-    s = forward_map(k, rho_grid, cfg)
+    s = forward_map(k, rho_grid)
     zero = lambda rho: np.zeros_like(np.asarray(rho, dtype=float))
-    s_cf = replace(s, h_perp=zero, h_perp_samples=np.zeros_like(s.h_par_samples))
-    s_df = replace(s, h_par=zero, h_par_samples=np.zeros_like(s.h_perp_samples))
-
-    power = 2.0 * s.mu + 2.0
-    parts = []
-    for part, tag in ((s_cf, "curl_free_component"), (s_df, "div_free_component")):
-        kp, kq = inverse_map(part, r_grid, cfg)
-        k0 = inverse_limits(part)
-        vp, dp = _profile_from_samples(r_grid, kp, k0, power)
-        vq, dq = _profile_from_samples(r_grid, kq, k0, power)
-        # quadratic small-r limit of (kpar - kperp)/r^2 by extrapolation
-        probe = max(2.0 * r_grid[0], 1e-2 * r_grid[-1] / 24.0)
-        t1 = (vp(probe) - vq(probe)) / probe ** 2
-        t2 = (vp(2 * probe) - vq(2 * probe)) / (4 * probe ** 2)
-        small_kt = float((4.0 * t1 - t2) / 3.0)
-        parts.append(TriKernel(
-            dim=k.dim, k_par=vp, k_perp=vq, dk_par=dp, dk_perp=dq,
-            k0=k0, small_r_ktilde=small_kt,
-            family_tag=f"{tag}({k.family_tag})",
-            tail_scale=float(r_grid[-1]), decay="power",
-            pd_hint=k.pd_hint,
-        ))
-    curl_free, div_free = parts
+    curl_free = _hodge_part(replace(s, h_perp=zero, h_perp_samples=np.zeros_like(s.h_par_samples)),
+                            r_grid, k, "curl_free_component")
+    div_free = _hodge_part(replace(s, h_par=zero, h_par_samples=np.zeros_like(s.h_perp_samples)),
+                           r_grid, k, "div_free_component")
 
     tail_mag = max(abs(float(curl_free.k_perp(r_grid[-1]))),
                    abs(float(div_free.k_par(r_grid[-1]))))

@@ -120,7 +120,7 @@ def test_criterion_04_pd_classification():
             dk_par=lambda r: -2.0 * r * np.exp(-np.square(r)),
             dk_perp=lambda r: -4.0 * r * np.exp(-2.0 * np.square(r)),
             k0=1.0, small_r_ktilde=1.0, family_tag="mixed",
-            tail_scale=math.sqrt(52.0), decay="gaussian")
+            tail_scale=math.sqrt(52.0))
         v4 = S.certify_pd(mixed, grid)
         assert not v4.positive
 

@@ -319,6 +319,46 @@ def test_gaussian_hodge_pair_conditions(c, d):
     assert k1.k0 + k2.k0 == pytest.approx(1.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("c", [1.0, 16.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_gaussian_hodge_pair_matches_its_series(c, d):
+    # with y = -c r^2: h = sum y^m / (m! (d+2m)), t = -2c sum y^m / (m! (d+2m+2));
+    # the curl-free part is (h, t), the div-free part (e^{-c r^2} - h, -t)
+    def series(y, shift, scale=1.0):
+        return scale * math.fsum(y ** m / (math.factorial(m) * (d + 2 * m + shift))
+                                 for m in range(40))
+
+    r = np.geomspace(1e-8, 1.5, 64) / math.sqrt(c)
+    y = -c * r * r
+    h = np.array([series(v, 0) for v in y])
+    t = np.array([series(v, 2, -2.0 * c) for v in y])
+    e = np.array([math.fsum(v ** m / math.factorial(m) for m in range(40)) for v in y])
+    k1, k2 = K.gaussian_hodge_pair(c, d)
+    for (kperp, kt), (want_kperp, want_kt) in ((k1.radial(r), (h, t)),
+                                               (k2.radial(r), (e - h, -t))):
+        np.testing.assert_allclose(kperp, want_kperp, rtol=1e-12)
+        np.testing.assert_allclose(kt, want_kt, rtol=1e-12)
+
+
+@pytest.mark.parametrize("nu", [2.625, 3.5, 4.25])
+@pytest.mark.parametrize("d", [2, 3])
+def test_bessel_constructions_take_exact_limits_at_the_origin(nu, d):
+    # z^nu K_nu(z) = 2^{nu-1} Gamma(nu) [1 - z^2/(4(nu-1)) + z^4/(32(nu-1)(nu-2)) + ...]
+    # + O(z^{2nu}); with z = r/sigma the r^2 and r^4 coefficients c2, c4 give
+    # f''(0) = 2 c2 and f''''(0) = 24 c4, which exist for nu > 2
+    a, sigma = 1.7, 0.125
+    lead = a * 2.0 ** (nu - 1.0) * math.gamma(nu)
+    f2 = 2.0 * lead * -1.0 / (4.0 * (nu - 1.0) * sigma ** 2)
+    f4 = 24.0 * lead / (32.0 * (nu - 1.0) * (nu - 2.0) * sigma ** 4)
+    prof = K.bessel_profile(nu, sigma, a)
+    # f'/r -> f''(0) and (f'' - f'/r)/r^2 -> f''''(0)/3 at the origin
+    cf, df = K.make_curl_free(prof, d), K.make_div_free(prof, d)
+    assert cf.k0 == pytest.approx(-f2, rel=1e-12)
+    assert cf.small_r_ktilde == pytest.approx(-f4 / 3.0, rel=1e-12)
+    assert df.k0 == pytest.approx(-(d - 1) * f2, rel=1e-12)
+    assert df.small_r_ktilde == pytest.approx(f4 / 3.0, rel=1e-12)
+
+
 def test_gaussian_hodge_pair_derivatives(rng):
     k1, k2 = K.gaussian_hodge_pair(1.0, 2)
     for k in (k1, k2):

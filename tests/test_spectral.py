@@ -24,7 +24,6 @@ def mixed_gaussian_kernel(c1, c2, d):
         small_r_ktilde=c2 - c1,
         family_tag="mixed-gaussian",
         tail_scale=math.sqrt(52.0 / min(c1, c2)),
-        decay="gaussian",
     )
 
 
@@ -155,6 +154,17 @@ def test_inverse_small_r_limit_matches_k0():
     np.testing.assert_allclose(kq, 1.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("c", [1.0, 100.0, 1e4])
+def test_inverse_small_r_branch_scales_with_the_spectrum(c):
+    # the r -> 0 limit stands in only where the kernel has not moved from k0,
+    # however narrow the kernel is
+    r = np.array([1e-4, 5e-4, 9e-4])
+    kp, kq = S.inverse_map(S.forward_map(K.gaussian_kernel(c, 2)), r)
+    want = np.exp(-c * r ** 2)
+    np.testing.assert_allclose(kp, want, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(kq, want, rtol=0, atol=1e-6)
+
+
 # --- certification ------------------------------------------------------------
 
 def test_certify_positive_families():
@@ -260,8 +270,7 @@ def test_masked_spectrum_inverts_to_condition_satisfying_kernel():
     # and conversely: a spectrum with h_par = 0 inverts to a div-free pair
     base = S.gaussian_spectrum(1.0, 2)
     masked = S.Spectrum(dim=2, h_par=lambda p: np.zeros_like(np.asarray(p, float)),
-                        h_perp=base.h_perp, provenance="closed-form",
-                        tail_scale=base.tail_scale)
+                        h_perp=base.h_perp, tail_scale=base.tail_scale)
     r = np.linspace(0.1, 4.0, 40)
     kp, kq = S.inverse_map(masked, r)
     # div-free condition via central differences of the sampled coefficients
@@ -323,6 +332,39 @@ def test_hodge_split_matches_closed_pair(gaussian_split):
     r = np.geomspace(0.05, 5.0, 60)
     assert np.max(np.abs(k1.k_par(r) - c1.k_par(r))) < 1e-6
     assert np.max(np.abs(k2.k_perp(r) - c2.k_perp(r))) < 1e-6
+
+
+@pytest.mark.parametrize("c", [1.0, 16.0])
+def test_hodge_parts_ktilde_below_the_first_grid_radius(c):
+    # ktilde of the curl-free part of e^{-c r^2} in the plane, with y = -c r^2:
+    # t = -2c sum y^m / (m! (d+2m+2)); the div-free part has -t
+    def t(r, d=2):
+        y = -c * r * r
+        return -2.0 * c * math.fsum(y ** m / (math.factorial(m) * (d + 2 * m + 2))
+                                    for m in range(40))
+
+    k = K.gaussian_kernel(c, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", S.HeavyTailWarning)
+        curl_free, div_free = S.hodge_split(k)
+    r0 = 1e-3 * k.tail_scale / 7.0          # the default grid's first radius
+    r = np.array([1e-11, 1e-6, r0 / 2, 2 * r0, 10 * r0])
+    want = np.array([t(x) for x in r])
+    np.testing.assert_allclose(K.ktilde(curl_free, r), want, rtol=1e-5)
+    np.testing.assert_allclose(K.ktilde(div_free, r), -want, rtol=1e-5)
+
+
+def test_hodge_split_derivatives_off_the_grid(gaussian_split):
+    # beyond the grid the matched r^-2 tail carries the derivatives; below it the
+    # splines hold k0, so the derivatives hold 0 where the exact ones are O(r)
+    r0 = 1e-3 * K.gaussian_kernel(1.0, 2).tail_scale / 7.0
+    for part, exact in zip(gaussian_split, K.gaussian_hodge_pair(1.0, 2)):
+        far = np.array([30.0, 60.0])
+        np.testing.assert_allclose(part.radial(far, True)[2:], exact.radial(far, True)[2:],
+                                   rtol=1e-5)
+        near = np.array([r0 / 2])
+        np.testing.assert_allclose(part.radial(near, True)[2:], exact.radial(near, True)[2:],
+                                   rtol=0, atol=1e-3)
 
 
 def test_hodge_split_warns_on_heavy_tails():
