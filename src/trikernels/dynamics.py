@@ -127,9 +127,6 @@ class FlowGrid:
     jacobian_det: np.ndarray   # (G,)
     trajectory: Trajectory     # the landmark shoot of the same pass
 
-    def det_array(self) -> np.ndarray:
-        return self.jacobian_det.reshape(self.spec.n)
-
 
 # ---------------------------------------------------------------------------
 # Hamiltonian and its vector field, on a leading batch axis
@@ -187,13 +184,18 @@ def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray):
 
 
 def _coalesced(r: np.ndarray, t: float) -> dict[int, CoalescenceError]:
-    """Batch members whose closest landmark pair is within the threshold."""
+    """Batch members whose closest landmark pair is within the threshold.
+
+    The n diagonal entries of each member's r are exactly 0 (x_aa = q_a - q_a),
+    so a member has a close pair when more than n entries lie below the
+    threshold; the pair itself is located only for such members.
+    """
     n = r.shape[-1]
-    flat = (r + np.diag(np.full(n, np.inf))).reshape(len(r), -1)
     out = {}
-    for m in np.flatnonzero(flat.min(axis=1) < COALESCENCE_TOL):
-        idx = int(np.argmin(flat[m]))
-        out[int(m)] = CoalescenceError((idx // n, idx % n), t, float(flat[m, idx]))
+    for m in np.flatnonzero((r < COALESCENCE_TOL).sum(axis=(-2, -1)) > n):
+        flat = (r[m] + np.diag(np.full(n, np.inf))).ravel()
+        idx = int(np.argmin(flat))
+        out[int(m)] = CoalescenceError((idx // n, idx % n), t, float(flat[idx]))
     return out
 
 
@@ -220,21 +222,27 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
     own coalescence test; a member that fails at some stage is dropped
     from the batch once the step ends, and the others continue.  For a
     batch of one, `points` (G, d) move in the same stages with the field
-    of each stage's (q, p).  Returns, per member, its Trajectory or the
-    CoalescenceError that a lone integration of that member raises, and
-    a list holding the final points (empty without points).
+    of each stage's (q, p); they are carried as a C-contiguous (d, G)
+    array, whose .T view `field_apply` takes and returns without copies.
+    The H of a recorded row is 1/2 sum_a p_a . dq_a with the dq of the
+    next step's first stage, taken at that same state; only the final
+    row, which no stage follows, evaluates the Hamiltonian itself.
+    Returns, per member, its Trajectory or the CoalescenceError that a
+    lone integration of that member raises, and a list holding the final
+    points as (G, d) (empty without points).
     """
     n_steps = cfg.n_steps
     h = 1.0 / n_steps
     p = np.array(momenta, dtype=float)
     q = np.broadcast_to(np.asarray(q0, dtype=float), p.shape).copy()
-    state = [q, p] if points is None else [q, p, np.array(points, dtype=float)]
+    state = [q, p] if points is None else \
+        [q, p, np.array(np.asarray(points, dtype=float).T, order="C")]
     recorded = [i + 1 for i in range(n_steps)
                 if (i + 1) % cfg.record_every == 0 or i == n_steps - 1]
     qs = np.zeros((len(recorded) + 1,) + p.shape)
     ps = np.zeros_like(qs)
     hs = np.zeros((len(recorded) + 1, len(p)))
-    qs[0], ps[0], hs[0] = q, p, _ham(k, q, p)
+    qs[0], ps[0] = q, p
     live = np.arange(len(p))
     errors: dict[int, CoalescenceError] = {}
 
@@ -242,18 +250,21 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
         dq, dp, r = _rhs(k, s[0], s[1])
         for m, err in _coalesced(r, t).items():
             errors.setdefault(int(live[m]), err)
-        return [dq, dp] if len(s) == 2 else [dq, dp, field_apply(k, s[0][0], s[1][0], s[2])]
+        return [dq, dp] if len(s) == 2 else [dq, dp, field_apply(k, s[0][0], s[1][0], s[2].T).T]
 
     def shift(s, c, ds):
         return [a + c * b for a, b in zip(s, ds)]
 
-    row = 1
+    row, pending = 1, 0                # pending: the recorded row still without its H
     for i in range(n_steps):
         t = i * h
+        k1 = rate(state, t)
+        if pending is not None:
+            hs[pending, live] = 0.5 * np.einsum("bnd,bnd->b", state[1], k1[0])
+            pending = None
         if cfg.scheme == "euler":
-            state = shift(state, h, rate(state, t))
+            state = shift(state, h, k1)
         else:
-            k1 = rate(state, t)
             k2 = rate(shift(state, 0.5 * h, k1), t + 0.5 * h)
             k3 = rate(shift(state, 0.5 * h, k2), t + 0.5 * h)
             k4 = rate(shift(state, h, k3), t + h)
@@ -266,14 +277,15 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
             if not len(live):
                 break
         if row <= len(recorded) and recorded[row - 1] == i + 1:
-            q, p = state[:2]
-            qs[row, live], ps[row, live], hs[row, live] = q, p, _ham(k, q, p)
-            row += 1
+            qs[row, live], ps[row, live] = state[:2]
+            pending, row = row, row + 1
+    if pending is not None:
+        hs[pending, live] = _ham(k, *state[:2])
     times = np.array([0.0] + recorded) * h
     return [errors[m] if m in errors else
             Trajectory(times=times, q=qs[:, m].copy(), p=ps[:, m].copy(),
                        hamiltonians=hs[:, m].copy(), step=h)
-            for m in range(len(momenta))], state[2:]
+            for m in range(len(momenta))], [np.ascontiguousarray(x.T) for x in state[2:]]
 
 
 def _check_shapes(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet):

@@ -118,16 +118,21 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
     """Sum_b k(y - x_b) alpha_b evaluated at a batch of points.
 
     Uses k(x)alpha = kperp(r) alpha + ktilde(r) (x . alpha) x, which
-    avoids assembling any matrices; vectorized over points and centers.
+    avoids assembling any matrices.  Points (M, d), or one point (d,),
+    give values of the same shape.  The displacements are formed
+    coordinate-major, shape (d, N, M) with the points innermost, so no
+    array has a trailing axis of length d; points handed in as the .T
+    view of a C-contiguous (d, M) array are used without a copy, and
+    the (M, d) result is the .T view of a C-contiguous (d, M) array.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    diffs = pts[:, None, :] - centers[None, :, :]          # (M, N, d)
-    c = pair_coefficients(k, diffs)
-    dot = np.einsum("mnd,nd->mn", diffs, momenta)
-    out = c.kperp @ momenta + np.einsum("mn,mnd->md", c.ktilde * dot, diffs)
-    return out[0] if single else out
+    pts = np.ascontiguousarray(np.atleast_2d(pts).T)          # (d, M)
+    x = pts[:, None, :] - centers.T[:, :, None]               # (d, N, M)
+    c = pair_coefficients(k, x, axis=0)
+    dot = np.einsum("inm,ni->nm", x, momenta)
+    out = momenta.T @ c.kperp + np.einsum("nm,inm->im", c.ktilde * dot, x)
+    return out[:, 0] if single else out.T
 
 
 def snapshot_field(k: TriKernel, cfg: LandmarkConfig, momenta: MomentaSet) -> Callable:

@@ -308,15 +308,20 @@ class PairCoefficients:
     dkperp: Optional[np.ndarray] = None
 
 
-def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoefficients:
+def pair_coefficients(k: TriKernel, x, derivatives: bool = False,
+                      axis: int = -1) -> PairCoefficients:
     """Coefficients at displacements x of shape (..., d), safe at x = 0.
 
-    Every array of the result has shape x.shape[:-1]; the radial
-    derivatives are evaluated only when `derivatives` is set.  This is
-    the one place where every kernel value in the package is computed.
+    Every array of the result has x's shape without the coordinate axis:
+    the last one, or with axis=0 the first, for coordinate-major (d, ...)
+    arrays.  The radial derivatives are evaluated only when `derivatives`
+    is set.  This is the one place where every kernel value in the
+    package is computed.
     """
+    if axis not in (0, -1):
+        raise ValueError("the coordinate axis must be 0 or -1")
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    r = np.sqrt(np.einsum("i...,i...->..." if axis == 0 else "...i,...i->...", x, x))
     return PairCoefficients(r, *k.radial(r, derivatives))
 
 

@@ -336,6 +336,27 @@ def test_flow_grid_coalescence_matches_shoot():
     assert str(flowed.value) == str(shot.value)
 
 
+def assert_recorded_hamiltonians(k, traj):
+    # each recorded H is 1/2 p . dq from the next stage, or _ham for the final row
+    want = np.array([D.hamiltonian(k, D.PhaseState(q, p, t))
+                     for q, p, t in zip(traj.q, traj.p, traj.times)])
+    assert np.max(np.abs(traj.hamiltonians - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 7])
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_recorded_hamiltonians_equal_hamiltonian(scheme, record_every):
+    k = divfree16()
+    q0, p0 = row_a()
+    cfg = D.IntegratorConfig(scheme=scheme, step=1e-2, record_every=record_every)
+    traj = D.shoot(k, q0, p0, cfg)
+    assert len(traj.times) == 100 // record_every + 1 + (100 % record_every > 0)
+    assert_recorded_hamiltonians(k, traj)
+    fg = D.flow_grid(k, q0, p0, D.GridSpec(lo=(-0.2, -0.3), hi=(0.8, 0.5), n=(3, 3)), cfg)
+    for name in ("times", "q", "p", "hamiltonians"):
+        assert np.array_equal(getattr(fg.trajectory, name), getattr(traj, name)), name
+
+
 # --- exponential map fans ----------------------------------------------------------
 
 def test_fan_single_angle_equals_shoot():
@@ -374,6 +395,18 @@ def test_fan_records_failures_and_continues():
     assert fan.trajectories[0] is None and fan.trajectories[1] is not None
     sheet = fan.sheet(0)
     assert np.all(np.isnan(sheet[0])) and np.all(np.isfinite(sheet[1]))
+
+
+def test_recorded_hamiltonians_of_a_fan_with_a_failure():
+    k = curlfree16()
+    q0 = F.LandmarkConfig(np.array([[-0.05, 0.0], [0.05, 0.0]]))
+    family = [np.array([[2.0, 0.0], [2.0, 0.0]]),
+              np.array([[80.0, 0.0], [-80.0, 0.0]]),
+              np.array([[5.0, 1.0], [-3.0, 2.0]])]
+    fan = D.exp_map_fan(k, q0, family, D.IntegratorConfig(step=2e-3, record_every=3))
+    assert [i for i, _ in fan.failures] == [1]
+    for i in (0, 2):
+        assert_recorded_hamiltonians(k, fan.trajectories[i])
 
 
 def rk4_until_coalescence(k, q, p, h):

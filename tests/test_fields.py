@@ -1,12 +1,15 @@
 """Interpolation, field evaluation, and pointwise field calculus."""
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from trikernels import fields as F
 from trikernels import kernels as K
+from trikernels import spectral as S
 from conftest import projector_oracle
 
 
@@ -166,6 +169,57 @@ def test_interpolate_near_singular_raises():
     with pytest.raises(F.NearSingularMatrixError) as err:
         F.interpolate(zero, cfg, np.ones((2, 2)))
     assert err.value.condition >= 0.0
+
+
+# --- field evaluation --------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def apply_kernel(name, d):
+    if name == "hodge-curl-free":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", S.HeavyTailWarning)
+            return S.hodge_split(K.gaussian_kernel(1.0, d))[0]
+    return {"gaussian": lambda: K.gaussian_kernel(1.0, d),
+            "curl-free": lambda: K.make_curl_free(K.gaussian_profile(1.0, 1.0), d),
+            "div-free": lambda: K.make_div_free(K.gaussian_profile(1.0, 1.0), d),
+            "example1": lambda: K.family_example1(1.0, 1.0, 1.0, d)}[name]()
+
+
+def test_field_apply_matches_the_matrix_sum():
+    # field_apply works coordinate-major internally; its values must equal
+    # the sum of kernel matrices applied to the momenta, for any input layout
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["gaussian", "curl-free", "div-free", "example1",
+                                 "hodge-curl-free"]),
+           d=st.sampled_from([2, 3]), m=st.integers(1, 40), n=st.integers(1, 6),
+           layout=st.sampled_from(["C", "F", "single"]), on_center=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def check(name, d, m, n, layout, on_center, seed):
+        k = apply_kernel(name, d)
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(n, d))
+        momenta = rng.normal(size=(n, d))
+        pts = rng.normal(size=(1 if layout == "single" else m, d)) * 1.5
+        if on_center:
+            pts[0] = centers[-1]        # the zero-radius branch
+        points = {"C": pts, "F": np.ascontiguousarray(pts.T).T, "single": pts[0]}[layout]
+        before = [a.copy() for a in (centers, momenta, points)]
+        got = F.field_apply(k, centers, momenta, points)
+        terms = K.eval_matrix(k, pts[:, None, :] - centers[None]) @ momenta[None, :, :, None]
+        want = terms[..., 0].sum(axis=1)
+        scale = np.abs(terms).sum(axis=1).max()
+        if layout == "single":
+            want = want[0]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        for a, b in zip((centers, momenta, points), before):
+            assert np.array_equal(a, b)
+
+    check()
 
 
 # --- snapshot fields -------------------------------------------------------------

@@ -384,3 +384,15 @@ def test_gaussian_construction_ktilde_exact_at_small_r(make, sign, d):
     want = sign * 4.0 * a * c * c * np.exp(-c * r * r)
     got = K.pair_coefficients(k, x).ktilde
     assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
+def test_pair_coefficients_coordinate_major(rng, example1):
+    # axis=0 reads (d, ...) displacements and gives the same values as (..., d)
+    x = rng.normal(size=(4, 5, 2))
+    x[0, 0] = 0.0
+    last = K.pair_coefficients(example1, x, derivatives=True)
+    first = K.pair_coefficients(example1, np.moveaxis(x, -1, 0), derivatives=True, axis=0)
+    for name in ("r", "kperp", "ktilde", "dkpar", "dkperp"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(last, name))
+    with pytest.raises(ValueError):
+        K.pair_coefficients(example1, x, axis=1)
