@@ -96,9 +96,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.q.shape[2]
 
-    def final_state(self) -> PhaseState:
-        return PhaseState(self.q[-1], self.p[-1], float(self.times[-1]))
-
     def energy_drift(self) -> float:
         return float(np.max(np.abs(self.hamiltonians - self.hamiltonians[0])))
 

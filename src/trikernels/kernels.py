@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .specfun import bessel_k, lower_gamma
 
-# below this radius k(x) is evaluated as k0 * I and ktilde as its stored limit
+# separations below this radius count as zero
 ZERO_RADIUS = 1e-12
 
 
@@ -217,32 +217,29 @@ class TriKernel:
 
     `radial(r, derivatives)` maps an array of radii r >= 0 to
     (kperp, ktilde) or (kperp, ktilde, dkpar, dkperp), each of r's shape,
-    with the limits (k0, small_r_ktilde, 0, 0) at r = 0.  Without it, the
-    per-coefficient callables k_par, k_perp, dk_par, dk_perp (optionally
-    ktilde_fn), k0 and small_r_ktilde define it, with those limits below
-    ZERO_RADIUS.  k0, small_r_ktilde, k_par and k_perp (which the spectral
-    side integrates) default to what `radial` gives.  Instances are
+    with the limits (k0, small_r_ktilde, 0, 0) at r = 0; k0 and
+    small_r_ktilde are read from it.  k_par and k_perp, which the spectral
+    side integrates, default to the values `radial` gives.  Instances are
     immutable; evaluation is pure and thread-safe.
     """
 
     dim: int
-    k0: Optional[float] = None
-    small_r_ktilde: Optional[float] = None
-    radial: Optional[Callable] = field(default=None, repr=False)
+    radial: Callable = field(repr=False)
     family_tag: str = "generic"
     tail_scale: float = np.inf
     pd_hint: Optional[bool] = None
     k_par: Optional[Callable] = field(default=None, repr=False)
     k_perp: Optional[Callable] = field(default=None, repr=False)
-    dk_par: Optional[Callable] = field(default=None, repr=False)
-    dk_perp: Optional[Callable] = field(default=None, repr=False)
-    ktilde_fn: Optional[Callable] = field(default=None, repr=False)
+    k0: float = field(init=False)
+    small_r_ktilde: float = field(init=False)
+    # perfbench/tracing.py reads these by name (RADIAL_FIELDS); they go with ROADMAP item 4
+    dk_par: ClassVar[None] = None
+    dk_perp: ClassVar[None] = None
+    ktilde_fn: ClassVar[None] = None
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("ambient dimension must be >= 2")
-        if self.radial is None:
-            object.__setattr__(self, "radial", _radial_from_coefficients(self))
         radial = self.radial
 
         def k_par(r):
@@ -251,8 +248,9 @@ class TriKernel:
             return kperp + np.square(r) * kt
 
         kperp0, kt0 = radial(np.zeros(1))
-        for name, value in (("k0", float(kperp0[0])), ("small_r_ktilde", float(kt0[0])),
-                            ("k_perp", lambda r: radial(np.asarray(r, dtype=float))[0]),
+        object.__setattr__(self, "k0", float(kperp0[0]))
+        object.__setattr__(self, "small_r_ktilde", float(kt0[0]))
+        for name, value in (("k_perp", lambda r: radial(np.asarray(r, dtype=float))[0]),
                             ("k_par", k_par)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
@@ -261,28 +259,6 @@ class TriKernel:
     def mu(self) -> float:
         """Spectral order d/2 - 1."""
         return self.dim / 2.0 - 1.0
-
-
-def _radial_from_coefficients(k: TriKernel) -> Callable:
-    """`radial` of a kernel given by its per-coefficient callables."""
-    k_par, k_perp, dk_par, dk_perp, kt_fn = k.k_par, k.k_perp, k.dk_par, k.dk_perp, k.ktilde_fn
-    k0, kt0 = k.k0, k.small_r_ktilde
-    if any(v is None for v in (k_par, k_perp, dk_par, dk_perp, k0, kt0)):
-        raise ValueError("a kernel needs `radial`, or k_par, k_perp, dk_par, dk_perp, "
-                         "k0 and small_r_ktilde")
-
-    def radial(r, derivatives=False):
-        rs = np.maximum(r, ZERO_RADIUS)
-        zero = r < ZERO_RADIUS
-        # ktilde first: its temporaries are freed before the other coefficients' are made
-        kt = np.where(zero, kt0, kt_fn(rs) if kt_fn is not None
-                      else (k_par(rs) - k_perp(rs)) / np.square(rs))
-        kperp = np.where(zero, k0, k_perp(rs))
-        if not derivatives:
-            return kperp, kt
-        return kperp, kt, np.where(zero, 0.0, dk_par(rs)), np.where(zero, 0.0, dk_perp(rs))
-
-    return radial
 
 
 def ktilde(k: TriKernel, r):

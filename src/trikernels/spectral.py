@@ -135,7 +135,8 @@ def _tail_scale_from_samples(grid, a, b) -> float:
     peak = mag.max()
     if peak == 0.0:
         return float(grid[-1])
-    alive = np.nonzero(mag >= 1e-17 * peak)[0]
+    # quadrature noise sits near 4e-16 of the peak: samples at or below it say nothing
+    alive = np.nonzero(mag >= 1e-14 * peak)[0]
     return float(grid[min(alive[-1] + 1, len(grid) - 1)])
 
 
@@ -374,35 +375,44 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
 # Hodge decomposition
 # ---------------------------------------------------------------------------
 
-def _hodge_part(s: Spectrum, r_grid: np.ndarray, k: TriKernel, tag: str) -> TriKernel:
-    """The kernel of a masked spectrum, splined on r_grid with its tail."""
+def _curl_free_part(s: Spectrum, r_grid: np.ndarray, k: TriKernel) -> TriKernel:
+    """The kernel of the h_perp-masked spectrum, splined on r_grid with its tail."""
     kp, kq = inverse_map(s, r_grid)
     k0 = inverse_limits(s)
     power = 2.0 * s.mu + 2.0
     vp, dp = _spline(r_grid, kp, k0, power, derivative=True)
     vq, dq = _spline(r_grid, kq, k0, power, derivative=True)
+    lo = float(r_grid[0])
     # quadratic small-r limit of (kpar - kperp)/r^2 by extrapolation
-    probe = max(2.0 * r_grid[0], 1e-2 * r_grid[-1] / 24.0)
+    probe = max(2.0 * lo, 1e-2 * r_grid[-1] / 24.0)
     t1 = (vp(probe) - vq(probe)) / probe ** 2
     t2 = (vp(2 * probe) - vq(2 * probe)) / (4 * probe ** 2)
     small_kt = float((4.0 * t1 - t2) / 3.0)
-    # below the grid both splines hold k0, so their difference carries no ktilde
-    kt = lambda r: np.where(r < r_grid[0], small_kt, (vp(r) - vq(r)) / np.square(r))
-    return TriKernel(dim=k.dim, k_par=vp, k_perp=vq, dk_par=dp, dk_perp=dq, ktilde_fn=kt,
-                     k0=k0, small_r_ktilde=small_kt,
-                     family_tag=f"{tag}({k.family_tag})", tail_scale=float(r_grid[-1]),
-                     pd_hint=k.pd_hint)
+
+    def radial(r, derivatives=False):
+        # below the grid the spline heads give (k0, k0, 0, 0): ktilde takes its limit there
+        rs = np.maximum(r, lo)
+        kperp = vq(r)
+        kt = np.where(r < lo, small_kt, (vp(rs) - kperp) / np.square(rs))
+        if not derivatives:
+            return kperp, kt
+        return kperp, kt, dp(r), dq(r)
+
+    return TriKernel(dim=k.dim, radial=radial, family_tag=f"curl_free_component({k.family_tag})",
+                     tail_scale=float(r_grid[-1]), pd_hint=k.pd_hint)
 
 
 def hodge_split(k: TriKernel, r_grid=None, rho_grid=None) -> tuple[TriKernel, TriKernel]:
     """Split k into its curl-free and divergence-free kernel components.
 
-    The spectrum is tabulated, each coefficient masked in turn, and the
-    masked spectra transformed back onto r_grid; the returned kernels
-    carry cubic-spline profiles with a matched r^{-(2mu+2)} tail beyond
-    the grid.  Components of generic kernels decay like r^{-(2mu+2)} even
-    when k itself is Gaussian; a HeavyTailWarning signals when truncation
-    at the grid end is visible at the 1e-3 * k0 level.
+    The spectrum is tabulated, its h_perp masked, and the masked spectrum
+    transformed back onto r_grid: the curl-free part carries cubic-spline
+    profiles with a matched r^{-(2mu+2)} tail beyond the grid.  The
+    divergence-free part is the exact complement k - curl_free, coefficient
+    by coefficient and derivatives included, so the parts sum to k to
+    rounding at every radius.  Components of generic kernels decay like
+    r^{-(2mu+2)} even when k itself is Gaussian; a HeavyTailWarning signals
+    when truncation at the grid end is visible at the 1e-3 * k0 level.
     """
     if r_grid is None:
         scale = k.tail_scale / 7.0 if np.isfinite(k.tail_scale) else 1.0
@@ -410,10 +420,16 @@ def hodge_split(k: TriKernel, r_grid=None, rho_grid=None) -> tuple[TriKernel, Tr
     r_grid = np.asarray(r_grid, dtype=float)
     s = forward_map(k, rho_grid)
     zero = lambda rho: np.zeros_like(np.asarray(rho, dtype=float))
-    curl_free = _hodge_part(replace(s, h_perp=zero, h_perp_samples=np.zeros_like(s.h_par_samples)),
-                            r_grid, k, "curl_free_component")
-    div_free = _hodge_part(replace(s, h_par=zero, h_par_samples=np.zeros_like(s.h_perp_samples)),
-                           r_grid, k, "div_free_component")
+    masked = replace(s, h_perp=zero, h_perp_samples=np.zeros_like(s.h_par_samples))
+    curl_free = _curl_free_part(masked, r_grid, k)
+    whole, part = k.radial, curl_free.radial
+
+    def complement(r, derivatives=False):
+        return tuple(a - b for a, b in zip(whole(r, derivatives), part(r, derivatives)))
+
+    div_free = TriKernel(dim=k.dim, radial=complement,
+                         family_tag=f"div_free_component({k.family_tag})",
+                         tail_scale=float(r_grid[-1]), pd_hint=k.pd_hint)
 
     tail_mag = max(abs(float(curl_free.k_perp(r_grid[-1]))),
                    abs(float(div_free.k_par(r_grid[-1]))))

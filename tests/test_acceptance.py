@@ -24,6 +24,7 @@ from trikernels import fields as F
 from trikernels import kernels as K
 from trikernels import specfun as sf
 from trikernels import spectral as S
+from conftest import mixed_gaussian_kernel
 
 
 @contextmanager
@@ -113,14 +114,7 @@ def test_criterion_04_pd_classification():
         v3 = S.certify_pd(K.family_example1(3.0, 1.0, 1.0, 2), grid)
         assert not v3.positive
 
-        mixed = K.TriKernel(
-            dim=2,
-            k_par=lambda r: np.exp(-np.square(r)),
-            k_perp=lambda r: np.exp(-2.0 * np.square(r)),
-            dk_par=lambda r: -2.0 * r * np.exp(-np.square(r)),
-            dk_perp=lambda r: -4.0 * r * np.exp(-2.0 * np.square(r)),
-            k0=1.0, small_r_ktilde=1.0, family_tag="mixed",
-            tail_scale=math.sqrt(52.0))
+        mixed = mixed_gaussian_kernel(1.0, 2.0, 2)
         v4 = S.certify_pd(mixed, grid)
         assert not v4.positive
 

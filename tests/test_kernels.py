@@ -57,6 +57,18 @@ def test_eval_matrix_matches_projector_oracle(name, rng):
         assert np.max(np.abs(batched[idx] - want)) <= 1e-14 * abs(k.k0)
 
 
+@pytest.mark.parametrize("extra", [None, "k0", "small_r_ktilde", "dk_par", "dk_perp",
+                                   "ktilde_fn"])
+def test_radial_is_the_only_constructor_input(extra):
+    # a kernel is its radial callable: no per-coefficient route, no stored limits
+    radial = K.gaussian_kernel(1.0, 2).radial
+    with pytest.raises(TypeError):
+        if extra is None:
+            K.TriKernel(dim=2)
+        else:
+            K.TriKernel(dim=2, radial=radial, **{extra: 1.0})
+
+
 def test_eval_at_zero_is_scaled_identity():
     k = K.gaussian_kernel(0.5, 3)  # e^{-r^2/2}, k0 = 1
     np.testing.assert_allclose(K.eval_matrix(k, np.zeros(3)), np.eye(3))

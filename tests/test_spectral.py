@@ -8,23 +8,9 @@ import pytest
 
 from trikernels import kernels as K
 from trikernels import spectral as S
-from conftest import random_rotation
+from conftest import mixed_gaussian_kernel, random_rotation
 
 QUICK_RHO = np.geomspace(1e-3, 6.0, 48)
-
-
-def mixed_gaussian_kernel(c1, c2, d):
-    return K.TriKernel(
-        dim=d,
-        k_par=lambda r: np.exp(-c1 * np.square(r)),
-        k_perp=lambda r: np.exp(-c2 * np.square(r)),
-        dk_par=lambda r: -2 * c1 * r * np.exp(-c1 * np.square(r)),
-        dk_perp=lambda r: -2 * c2 * r * np.exp(-c2 * np.square(r)),
-        k0=1.0,
-        small_r_ktilde=c2 - c1,
-        family_tag="mixed-gaussian",
-        tail_scale=math.sqrt(52.0 / min(c1, c2)),
-    )
 
 
 # --- forward map -------------------------------------------------------------
@@ -145,6 +131,13 @@ def test_inverse_scalar_spectrum_collapses():
     r = np.geomspace(0.1, 3.0, 10)
     kp, kq = S.inverse_map(s, r)
     np.testing.assert_allclose(kp, kq, atol=1e-10)
+
+
+def test_tabulated_tail_scale_ends_where_the_spectrum_does():
+    # samples at the quadrature noise floor must not stretch the tail scale
+    got = S.forward_map(K.gaussian_kernel(1.0, 2)).tail_scale
+    want = S.gaussian_spectrum(1.0, 2).tail_scale
+    assert want / 1.5 <= got <= 1.5 * want
 
 
 def test_inverse_small_r_limit_matches_k0():
@@ -356,7 +349,8 @@ def test_hodge_parts_ktilde_below_the_first_grid_radius(c):
 
 def test_hodge_split_derivatives_off_the_grid(gaussian_split):
     # beyond the grid the matched r^-2 tail carries the derivatives; below it the
-    # splines hold k0, so the derivatives hold 0 where the exact ones are O(r)
+    # curl-free part's splines hold k0, so its derivatives hold 0 where the exact
+    # ones are O(r), and the div-free part's are the kernel's minus those
     r0 = 1e-3 * K.gaussian_kernel(1.0, 2).tail_scale / 7.0
     for part, exact in zip(gaussian_split, K.gaussian_hodge_pair(1.0, 2)):
         far = np.array([30.0, 60.0])
@@ -373,14 +367,48 @@ def test_hodge_split_warns_on_heavy_tails():
 
 
 def test_hodge_split_of_div_free_input_is_trivial():
+    r = np.geomspace(0.05, 4.0, 30)
     kdf = K.make_div_free(K.gaussian_profile(0.5, 1.0), 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", S.HeavyTailWarning)
         part_cf, part_df = S.hodge_split(kdf)
-    r = np.geomspace(0.05, 4.0, 30)
     scale = np.max(np.abs(kdf.k_par(r)))
     assert np.max(np.abs(part_cf.k_par(r))) < 1e-8 * scale
     assert np.max(np.abs(part_df.k_par(r) - kdf.k_par(r))) < 1e-6 * scale
+
+    # and a curl-free input: its div-free part, the complement, carries only
+    # the inversion error of the curl-free one
+    kcf = K.make_curl_free(K.gaussian_profile(0.5, 1.0), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", S.HeavyTailWarning)
+        part_cf, part_df = S.hodge_split(kcf)
+    scale = np.max(np.abs(kcf.k_par(r)))
+    assert np.max(np.abs(part_df.k_par(r))) < 1e-6 * scale
+    assert np.max(np.abs(part_df.k_perp(r))) < 1e-6 * scale
+    assert np.max(np.abs(part_cf.k_par(r) - kcf.k_par(r))) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("make", [
+    lambda: K.gaussian_kernel(1.0, 2),
+    lambda: K.gaussian_kernel(1.0, 3),
+    lambda: K.cauchy_kernel(1.0, 2),
+    lambda: K.family_example1(1.0, 1.0, 1.0, 2),          # inside D1
+], ids=["gaussian_d2", "gaussian_d3", "cauchy", "example1"])
+def test_hodge_split_parts_sum_to_the_kernel(make):
+    # the div-free part is the complement k - curl_free, so the sum is k to
+    # rounding in every coefficient: below, on and beyond the spline grid
+    k = make()
+    scale = k.tail_scale / 7.0
+    r_grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", S.HeavyTailWarning)
+        k1, k2 = S.hodge_split(k, r_grid=r_grid)
+    r = np.concatenate([[0.0, r_grid[0] / 10, r_grid[0] / 2], r_grid[::7],
+                        [2.0 * r_grid[-1], 10.0 * r_grid[-1]]])
+    tol = 1e-15 * abs(k.k0)
+    assert np.max(np.abs(k1.k_par(r) + k2.k_par(r) - k.k_par(r))) <= tol
+    for c1, c2, c in zip(k1.radial(r, True), k2.radial(r, True), k.radial(r, True)):
+        assert np.max(np.abs(c1 + c2 - c)) <= tol
 
 
 def test_hodge_orthogonality_defect_scales_inversely_with_area(gaussian_split):

@@ -12,7 +12,9 @@ both sides in alternating pairs (odd pairs run the parent first, even
 pairs the change first), one process at a time.  Each ``--traced``
 workload gets one ``--trace 1`` run per side, and ``--tier1`` times the
 test suite once per side.  The output file is rewritten after every run,
-so an interrupted run still leaves every finished pair on disk.
+so an interrupted run still leaves every finished pair on disk.  The file
+also records the line count of ``src/trikernels/*.py`` on both sides and
+its net change.
 
 Each metric of a set reports both sides' runs, median and quartiles, the
 number of pairs the change won (ties count for neither side), the ratio
@@ -151,6 +153,7 @@ def main(argv=None) -> int:
         parent_dir = Path(tmp)
         export_parent(args.parent_rev, parent_dir)
         sides = (parent_dir, ROOT)
+        lines = {"parent": src_lines(parent_dir), "change": src_lines(ROOT)}
         doc.update(
             method="perfbench/run.py --trace 0 on the parent commit and on the change, "
                    "each from its own checkout, run one after the other on the same host; "
@@ -158,7 +161,7 @@ def main(argv=None) -> int:
                    "the benchmark's probe-calibrated seconds. Quartiles are numpy "
                    "percentiles 25/50/75 over the runs of one side.",
             src_sha256={"parent": src_digest(parent_dir), "change": src_digest(ROOT)},
-            src_lines={"parent": src_lines(parent_dir), "change": src_lines(ROOT),
+            src_lines={**lines, "net": lines["change"] - lines["parent"],
                        "note": "lines of src/trikernels/*.py"},
             workloads={}, notes=args.note)
 
