@@ -12,20 +12,20 @@ integral against J_nu(2 pi p r), is an involution: the same formulas,
 written once in `_transform`, take (hpar, hperp) back to (kpar, kperp).
 Nonnegativity of both spectral coefficients is equivalent to positive
 definiteness, and hpar = 0 / hperp = 0 characterize divergence-free /
-curl-free kernels, which makes the Hodge decomposition a matter of
-masking one coefficient and transforming back.
+curl-free kernels.  `hodge_split` masks hperp in physical space, where
+for a radial kernel the mask is two radial integrals and no transform.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import TriKernel, ktilde
+from .kernels import TriKernel, div_free_residual, ktilde
 from .specfun import hankel_integral, radial_moment
 
 TWO_PI = 2.0 * math.pi
@@ -93,41 +93,25 @@ def _grid_for(k: TriKernel) -> np.ndarray:
     return default_rho_grid(scale=scale)
 
 
-def _cubic_spline(x, y):
-    """scipy's CubicSpline, imported on first use: scipy.interpolate adds
-    ~20 MB of resident memory to a process that never tabulates a spectrum."""
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(x, y)
-
-
-def _spline(grid, samples, head, power=0.0, derivative=False):
-    """Cubic spline through samples on a grid, held at `head` below it.
-
-    Above the grid it continues as the tail samples[-1] (grid[-1]/r)^power
-    matched at the grid end when a `power` is given, and as zero otherwise.
-    With `derivative`, returns the pair (value, derivative); the
-    derivative's head is zero.
-    """
-    spline = _cubic_spline(grid, samples)
+def _spline(grid, samples):
+    """Cubic spline through samples on a grid, held at its first sample below
+    it and zero above.  scipy's CubicSpline is built on the first evaluation:
+    scipy.interpolate adds ~20 MB of resident memory to a process that only
+    reads the samples."""
     lo, hi = float(grid[0]), float(grid[-1])
-    coef = float(samples[-1]) * hi ** power
+    spline = None
 
-    def piecewise(inside, below, tail):
-        def evaluate(r):
-            r = np.asarray(r, dtype=float)
-            out = inside(np.clip(r, lo, hi))
-            out = np.where(r < lo, below, out)
-            out = np.where(r > hi, tail(np.maximum(r, hi)) if power else 0.0, out)
-            return out[()] if out.ndim == 0 else out
+    def evaluate(r):
+        nonlocal spline
+        if spline is None:
+            from scipy.interpolate import CubicSpline
 
-        return evaluate
+            spline = CubicSpline(grid, samples)
+        r = np.asarray(r, dtype=float)
+        out = np.where(r > hi, 0.0, spline(np.clip(r, lo, hi)))
+        return out[()] if out.ndim == 0 else out
 
-    value = piecewise(spline, head, lambda r: coef / r ** power)
-    if not derivative:
-        return value
-    return value, piecewise(spline.derivative(), 0.0,
-                            lambda r: -power * coef / r ** (power + 1.0))
+    return evaluate
 
 
 def _tail_scale_from_samples(grid, a, b) -> float:
@@ -180,8 +164,8 @@ def forward_map(k: TriKernel, rho_grid=None) -> Spectrum:
     hp, hq = spectral_pair_at(k, rho_grid)
     return Spectrum(
         dim=k.dim,
-        h_par=_spline(rho_grid, hp, float(hp[0])),
-        h_perp=_spline(rho_grid, hq, float(hq[0])),
+        h_par=_spline(rho_grid, hp),
+        h_perp=_spline(rho_grid, hq),
         tail_scale=_tail_scale_from_samples(rho_grid, hp, hq),
         rho_grid=rho_grid,
         h_par_samples=hp,
@@ -375,68 +359,82 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
 # Hodge decomposition
 # ---------------------------------------------------------------------------
 
-def _curl_free_part(s: Spectrum, r_grid: np.ndarray, k: TriKernel) -> TriKernel:
-    """The kernel of the h_perp-masked spectrum, splined on r_grid with its tail."""
-    kp, kq = inverse_map(s, r_grid)
-    k0 = inverse_limits(s)
-    power = 2.0 * s.mu + 2.0
-    vp, dp = _spline(r_grid, kp, k0, power, derivative=True)
-    vq, dq = _spline(r_grid, kq, k0, power, derivative=True)
-    lo = float(r_grid[0])
-    # quadratic small-r limit of (kpar - kperp)/r^2 by extrapolation
-    probe = max(2.0 * lo, 1e-2 * r_grid[-1] / 24.0)
-    t1 = (vp(probe) - vq(probe)) / probe ** 2
-    t2 = (vp(2 * probe) - vq(2 * probe)) / (4 * probe ** 2)
-    small_kt = float((4.0 * t1 - t2) / 3.0)
+def _hermite(x, y, dy):
+    """Cubic Hermite interpolant through the rows of y, with slopes dy, at
+    nodes x; it holds its end values beyond x[-1]."""
+    def evaluate(r):
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+        h = x[i + 1] - x[i]
+        t = np.minimum((r - x[i]) / h, 1.0)
+        s = 1.0 - t
+        return (s * s * ((1.0 + 2.0 * t) * y[:, i] + t * h * dy[:, i])
+                + t * t * ((3.0 - 2.0 * t) * y[:, i + 1] - s * h * dy[:, i + 1]))
 
-    def radial(r, derivatives=False):
-        # below the grid the spline heads give (k0, k0, 0, 0): ktilde takes its limit there
-        rs = np.maximum(r, lo)
-        kperp = vq(r)
-        kt = np.where(r < lo, small_kt, (vp(rs) - kperp) / np.square(rs))
-        if not derivatives:
-            return kperp, kt
-        return kperp, kt, dp(r), dq(r)
-
-    return TriKernel(dim=k.dim, radial=radial, family_tag=f"curl_free_component({k.family_tag})",
-                     tail_scale=float(r_grid[-1]), pd_hint=k.pd_hint)
+    return evaluate
 
 
-def hodge_split(k: TriKernel, r_grid=None, rho_grid=None) -> tuple[TriKernel, TriKernel]:
+def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     """Split k into its curl-free and divergence-free kernel components.
 
-    The spectrum is tabulated, its h_perp masked, and the masked spectrum
-    transformed back onto r_grid: the curl-free part carries cubic-spline
-    profiles with a matched r^{-(2mu+2)} tail beyond the grid.  The
-    divergence-free part is the exact complement k - curl_free, coefficient
-    by coefficient and derivatives included, so the parts sum to k to
-    rounding at every radius.  Components of generic kernels decay like
-    r^{-(2mu+2)} even when k itself is Gaussian; a HeavyTailWarning signals
-    when truncation at the grid end is visible at the 1e-3 * k0 level.
+    With k's divergence factor D = (d-1) r ktilde + dkpar, the curl-free
+    part has kperp = -q, ktilde = -G, dkperp = -r G, dkpar = (d-1) r G + D
+    for G = -r^{-(d+2)} int_0^r s^d D, M = int_r^inf s ktilde and
+    q = (-kpar + (d-1) M - r^2 G)/d.  G and M are Gauss-Legendre integrals
+    at the nodes {0} and r_grid, Hermite cubics with their exact slopes in
+    between, and beyond the last node R, where k is taken to vanish, M = 0
+    and G = G(R) (R/r)^{d+2}.  The divergence-free part is the exact
+    complement k - curl_free, so the parts sum to k to rounding.  Both
+    decay like r^{-d} even for a Gaussian k; a HeavyTailWarning signals
+    truncation at R visible at the 1e-3 * k0 level.
     """
     if r_grid is None:
         scale = k.tail_scale / 7.0 if np.isfinite(k.tail_scale) else 1.0
         r_grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)
     r_grid = np.asarray(r_grid, dtype=float)
-    s = forward_map(k, rho_grid)
-    zero = lambda rho: np.zeros_like(np.asarray(rho, dtype=float))
-    masked = replace(s, h_perp=zero, h_perp_samples=np.zeros_like(s.h_par_samples))
-    curl_free = _curl_free_part(masked, r_grid, k)
-    whole, part = k.radial, curl_free.radial
+    if (r_grid.ndim != 1 or r_grid.size == 0 or not np.all(np.isfinite(r_grid))
+            or r_grid[0] <= 0 or np.any(np.diff(r_grid) <= 0)):
+        raise ValueError("r grid must be finite, positive and strictly increasing")
+    d, whole = k.dim, k.radial
+    nodes = np.concatenate([[0.0], r_grid])
+    t, w = np.polynomial.legendre.leggauss(16)
+    half = np.diff(nodes)[:, None] / 2.0
+    s = nodes[:-1, None] + half * (1.0 + t)
+    inner = np.cumsum((half * s ** d * div_free_residual(k, s)) @ w)
+    m = np.append(np.cumsum(((half * s * ktilde(k, s)) @ w)[::-1])[::-1], 0.0)
+    # D is odd, so G(0) = -D'(0)/(d+2) with D'(0) = D(eps)/eps + O(eps^2)
+    eps = 1e-6 * r_grid[0]
+    g = np.concatenate([-div_free_residual(k, [eps]) / (eps * (d + 2)),
+                        -inner / r_grid ** (d + 2)])
+    dg = -(d + 2) * g[1:] / r_grid - div_free_residual(k, r_grid) / r_grid ** 2
+    slopes = [np.append(0.0, dg), np.append(0.0, -r_grid * ktilde(k, r_grid))]
+    interpolant = _hermite(nodes, np.stack([g, m]), np.stack(slopes))
+    R = float(r_grid[-1])
+
+    def radial(r, derivatives=False):
+        kperp, kt, *dk = whole(r, derivatives)
+        G, M = interpolant(r)          # beyond R: G(R) and M(R) = 0
+        G = G * (R / np.maximum(r, R)) ** (d + 2)
+        r2 = np.square(r)
+        q = ((d - 1) * M - kperp - r2 * (kt + G)) / d
+        if not derivatives:
+            return -q, -G
+        rG = r * G
+        return -q, -G, (d - 1) * (rG + r * kt) + dk[0], -rG
+
+    curl_free = TriKernel(dim=d, radial=radial, family_tag=f"curl_free_component({k.family_tag})",
+                          tail_scale=R, pd_hint=k.pd_hint)
 
     def complement(r, derivatives=False):
-        return tuple(a - b for a, b in zip(whole(r, derivatives), part(r, derivatives)))
+        return tuple(a - b for a, b in zip(whole(r, derivatives), radial(r, derivatives)))
 
-    div_free = TriKernel(dim=k.dim, radial=complement,
-                         family_tag=f"div_free_component({k.family_tag})",
-                         tail_scale=float(r_grid[-1]), pd_hint=k.pd_hint)
+    div_free = TriKernel(dim=d, radial=complement, family_tag=f"div_free_component({k.family_tag})",
+                         tail_scale=R, pd_hint=k.pd_hint)
 
-    tail_mag = max(abs(float(curl_free.k_perp(r_grid[-1]))),
-                   abs(float(div_free.k_par(r_grid[-1]))))
-    if tail_mag * r_grid[-1] ** 2 > 1e-3 * abs(k.k0):
+    tail_mag = max(abs(float(curl_free.k_perp(R))), abs(float(div_free.k_par(R))))
+    if tail_mag * R ** 2 > 1e-3 * abs(k.k0):
         warnings.warn(
             "Hodge components decay like r^-(d) here; truncation at "
-            f"r={r_grid[-1]:.3g} is visible at the 1e-3*k0 level",
+            f"r={R:.3g} is visible at the 1e-3*k0 level",
             HeavyTailWarning, stacklevel=2)
     return curl_free, div_free
 

@@ -533,29 +533,45 @@ def test_hodge_div_free_input_has_tiny_curl_component(tmp_path):
 
 
 HEAVY_SCIPY = ("scipy.special", "scipy.linalg", "scipy.interpolate")
+SPECTRAL_COMMANDS = ("certify", "spectrum", "hodge")
+COMMAND_BLOCKS = {
+    "shoot": {"landmarks": [[0.0, 0.0], [0.5, 0.0]], "momenta": [[0.0, 0.3], [0.0, -0.3]],
+              "integrator": {"step": 0.05},
+              "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [5, 5]}},
+    "certify": {"certify": {"n": 32}},
+    "spectrum": {"spectrum": {"n": 32}},
+    "hodge": {},
+}
 
 
-@pytest.mark.parametrize("family", ["gaussian", "gaussian_div_free"])
-def test_gaussian_shoot_loads_no_heavy_scipy(tmp_path, family):
+@pytest.mark.parametrize("kernel, commands, heavy", [
+    ({"family": "gaussian", "b": 1.0, "c": 4.0, "dim": 2}, ("shoot",), HEAVY_SCIPY),
+    ({"family": "gaussian_div_free", "b": 1.0, "c": 4.0, "dim": 2}, ("shoot",), HEAVY_SCIPY),
+    ({"family": "gaussian", "c": 1.0, "dim": 2}, SPECTRAL_COMMANDS, ("scipy.interpolate",)),
+    ({"family": "cauchy", "sigma": 1.0, "dim": 2}, SPECTRAL_COMMANDS, ("scipy.interpolate",)),
+], ids=["gaussian", "gaussian_div_free", "spectral-gaussian", "spectral-cauchy"])
+def test_gaussian_shoot_loads_no_heavy_scipy(tmp_path, kernel, commands, heavy):
     # scipy is imported on first use: neither the import of the CLI nor a
-    # Gaussian shoot with a transported grid needs special, linalg or interpolate
-    cfg = {"kernel": {"family": family, "b": 1.0, "c": 4.0, "dim": 2}, "landmarks": [[0.0, 0.0], [0.5, 0.0]],
-           "momenta": [[0.0, 0.3], [0.0, -0.3]], "integrator": {"step": 0.05},
-           "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [5, 5]}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    # Gaussian shoot with a transported grid needs special, linalg or interpolate;
+    # certify and spectrum read a spectrum's samples and the Hodge split tabulates
+    # no spectrum, so none of the three loads interpolate (special may load there)
+    for command in commands:
+        cfg = {"kernel": kernel, **COMMAND_BLOCKS[command]}
+        (tmp_path / f"{command}.json").write_text(json.dumps(cfg))
     script = (
         "import sys\n"
         "from trikernels import cli\n"
-        f"heavy = {HEAVY_SCIPY!r}\n"
+        f"heavy = {heavy!r}\n"
         "loaded = [m for m in heavy if m in sys.modules]\n"
         "assert not loaded, ('import', loaded)\n"
-        "rc = cli.main(['shoot', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "loaded = [m for m in heavy if m in sys.modules]\n"
-        "assert rc == 0 and not loaded, ('shoot', rc, loaded)\n")
+        "for command in sys.argv[2:]:\n"
+        "    cfg = f'{sys.argv[1]}/{command}.json'\n"
+        "    rc = cli.main([command, '--config', cfg, '--out', sys.argv[1] + '/out'])\n"
+        "    loaded = [m for m in heavy if m in sys.modules]\n"
+        "    assert rc == 0 and not loaded, (command, rc, loaded)\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    res = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path), *commands],
                          capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr

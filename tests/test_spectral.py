@@ -347,10 +347,85 @@ def test_hodge_parts_ktilde_below_the_first_grid_radius(c):
     np.testing.assert_allclose(K.ktilde(div_free, r), -want, rtol=1e-5)
 
 
+def hodge_split_quietly(k, r_grid=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", S.HeavyTailWarning)
+        return S.hodge_split(k, r_grid)
+
+
+def worst_gaussian_pair_deviation(parts, c, d, r):
+    """Max over both parts and all four coefficients of the deviation from
+    gaussian_hodge_pair(c, d), each coefficient scaled by (1, c, sqrt c, sqrt c)."""
+    scale = (1.0, c, math.sqrt(c), math.sqrt(c))
+    return max(np.max(np.abs(a - b)) / s
+               for part, exact in zip(parts, K.gaussian_hodge_pair(c, d))
+               for a, b, s in zip(part.radial(r, True), exact.radial(r, True), scale))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("c", [1.0, 16.0])
+def test_hodge_split_matches_the_gaussian_pair_everywhere(c, d):
+    # at r = 0, across the band [r0, 1.1 r0] above the first node, on the nodes
+    # and far beyond the last one the split is exact to quadrature; between
+    # nodes it carries the Hermite interpolation error
+    k = K.gaussian_kernel(c, d)
+    parts = hodge_split_quietly(k)
+    scale = k.tail_scale / 7.0
+    grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)     # the default nodes
+    r = np.concatenate([[0.0], np.linspace(grid[0], 1.1 * grid[0], 50), grid,
+                        [10.0 * grid[-1], 100.0 * grid[-1]]])
+    assert worst_gaussian_pair_deviation(parts, c, d, r) <= 1e-8
+    between = np.geomspace(grid[0], grid[-1], 1000)
+    assert worst_gaussian_pair_deviation(parts, c, d, between) <= 1e-7
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_hodge_split_below_a_coarse_grid(c):
+    # below the first node, 0.05, one Hermite cubic from the node at r = 0 carries G
+    parts = hodge_split_quietly(K.gaussian_kernel(c, 2), np.geomspace(0.05, 5.0, 24))
+    r = np.linspace(0.0, 0.05, 101)
+    assert worst_gaussian_pair_deviation(parts, c, 2, r) <= 1e-6
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_hodge_split_of_cauchy_matches_the_ball_mean(sigma):
+    # for a scalar kernel, kperp of the curl-free part is the mean of kpar over
+    # the ball of radius r divided by d: sigma^2 ln(1 + r^2/sigma^2) / (2 r^2)
+    k = K.cauchy_kernel(sigma, 2)
+    curl_free, _ = hodge_split_quietly(k)
+    scale = k.tail_scale / 7.0
+    grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)
+    r = np.concatenate([grid, np.geomspace(grid[0], grid[-1], 1000)])
+    want = sigma ** 2 * np.log1p(np.square(r / sigma)) / (2.0 * r ** 2)
+    assert np.max(np.abs(curl_free.k_perp(r) - want)) <= 1e-7 * k.k0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: K.family_example1(1.0, 1.0, 1.0, 2),          # inside D1
+    lambda: K.gaussian_kernel(1.0, 3),
+], ids=["example1", "gaussian_d3"])
+def test_hodge_parts_have_their_masked_coefficient_zero(make):
+    # the Fourier characterization, independent of how the split is built:
+    # hperp of the curl-free part and hpar of the div-free part vanish.  Not
+    # for Cauchy, whose r^-d component tails truncate at ~3e-3 of the peak
+    curl_free, div_free = hodge_split_quietly(make())
+    s_cf, s_df = S.forward_map(curl_free), S.forward_map(div_free)
+    assert np.max(np.abs(s_cf.h_perp_samples)) <= 1e-6 * np.max(np.abs(s_cf.h_par_samples))
+    assert np.max(np.abs(s_df.h_par_samples)) <= 1e-6 * np.max(np.abs(s_df.h_perp_samples))
+
+
+@pytest.mark.parametrize("r_grid", [
+    [0.0, 1.0, 2.0], [-1.0, 1.0], [1.0, 3.0, 2.0], [1.0, 1.0, 2.0],
+    [1.0, np.inf], [np.nan, 1.0], [], [[1.0, 2.0]],
+], ids=["zero", "negative", "unsorted", "repeated", "infinite", "nan", "empty", "2-d"])
+def test_hodge_split_rejects_a_bad_r_grid(r_grid):
+    with pytest.raises(ValueError, match="r grid"):
+        S.hodge_split(K.gaussian_kernel(1.0, 2), r_grid=r_grid)
+
+
 def test_hodge_split_derivatives_off_the_grid(gaussian_split):
-    # beyond the grid the matched r^-2 tail carries the derivatives; below it the
-    # curl-free part's splines hold k0, so its derivatives hold 0 where the exact
-    # ones are O(r), and the div-free part's are the kernel's minus those
+    # beyond the grid the multipole G(R) (R/r)^(d+2) carries the derivatives;
+    # below it the Hermite cubic from the node at r = 0 does
     r0 = 1e-3 * K.gaussian_kernel(1.0, 2).tail_scale / 7.0
     for part, exact in zip(gaussian_split, K.gaussian_hodge_pair(1.0, 2)):
         far = np.array([30.0, 60.0])
@@ -409,6 +484,10 @@ def test_hodge_split_parts_sum_to_the_kernel(make):
     assert np.max(np.abs(k1.k_par(r) + k2.k_par(r) - k.k_par(r))) <= tol
     for c1, c2, c in zip(k1.radial(r, True), k2.radial(r, True), k.radial(r, True)):
         assert np.max(np.abs(c1 + c2 - c)) <= tol
+    # and each part meets its differential characterization to rounding,
+    # which checks how the derivatives are assembled
+    assert np.max(np.abs(K.curl_free_residual(k1, r))) <= 1e-14 * abs(k.k0) / scale
+    assert np.max(np.abs(K.div_free_residual(k2, r))) <= 1e-14 * abs(k.k0) / scale
 
 
 def test_hodge_orthogonality_defect_scales_inversely_with_area(gaussian_split):
