@@ -310,8 +310,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) for v in row])
+        w.writerows(np.asarray(rows, dtype=float).reshape(-1, len(header)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +340,8 @@ def cmd_spectrum(cfg: dict, k: ker.TriKernel, args) -> int:
     stem = _out_path(args, cfg["output"], "spectrum.csv")
     par_path = stem.with_name(stem.stem + "_hpar.csv")
     perp_path = stem.with_name(stem.stem + "_hperp.csv")
-    _write_csv(par_path, ["rho", "h_par"], zip(grid, s.h_par_samples))
-    _write_csv(perp_path, ["rho", "h_perp"], zip(grid, s.h_perp_samples))
+    _write_csv(par_path, ["rho", "h_par"], np.column_stack([grid, s.h_par_samples]))
+    _write_csv(perp_path, ["rho", "h_perp"], np.column_stack([grid, s.h_perp_samples]))
     print(f"wrote {par_path} and {perp_path}")
     return EXIT_OK
 

@@ -16,18 +16,19 @@ slowly decaying tails (e.g. rational ones) produce alternating segment
 sums that converge like 1/k; those are resummed by iterated averaging of
 the partial sums, which turns the 1/k tail into geometric convergence.
 
-A whole array of frequencies is integrated in one pass: the k-th segment
-of every frequency still running is evaluated with one profile call and
-one Bessel call, and each frequency leaves the pass when its own stopping
-test holds.  The Bessel factor is evaluated by order class.  Every order
-the transforms use, mu = d/2 - 1 and mu + 1, is an integer or a
-half-integer: orders 0 and 1 go to the dedicated ``j0``/``j1``,
-half-integers n + 1/2 to sqrt(2x/pi) j_n(x) with the spherical Bessel
-function j_n, and only the remaining orders to the general ``jv``.
+A whole array of frequencies is integrated in one pass: each block of four
+segments of every frequency still running takes one profile call and one
+Bessel call; the stopping tests then take the block's segments in order, and
+a frequency leaves when its own test holds.  The Bessel factor is evaluated
+by order class.  Every order the transforms use, mu = d/2 - 1 and mu + 1,
+is an integer or a half-integer: orders 0 and 1 go to the dedicated
+``j0``/``j1``, half-integers n + 1/2 to sqrt(2x/pi) j_n(x) with the
+spherical Bessel function j_n, and only the remaining orders to ``jv``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,6 +65,9 @@ DEFAULT_QUAD = HankelQuadConfig()
 
 # partial sums kept for the iterated-mean limit estimate
 _MEAN_WINDOW = 48
+# Bessel-zero segments per profile call; blocks end where the iterated mean
+# is tried (k = 4, 8, 12, ...), so this must divide 4
+_SEGMENT_BLOCK = 4
 
 
 @lru_cache(maxsize=None)
@@ -180,26 +184,31 @@ def _probe_tail_scale(f, weight_power: float) -> float:
     return float(10.0 * r[ipk])
 
 
+@lru_cache(maxsize=None)
+def _binomial_means(n: int) -> np.ndarray:
+    """(n, n) matrix of C(j, m) / 2**j: row j is j rounds of pairwise averaging."""
+    return np.array([[math.comb(j, m) / 2.0 ** j for m in range(n)] for j in range(n)])
+
+
 def _iterated_mean(psums):
     """Limit estimates for rows of partial sums by repeated averaging.
 
-    Equivalent to an Euler transformation for alternating tails; for each
-    row returns the deepest estimate together with the last-level
-    difference as an error proxy.
+    Equivalent to an Euler transformation for alternating tails.  Level j
+    at the last column is sum_m C(j, m)/2**j s[n-1-m], all levels one
+    product on deviations from s[n-1] (NaN where a sum is not finite); each
+    row gives its deepest level whose step is the least so far, and that step.
     """
-    row = np.asarray(psums, dtype=float)
-    prev = row[:, -1]
-    best = prev
-    err = np.full(prev.shape, np.inf)
-    while row.shape[1] > 1:
-        row = 0.5 * (row[:, :-1] + row[:, 1:])
-        cur = row[:, -1]
-        step = np.abs(cur - prev)
-        better = step <= err
-        err = np.where(better, step, err)
-        best = np.where(better, cur, best)
-        prev = cur
-    return best, err
+    row = np.asarray(psums, dtype=float)[:, ::-1]
+    n = row.shape[1]
+    dev = row - row[:, :1]
+    bad = np.logical_or.accumulate(~np.isfinite(dev), axis=1)
+    levels = np.where(bad, np.nan, row[:, :1] + np.where(bad, 0.0, dev) @ _binomial_means(n).T)
+    levels[:, 0] = row[:, 0]
+    steps = np.full(levels.shape, np.inf)
+    steps[:, 1:] = np.abs(np.diff(levels, axis=1))
+    err = np.fmin.accumulate(steps, axis=1)
+    pick = np.where(steps == err, np.arange(n), 0).max(axis=1)
+    return levels[np.arange(row.shape[0]), pick], err[:, -1]
 
 
 def _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights):
@@ -280,34 +289,40 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
     seg_scale = np.zeros(rho.size)
     prev_small = np.zeros(rho.size, dtype=bool)
     window = np.empty((rho.size, _MEAN_WINDOW))   # last partial sums, cyclic
-    lo = np.zeros(rho.size)
+    bounds = np.concatenate(([0.0], zeros))
 
     def recent(k):
         n = min(k + 1, _MEAN_WINDOW)
         return window[:, np.arange(k + 1 - n, k + 1) % _MEAN_WINDOW]
 
-    for k in range(cfg.max_segments):
+    # segments k0..k1-1 of every running frequency in one call, then their tests in order
+    starts = [0, *range(1, cfg.max_segments, _SEGMENT_BLOCK), cfg.max_segments]
+    for k0, k1 in zip(starts[:-1], starts[1:]):
         if idx.size == 0:
             break
-        hi = zeros[k] / w
-        s = _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights)
-        acc += s
-        window[:, k % _MEAN_WINDOW] = acc
-        seg_scale = np.maximum(seg_scale, np.abs(s))
-        small = np.abs(s) <= tol * np.maximum(np.abs(acc), 1e-300)
-        done = small & prev_small & (hi >= reach)
-        out[idx[done]] = acc[done]
-        prev_small = small
-        if k >= 8 and k % 4 == 0:
-            val, err = _iterated_mean(recent(k))
-            settled = ~done & (err <= np.maximum(tol * np.abs(val), 5e-16 * seg_scale))
-            out[idx[settled]] = val[settled]
-            done |= settled
-        if done.any():
-            keep = ~done
-            idx, w, reach, acc, seg_scale, prev_small, window, hi = (
-                a[keep] for a in (idx, w, reach, acc, seg_scale, prev_small, window, hi))
-        lo = hi
+        edges = bounds[k0:k1 + 1] / w[:, None]
+        his = edges[:, 1:]
+        sums = _segment_sums(f, weight_power, nu, np.repeat(w, k1 - k0), edges[:, :-1].ravel(),
+                             his.ravel(), ladder, nodes, weights).reshape(his.shape)
+        for j in range(k1 - k0):
+            k, s, hi = k0 + j, sums[:, j], his[:, j]
+            acc += s
+            window[:, k % _MEAN_WINDOW] = acc
+            seg_scale = np.maximum(seg_scale, np.abs(s))
+            small = np.abs(s) <= tol * np.maximum(np.abs(acc), 1e-300)
+            done = small & prev_small & (hi >= reach)
+            out[idx[done]] = acc[done]
+            prev_small = small
+            if k >= 8 and k % 4 == 0:
+                val, err = _iterated_mean(recent(k))
+                settled = ~done & (err <= np.maximum(tol * np.abs(val), 5e-16 * seg_scale))
+                out[idx[settled]] = val[settled]
+                done |= settled
+            if done.any():
+                keep = ~done
+                idx, w, reach, acc, seg_scale, prev_small, window, sums, his = (
+                    a[keep] for a in (idx, w, reach, acc, seg_scale, prev_small, window,
+                                      sums, his))
     if idx.size:
         val, err = _iterated_mean(recent(cfg.max_segments - 1))
         ok = err <= np.maximum(1e3 * tol * np.abs(val), 1e-14 * seg_scale)

@@ -350,6 +350,25 @@ def test_field_csv_dump(tmp_path):
     np.testing.assert_allclose(rows[i, 2:], want, atol=1e-12)
 
 
+def test_csv_bytes_match_per_value_repr(tmp_path):
+    # the writer renders every float as repr(float(v)), whatever container holds the rows
+    table = np.array([[np.nan, np.inf, -np.inf],
+                      [-0.0, 0.0, 5e-324],
+                      [1e300, -1e300, 2.0],
+                      [-3.0, 1.0 / 3.0, 123456789.0]])
+    header = ["a", "b", "c"]
+
+    def per_value(rows):
+        lines = [",".join(header)] + [",".join(repr(float(v)) for v in r) for r in rows]
+        return "".join(line + "\r\n" for line in lines).encode()
+
+    path = tmp_path / "t.csv"
+    for rows in (table, table.tolist(), list(zip(*table.T)), table[:0]):
+        cli._write_csv(path, header, rows)
+        assert path.read_bytes() == per_value(np.asarray(rows, dtype=float))
+    assert per_value(table).splitlines()[1:3] == [b"nan,inf,-inf", b"-0.0,0.0,5e-324"]
+
+
 def test_field_output_path_in_subdirectory(tmp_path):
     assert run(tmp_path, "field", dict(FIELD_CFG, output={"path": "sub/deeper/x.csv"})) == 0
     _, rows = read_csv(tmp_path / "sub" / "deeper" / "x.csv")

@@ -220,6 +220,106 @@ def test_hankel_array_with_one_nonconvergent_frequency():
                            cfg=cfg, tail_hint=7.0)
 
 
+@pytest.mark.parametrize("max_segments", [9, 10, 11, 12])
+def test_hankel_budget_ending_inside_a_block(max_segments):
+    # segments are evaluated in blocks ending at k = 4, 8, 12, ...; budgets of 10 to 12
+    # cut the last block short, and rho = 5 takes exactly 12 segments
+    f = lambda r: np.exp(-r * r)
+    hint = math.sqrt(48.0)
+    rho = np.array([0.5, 2.0, 4.0, 4.5, 5.0])[:4 + (max_segments >= 12)]
+    cfg = sf.HankelQuadConfig(max_segments=max_segments)
+    got = sf.hankel_integral(f, 1.0, 0.0, rho, cfg=cfg, tail_hint=hint)
+    want = sf.hankel_integral(f, 1.0, 0.0, rho, tail_hint=hint)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+    np.testing.assert_allclose(got, 0.5 * np.exp(-rho ** 2 / 4), rtol=1e-9)
+    cfg = sf.HankelQuadConfig(segment_tol=1e-10, max_segments=max_segments, nodes_per_segment=8)
+    with pytest.raises(sf.HankelConvergenceError,
+                       match=rf"no convergence after {max_segments} segments at rho=400 .*1 of 4"):
+        sf.hankel_integral(f, 1.0, 0.0, np.array([0.5, 1.0, 2.0, 400.0]),
+                           cfg=cfg, tail_hint=7.0)
+
+
+def _profile_calls(f, *args, **kwargs):
+    calls = []
+
+    def counted(r):
+        calls.append(r.size)
+        return f(r)
+
+    sf.hankel_integral(counted, *args, **kwargs)
+    return len(calls)
+
+
+@pytest.mark.parametrize("f,weight,nu,hint", [
+    (lambda r: np.exp(-r * r), 1.0, 0.0, math.sqrt(48.0)),
+    (lambda r: np.exp(-0.7 * r * r), 2.5, 1.5, math.sqrt(48.0 / 0.7)),
+], ids=["gaussian-d2", "gaussian-d3"])
+def test_hankel_frequencies_stopping_inside_a_block(f, weight, nu, hint, monkeypatch):
+    # one segment per call counts the segments each frequency takes on its own
+    with monkeypatch.context() as m:
+        m.setattr(sf, "_SEGMENT_BLOCK", 1)
+        segments = np.array([_profile_calls(f, weight, nu, float(p), tail_hint=hint)
+                             for p in FREQS])
+    # blocks end at segment k = 4, 8, ...: these frequencies stop before the end of one
+    # while the slowest keep running
+    inside = ((segments - 1) % 4 != 0) & (segments < segments.max())
+    assert np.count_nonzero(inside) >= 5
+    got = sf.hankel_integral(f, weight, nu, FREQS, tail_hint=hint)
+    want = np.array([sf.hankel_integral(f, weight, nu, float(p), tail_hint=hint)
+                     for p in FREQS])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_hankel_one_profile_call_per_block_of_segments(monkeypatch):
+    f = lambda r: np.exp(-r * r)
+    hint = math.sqrt(48.0)
+    calls = _profile_calls(f, 1.0, 0.0, FREQS, tail_hint=hint)
+    monkeypatch.setattr(sf, "_SEGMENT_BLOCK", 1)
+    segments = _profile_calls(f, 1.0, 0.0, FREQS, tail_hint=hint)
+    assert segments >= 30
+    assert calls <= math.ceil(segments / 4) + 1
+
+
+def _iterated_mean_loop(psums):
+    """Reference: the level-by-level averaging that _iterated_mean computes in one product."""
+    row = np.asarray(psums, dtype=float)
+    prev = row[:, -1]
+    best = prev
+    err = np.full(prev.shape, np.inf)
+    while row.shape[1] > 1:
+        row = 0.5 * (row[:, :-1] + row[:, 1:])
+        cur = row[:, -1]
+        step = np.abs(cur - prev)
+        better = step <= err
+        err = np.where(better, step, err)
+        best = np.where(better, cur, best)
+        prev = cur
+    return best, err
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_iterated_mean_matches_the_averaging_loop(n):
+    rng = np.random.default_rng(n)
+    # partial sums of alternating series with random terms, decay rates and scales
+    k = np.arange(n)
+    terms = rng.uniform(0.5, 2.0, (64, n)) * (-1.0) ** k \
+        / (1.0 + k) ** rng.uniform(0.3, 2.0, (64, 1)) * 10.0 ** rng.uniform(-5, 5, (64, 1))
+    alternating = np.cumsum(terms, axis=1)
+    constant = np.repeat([[2.5], [-1e-7], [0.0]], n, axis=1)     # every level ties
+    with_nan = alternating[:16].copy()
+    with_nan[np.arange(16), rng.integers(0, n, 16)] = np.nan
+    rows = np.vstack([alternating, constant, with_nan])
+    want_best, want_err = _iterated_mean_loop(rows)
+    best, err = sf._iterated_mean(rows)
+    scale = np.max(np.abs(np.nan_to_num(rows)), axis=1)
+    assert np.array_equal(np.isnan(best), np.isnan(want_best))
+    assert np.array_equal(np.isinf(err), np.isinf(want_err))
+    fin = np.isfinite(want_best)
+    assert np.all(np.abs(best[fin] - want_best[fin]) <= 1e-15 * scale[fin])
+    fin = np.isfinite(want_err)
+    assert np.all(np.abs(err[fin] - want_err[fin]) <= 1e-15 * scale[fin])
+
+
 def test_hankel_scalar_rho_returns_float():
     got = sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, 0.0, 2.0, tail_hint=7.0)
     assert type(got) is float
