@@ -381,12 +381,13 @@ def cmd_field(cfg: dict, k: ker.TriKernel, args) -> int:
     return EXIT_OK
 
 
+def _phase_header(n: int, d: int) -> list[str]:
+    """Columns q{a}_{i}, then p{a}_{i}, of n landmarks in R^d, 1-based."""
+    return [f"{v}{a+1}_{i+1}" for v in "qp" for a in range(n) for i in range(d)]
+
+
 def _trajectory_csv(path: Path, traj: dyn.Trajectory) -> None:
-    n, d = traj.n_landmarks, traj.dim
-    header = (["t"]
-              + [f"q{a+1}_{i+1}" for a in range(n) for i in range(d)]
-              + [f"p{a+1}_{i+1}" for a in range(n) for i in range(d)]
-              + ["H"])
+    header = ["t", *_phase_header(traj.n_landmarks, traj.dim), "H"]
     rows = np.column_stack([traj.times,
                             traj.q.reshape(len(traj.times), -1),
                             traj.p.reshape(len(traj.times), -1),
@@ -470,11 +471,7 @@ def cmd_expmap(cfg: dict, k: ker.TriKernel, args) -> int:
             rows.append([thetas[i], t,
                          *traj.q[j].ravel(), *traj.p[j].ravel(),
                          traj.hamiltonians[j]])
-    n, d = lmk.n, k.dim
-    header = (["theta", "t"]
-              + [f"q{a+1}_{i+1}" for a in range(n) for i in range(d)]
-              + [f"p{a+1}_{i+1}" for a in range(n) for i in range(d)] + ["H"])
-    _write_csv(path, header, rows)
+    _write_csv(path, ["theta", "t", *_phase_header(lmk.n, k.dim), "H"], rows)
     print(f"wrote {path}")
 
     if out["format"] == "svg":

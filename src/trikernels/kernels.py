@@ -19,9 +19,11 @@ Every kernel is evaluated through one callable,
 
 which shares its transcendental evaluations across the coefficients and
 returns the exact r -> 0 limits (k0, small_r_ktilde, 0, 0) by contract.
-The constructions are linear maps of a scalar profile's fused tuple
-(f, f'/r, (f'' - f'/r)/r^2, f'''), which a Gaussian profile gives in
-closed form with one exp.  The primitive `pair_coefficients` is one call
+A scalar profile is its fused tuple (f, f'/r, (f'' - f'/r)/r^2, f'''),
+written in closed form with its limits at r = 0: the Gaussian takes one
+exp, the Cauchy profile one reciprocal and the Bessel profile three K_m
+calls.  The scalar, curl-free and div-free constructions are linear
+maps of that tuple.  The primitive `pair_coefficients` is one call
 to `radial`; every kernel matrix, matrix derivative, field value and
 differential residual in the package is computed from it.
 """
@@ -50,66 +52,17 @@ class SingularityError(ValueError):
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """A smooth even radial profile with derivatives.
+    """A smooth even radial profile f, given by its fused tuple.
 
-    value, d1, d2, d3 : vectorized callables of r >= 0.
-    d2_zero, d4_zero : even-order Taylor data at r = 0, used for the
-        exact limits of the fused tuple; estimated numerically when absent.
-    tail_scale : radius beyond which the profile is negligible.
     fused : (r, order) -> the first order + 1 entries of
         [f, f'/r, g, f'''] with g = (f'' - f'/r)/r^2, at an array of
         radii r >= 0, holding the limits f''(0) and f''''(0)/3 of f'/r
-        and g at r = 0.  Built from value/d1/d2/d3 when not given.
+        and g at r = 0.
+    tail_scale : radius beyond which the profile is negligible.
     """
 
-    value: Callable
-    d1: Callable
-    d2: Callable
-    d3: Callable
-    d2_zero: Optional[float] = None
-    d4_zero: Optional[float] = None
+    fused: Callable = field(repr=False)
     tail_scale: float = np.inf
-    fused: Optional[Callable] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.fused is None:
-            object.__setattr__(self, "fused", _fused_from_derivatives(self))
-
-
-def _fused_from_derivatives(p: ScalarProfile) -> Callable:
-    """The fused tuple of a profile known only by value/d1/d2/d3.
-
-    Below `small` the two ratios take their limits d2(0) and d4(0)/3 at
-    the origin, extrapolated from d2 near 0 (Richardson) when not given.
-    """
-    # the callables, not p: a closure over p would make p.fused a reference cycle
-    value, d1, d2, d3 = p.value, p.d1, p.d2, p.d3
-    m = min(1.0, p.tail_scale)
-    at = lambda r: float(d2(r))
-    q0 = p.d2_zero if p.d2_zero is not None else (4.0 * at(1e-4 * m) - at(2e-4 * m)) / 3.0
-    if p.d4_zero is not None:
-        g0 = p.d4_zero / 3.0
-    else:
-        # d2(r) = d2(0) + d4(0) r^2 / 2 + O(r^4), at r = h and 2h
-        h = 1e-3 * m
-        g0 = (8.0 * (at(h) - q0) - (at(2 * h) - q0) / 2.0) / (9.0 * h * h)
-    small = 1e-9 * m
-
-    def fused(r, order=3):
-        out = [value(r)]
-        if order >= 1:
-            rs = np.maximum(r, small)
-            near = r < small
-            q = d1(rs) / rs
-            out.append(np.where(near, q0, q))
-        if order >= 2:
-            out.append(np.where(near, g0, (d2(rs) - q) / np.square(rs)))
-        if order >= 3:
-            # f''' is odd: f'''(r) = f''''(0) r + O(r^3)
-            out.append(np.where(near, 3.0 * g0 * r, d3(rs)))
-        return out
-
-    return fused
 
 
 def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
@@ -128,77 +81,67 @@ def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
             out.append(r * (3.0 - 2.0 * c * np.square(r)) * out[2])
         return out
 
-    return ScalarProfile(
-        value=lambda r: a * np.exp(-c * np.square(r)),
-        d1=lambda r: -2.0 * a * c * r * np.exp(-c * np.square(r)),
-        d2=lambda r: a * (4.0 * c * c * np.square(r) - 2.0 * c) * np.exp(-c * np.square(r)),
-        d3=lambda r: a * (12.0 * c * c * r - 8.0 * c ** 3 * r ** 3) * np.exp(-c * np.square(r)),
-        d2_zero=-2.0 * a * c,
-        d4_zero=12.0 * a * c * c,
-        tail_scale=math.sqrt(48.0 / c),
-        fused=fused,
-    )
+    return ScalarProfile(fused, tail_scale=math.sqrt(48.0 / c))
 
 
 def cauchy_profile(sigma: float) -> ScalarProfile:
-    """1 / (1 + u) with u = r^2 / sigma^2, the rational profile."""
+    """w = 1 / (1 + r^2/sigma^2), the rational profile; its fused tuple is
+    (w, -2 w^2/sigma^2, 8 w^3/sigma^4, 24 r (1 - r^2/sigma^2) w^4/sigma^4)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     s2 = sigma * sigma
-    return ScalarProfile(
-        value=lambda r: 1.0 / (1.0 + np.square(r) / s2),
-        d1=lambda r: -(2.0 * r / s2) / np.square(1.0 + np.square(r) / s2),
-        d2=lambda r: (6.0 * np.square(r) / s2 - 2.0) / s2 / (1.0 + np.square(r) / s2) ** 3,
-        d3=lambda r: 24.0 * r * (1.0 - np.square(r) / s2) / s2 ** 2
-                     / (1.0 + np.square(r) / s2) ** 4,
-        d2_zero=-2.0 / s2,
-        tail_scale=8.0 * sigma,
-    )
+
+    def fused(r, order=3):
+        u = np.square(r) / s2
+        w = 1.0 / (1.0 + u)
+        out = [w]
+        if order >= 1:
+            out.append((-2.0 / s2) * np.square(w))
+        if order >= 2:
+            out.append((8.0 / (s2 * s2)) * w ** 3)
+        if order >= 3:
+            out.append((24.0 / (s2 * s2)) * r * (1.0 - u) * np.square(np.square(w)))
+        return out
+
+    return ScalarProfile(fused, tail_scale=8.0 * sigma)
 
 
 def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> ScalarProfile:
     """amplitude * (r/sigma)^nu K_nu(r/sigma), the Sobolev-type profile.
 
-    Smooth at the origin for nu > 2 in the C^4 sense; derivative closed
-    forms follow from d/dr [(r/s)^nu K_nu(r/s)] = -(1/s)(r/s)^nu K_{nu-1}(r/s).
+    With phi_m(z) = z^m K_m(z), (1/z) d/dz phi_m = -phi_{m-1}, so at
+    z = r/sigma the fused tuple is amplitude times
+    (phi_nu, -phi_{nu-1}/sigma^2, phi_{nu-2}/sigma^4,
+    r ((2 nu - 1) phi_{nu-2} - phi_{nu-1})/sigma^4): three K_m calls.
+    f''(0) is finite for nu > 1 and f''''(0) for nu > 2.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if nu <= 0:
         raise ValueError("nu must be positive for a bounded profile")
-    a = float(amplitude)
-    s = float(sigma)
-    # z^nu K_nu(z) = 2^{nu-1} Gamma(nu) [1 - z^2/(4(nu-1)) + z^4/(32(nu-1)(nu-2)) + ...]
-    # + O(z^{2nu}) gives f''(0) for nu > 1 and f''''(0) for nu > 2
-    d2_zero = -a * 2.0 ** (nu - 2.0) * math.gamma(nu - 1.0) / s ** 2 if nu > 1 else None
-    d4_zero = 3.0 * a * 2.0 ** (nu - 3.0) * math.gamma(nu - 2.0) / s ** 4 if nu > 2 else None
+    a, s = float(amplitude), float(sigma)
 
-    # z^nu K_nu(z) tends to 2^{nu-1} Gamma(nu); flooring z keeps the
-    # product finite so the where-mask never sees overflow
-    def f(r):
+    def fused(r, order=3):
+        if order >= 2 and nu <= 1:
+            raise ValueError(f"the Bessel profile of order nu = {nu} <= 1 has f''(0) = "
+                             "-infinity; its curl-free and div-free kernels are unbounded")
+        # z is floored at 1e-8; below it phi_m takes its limit 2^{m-1} Gamma(m) for
+        # m > 0, and its finite floor value for m <= 0, where r q and r^2 g vanish
         r = np.asarray(r, dtype=float)
+        floor = r < 1e-8 * s
         z = np.maximum(r / s, 1e-8)
-        out = a * z ** nu * bessel_k(nu, z)
-        return np.where(r < 1e-12, a * 2.0 ** (nu - 1.0) * math.gamma(nu), out)
 
-    def f1(r):
-        r = np.asarray(r, dtype=float)
-        z = np.maximum(r / s, 1e-8)
-        out = -(a / s) * z ** nu * bessel_k(nu - 1.0, z)
-        return np.where(r < 1e-12, 0.0, out)
+        def phi(m):
+            out = z ** m * bessel_k(m, z)
+            return np.where(floor, 2.0 ** (m - 1.0) * math.gamma(m), out) if m > 0 else out
 
-    def f2(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, 1e-300)
-        return f(r) / s ** 2 + (2.0 * nu - 1.0) / rs * f1(r)
+        phis = [phi(nu - m) for m in range(min(order, 2) + 1)]
+        out = [c * p for c, p in zip((a, -a / s ** 2, a / s ** 4), phis)]
+        if order >= 3:
+            out.append((a / s ** 4) * r * ((2.0 * nu - 1.0) * phis[2] - phis[1]))
+        return out
 
-    def f3(r):
-        r = np.asarray(r, dtype=float)
-        rs = np.maximum(r, 1e-300)
-        return f1(r) / s ** 2 + (2.0 * nu - 1.0) * (f2(r) / rs - f1(r) / rs ** 2)
-
-    return ScalarProfile(value=f, d1=f1, d2=f2, d3=f3, d2_zero=d2_zero, d4_zero=d4_zero,
-                         tail_scale=60.0 * s)
+    return ScalarProfile(fused, tail_scale=60.0 * s)
 
 
 def sobolev_green_constant(sigma: float, ell: float, dim: int) -> float:
@@ -410,8 +353,11 @@ def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriK
         dk = r * q[0]
         return f, kt, dk, dk
 
+    def value(r):
+        return fused(r, 0)[0]
+
     return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale,
-                     k_par=profile.value, k_perp=profile.value)
+                     k_par=value, k_perp=value)
 
 
 def gaussian_kernel(c: float, dim: int, amplitude: float = 1.0) -> TriKernel:

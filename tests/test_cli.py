@@ -85,8 +85,8 @@ VALID_KERNELS = {
     "example2": {"a": 1.5, "b": 1.0, "c": 1.0},
     "gaussian_curl_free": {"b": 1.0, "c": 1.0},
     "gaussian_div_free": {"b": 1.0, "c": 1.0},
-    "bessel_curl_free": {"sigma": 1.0, "ell": 2.0},
-    "bessel_div_free": {"sigma": 1.0, "ell": 2.0},
+    "bessel_curl_free": {"sigma": 1.0, "ell": 3.5},
+    "bessel_div_free": {"sigma": 1.0, "ell": 3.5},
 }
 
 
@@ -101,6 +101,25 @@ def test_non_finite_kernel_parameter_is_input_error(tmp_path, capsys, family, ba
         captured = capsys.readouterr()
         assert "must be a finite number" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("family", ["bessel_curl_free", "bessel_div_free"])
+@pytest.mark.parametrize("ell", [1.5, 2.0])
+def test_bessel_construction_with_infinite_k0_is_input_error(tmp_path, capsys, family, ell):
+    # nu = ell - d/2 <= 1: -f''(0) = k0 is infinite, so neither kernel exists
+    kernel = {"family": family, "sigma": 1.0, "ell": ell, "dim": 2}
+    for command in ("certify", "spectrum", "hodge"):
+        assert run(tmp_path, command, {"kernel": kernel}) == 2, command
+        captured = capsys.readouterr()
+        assert "bad kernel parameters" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("ell", [1.5, 2.0])
+def test_bessel_scalar_kernel_at_small_order_certifies(tmp_path, ell):
+    # the scalar kernel of a profile with nu <= 1 is bounded: k0 = f(0)
+    kernel = {"family": "bessel", "sigma": 1.0, "ell": ell, "dim": 2}
+    assert run(tmp_path, "certify", {"kernel": kernel}) == 0
 
 
 GAUSS2 = {"family": "gaussian", "c": 1.0, "dim": 2}

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from trikernels import kernels as K
-from conftest import projector_oracle, random_rotation
+from conftest import (cauchy_derivatives, gaussian_derivatives, projector_oracle,
+                      random_rotation)
 
 R_GRID = np.geomspace(0.05, 5.0, 64)
 
@@ -192,21 +193,17 @@ def test_curl_free_condition_residual():
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
 def test_cauchy_d3_matches_finite_differences(sigma):
     # d3 = 24 r (1 - u) / (sigma^4 (1 + u)^4), u = r^2 / sigma^2
-    prof = K.cauchy_profile(sigma)
+    d2 = cauchy_derivatives(sigma).d2
     r = np.linspace(0.0, 6.0 * sigma, 241)
     h = 1e-3 * sigma
-    fd = (-prof.d2(r + 2 * h) + 8 * prof.d2(r + h)
-          - 8 * prof.d2(r - h) + prof.d2(r - 2 * h)) / (12 * h)
-    d3 = prof.d3(r)
+    fd = (-d2(r + 2 * h) + 8 * d2(r + h) - 8 * d2(r - h) + d2(r - 2 * h)) / (12 * h)
+    d3 = K.cauchy_profile(sigma).fused(r)[3]
     assert np.max(np.abs(d3 - fd)) <= 1e-9 * np.max(np.abs(d3))
 
 
 def test_curl_free_zero_profile_gives_zero_kernel():
-    zero = K.ScalarProfile(value=lambda r: np.zeros_like(np.asarray(r, float)),
-                           d1=lambda r: np.zeros_like(np.asarray(r, float)),
-                           d2=lambda r: np.zeros_like(np.asarray(r, float)),
-                           d3=lambda r: np.zeros_like(np.asarray(r, float)),
-                           d2_zero=0.0, d4_zero=0.0, tail_scale=1.0)
+    zero = K.ScalarProfile(lambda r, order=3: [np.zeros_like(np.asarray(r, float))] * (order + 1),
+                           tail_scale=1.0)
     k = K.make_curl_free(zero, 2)
     assert np.all(k.k_par(R_GRID) == 0.0) and np.all(k.k_perp(R_GRID) == 0.0)
     assert k.k0 == 0.0
@@ -229,8 +226,8 @@ def test_div_free_condition_residual():
 
 def test_div_free_d3_specialization():
     # the d=3 coefficients equal the general-dimension formula at d=3
-    prof = K.gaussian_profile(0.3, 1.0)
-    built = K.make_div_free(prof, 3)
+    prof = gaussian_derivatives(0.3, 1.0)
+    built = K.make_div_free(K.gaussian_profile(0.3, 1.0), 3)
     r = R_GRID
     kpar_d3 = -2.0 / r * prof.d1(r)
     kperp_d3 = -prof.d1(r) / r - prof.d2(r)
@@ -369,6 +366,55 @@ def test_bessel_constructions_take_exact_limits_at_the_origin(nu, d):
     assert cf.small_r_ktilde == pytest.approx(-f4 / 3.0, rel=1e-12)
     assert df.k0 == pytest.approx(-(d - 1) * f2, rel=1e-12)
     assert df.small_r_ktilde == pytest.approx(f4 / 3.0, rel=1e-12)
+
+
+def _cauchy_series(sigma):
+    """(c, p) with 1 / (1 + r^2/sigma^2) = sum c r^p near the origin."""
+    return [((-1.0) ** k / sigma ** (2 * k), 2.0 * k) for k in range(12)]
+
+
+def _bessel_series(nu, sigma):
+    """(c, p) with z^nu K_nu(z) = sum c r^p, z = r/sigma, for non-integer nu.
+
+    K_nu = pi (I_-nu - I_nu) / (2 sin(nu pi)) and the power series of I_+-nu.
+    """
+    pre = math.pi / (2.0 * math.sin(nu * math.pi))
+    terms = []
+    for k in range(8):
+        base = 1.0 / (4.0 ** k * math.factorial(k) * sigma ** (2 * k))
+        terms.append((pre * 2.0 ** nu * base / math.gamma(k - nu + 1.0), 2.0 * k))
+        terms.append((-pre * 2.0 ** -nu * base / (math.gamma(k + nu + 1.0) * sigma ** (2 * nu)),
+                      2.0 * k + 2.0 * nu))
+    return terms
+
+
+@pytest.mark.parametrize("prof, terms, sigma", [
+    (K.cauchy_profile(0.3), _cauchy_series(0.3), 0.3),
+    (K.cauchy_profile(2.5), _cauchy_series(2.5), 2.5),
+    (K.bessel_profile(2.625, 0.7), _bessel_series(2.625, 0.7), 0.7),
+    (K.bessel_profile(3.5, 0.7), _bessel_series(3.5, 0.7), 0.7),
+], ids=["cauchy-0.3", "cauchy-2.5", "bessel-2.625", "bessel-3.5"])
+def test_profile_g_matches_taylor_series_near_the_origin(prof, terms, sigma):
+    # g = (f'' - f'/r)/r^2 of sum c r^p is sum c p (p - 2) r^(p - 4), term by
+    # term; forming it from f'' and f'/r would cancel ~(r/sigma)^2 of both
+    r = np.geomspace(1e-7, 1e-2, 41) * sigma
+    want = sum(c * p * (p - 2.0) * r ** (p - 4.0) for c, p in terms)
+    got = prof.fused(r, 2)[2]
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+def test_bessel_tuple_takes_at_most_three_bessel_calls(monkeypatch):
+    # phi_m(z) = z^m K_m(z) with (1/z) d/dz phi_m = -phi_{m-1}: f''' needs no fourth call
+    orders = []
+    real = K.bessel_k
+    monkeypatch.setattr(K, "bessel_k", lambda nu, x: orders.append(nu) or real(nu, x))
+    prof = K.bessel_profile(3.5, 0.7)
+    calls = []
+    for order in range(4):
+        orders.clear()
+        prof.fused(np.geomspace(1e-9, 10.0, 7), order)
+        calls.append(len(orders))
+    assert calls == [1, 2, 3, 3]
 
 
 def test_gaussian_hodge_pair_derivatives(rng):
