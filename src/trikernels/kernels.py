@@ -161,8 +161,8 @@ class TriKernel:
     `radial(r, derivatives)` maps an array of radii r >= 0 to
     (kperp, ktilde) or (kperp, ktilde, dkpar, dkperp), each of r's shape,
     with the limits (k0, small_r_ktilde, 0, 0) at r = 0; k0 and
-    small_r_ktilde are read from it.  k_par and k_perp, which the spectral
-    side integrates, default to the values `radial` gives.  Instances are
+    small_r_ktilde are read from it.  k_par and k_perp, the coefficients
+    as callables of r, default to the values `radial` gives.  Instances are
     immutable; evaluation is pure and thread-safe.
     """
 
@@ -353,11 +353,7 @@ def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriK
         dk = r * q[0]
         return f, kt, dk, dk
 
-    def value(r):
-        return fused(r, 0)[0]
-
-    return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale,
-                     k_par=value, k_perp=value)
+    return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale)
 
 
 def gaussian_kernel(c: float, dim: int, amplitude: float = 1.0) -> TriKernel:

@@ -19,7 +19,11 @@ the partial sums, which turns the 1/k tail into geometric convergence.
 A whole array of frequencies is integrated in one pass: each block of four
 segments of every frequency still running takes one profile call and one
 Bessel call; the stopping tests then take the block's segments in order, and
-a frequency leaves when its own test holds.  The Bessel factor is evaluated
+a frequency leaves when its own test holds.  A profile may return several
+columns that share the weight, the order and the frequencies: they share
+the nodes, the Bessel values and the profile call, each column keeps its
+own stopping tests, and a frequency leaves when all of its columns have
+stopped.  The Bessel factor is evaluated
 by order class.  Every order the transforms use, mu = d/2 - 1 and mu + 1,
 is an integer or a half-integer: orders 0 and 1 go to the dedicated
 ``j0``/``j1``, half-integers n + 1/2 to sqrt(2x/pi) j_n(x) with the
@@ -168,11 +172,13 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
 
 
 def _probe_tail_scale(f, weight_power: float) -> float:
-    """Heuristic radius containing essentially all of |r^w f(r)|."""
+    """Heuristic radius containing essentially all of |r^w f(r)|; a profile
+    of several columns is probed by its largest column."""
     r = np.geomspace(1e-3, 1e5, 161)
     with np.errstate(all="ignore"):
         m = np.abs(np.asarray(f(r), dtype=float)) * r ** weight_power
     m[~np.isfinite(m)] = 0.0
+    m = m.reshape(-1, r.size).max(axis=0)
     peak = m.max()
     if peak == 0.0:
         return 1.0
@@ -218,7 +224,8 @@ def _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights):
     number of Gauss-Legendre panels varies by frequency: the ladder is
     clipped into every interval and the zero-width panels this leaves are
     dropped before any evaluation.  The panels of all frequencies are laid
-    out flat and summed back by owner.
+    out flat and summed back by owner.  A profile of m columns gives an
+    (intervals, m) result from the same nodes and Bessel values.
     """
     edges = np.column_stack([lo, np.clip(ladder[None, :], lo[:, None], hi[:, None]), hi])
     a, b = edges[:, :-1], edges[:, 1:]
@@ -228,10 +235,13 @@ def _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights):
     mid = 0.5 * (b + a)
     half = 0.5 * (b - a)
     r = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(f(r.ravel()), dtype=float).reshape(r.shape) \
-        * r ** weight_power * _jv(nu, w[owner][:, None] * r)
-    panels = (vals @ weights) * half
-    return np.bincount(owner, weights=panels, minlength=lo.size)
+    fr = np.asarray(f(r.ravel()), dtype=float)
+    vals = fr.reshape(-1, *r.shape) * r ** weight_power * _jv(nu, w[owner][:, None] * r)
+    panels = (vals.reshape(-1, nodes.size) @ weights).reshape(-1, owner.size) * half
+    cols = panels.shape[0]
+    owners = owner + lo.size * np.arange(cols)[:, None]
+    sums = np.bincount(owners.ravel(), weights=panels.ravel(), minlength=lo.size * cols)
+    return sums.reshape(cols, lo.size).T.reshape(lo.shape + fr.shape[:-1])
 
 
 def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QUAD,
@@ -241,27 +251,34 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
     Parameters
     ----------
     f : callable
-        Radial profile, vectorized over numpy arrays of radii.
+        Radial profile, vectorized over a 1-D array of n radii.  It returns
+        shape (n,), or (m, n) for m columns integrated in one pass: the
+        columns share the segments, the nodes, the Bessel values and one
+        profile call per block of segments.  Each column keeps its own
+        stopping tests, and a frequency runs until all of its columns
+        have stopped.
     weight_power : float
         Power of the algebraic weight.
     nu : float
         Order of the Bessel factor, >= -1/2.
     rho : float or array_like
         Oscillation frequencies, > 0.  An array is integrated in one pass,
-        each frequency with its own stopping tests; the result has rho's
-        shape, and a scalar rho gives a float.
+        each frequency with its own stopping tests.  The result has rho's
+        shape, with a trailing axis of length m for a profile of m columns;
+        a scalar rho and a 1-D profile give a float.
     cfg : HankelQuadConfig
         Segmentation and panel controls.
     tail_hint : float, optional
         Radius beyond which the weighted profile is negligible.  Probed
-        numerically when omitted; callers with analytic knowledge should
-        pass it.
+        numerically on the largest column when omitted; callers with
+        analytic knowledge should pass it.
 
     Raises
     ------
     HankelConvergenceError
         If cfg.max_segments zero-to-zero segments do not reach the
-        requested tolerance at some frequency; the message names one.
+        requested tolerance at some frequency; the message names one, and
+        its column.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
@@ -280,20 +297,21 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
     # extra cuts resolving the profile mass when oscillation is slow
     ladder = hint * 2.0 ** np.arange(-5, 4, dtype=float)
 
-    out = np.empty(rho.size)
-    # state of the frequencies still running, compacted as they finish
+    # state of the frequencies still running, compacted as they finish; the
+    # (frequency, column) arrays are allocated once the first profile call
+    # shows the column count
     idx = np.arange(rho.size)
     w = rho.ravel()
     reach = np.minimum(hint, zeros[-1] / w)
-    acc = np.zeros(rho.size)
-    seg_scale = np.zeros(rho.size)
-    prev_small = np.zeros(rho.size, dtype=bool)
-    window = np.empty((rho.size, _MEAN_WINDOW))   # last partial sums, cyclic
+    columns = None
     bounds = np.concatenate(([0.0], zeros))
 
     def recent(k):
         n = min(k + 1, _MEAN_WINDOW)
-        return window[:, np.arange(k + 1 - n, k + 1) % _MEAN_WINDOW]
+        return window[..., np.arange(k + 1 - n, k + 1) % _MEAN_WINDOW].reshape(-1, n)
+
+    def limits(k):
+        return (a.reshape(acc.shape) for a in _iterated_mean(recent(k)))
 
     # segments k0..k1-1 of every running frequency in one call, then their tests in order
     starts = [0, *range(1, cfg.max_segments, _SEGMENT_BLOCK), cfg.max_segments]
@@ -303,57 +321,82 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
         edges = bounds[k0:k1 + 1] / w[:, None]
         his = edges[:, 1:]
         sums = _segment_sums(f, weight_power, nu, np.repeat(w, k1 - k0), edges[:, :-1].ravel(),
-                             his.ravel(), ladder, nodes, weights).reshape(his.shape)
+                             his.ravel(), ladder, nodes, weights)
+        if columns is None:
+            columns = sums.shape[1:]
+            shape = (rho.size, int(np.prod(columns)))
+            out, acc, seg_scale = np.empty(shape), np.zeros(shape), np.zeros(shape)
+            prev_small, running = np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)
+            window = np.empty(shape + (_MEAN_WINDOW,))   # last partial sums, cyclic
+        sums = sums.reshape(his.shape + (-1,))
         for j in range(k1 - k0):
-            k, s, hi = k0 + j, sums[:, j], his[:, j]
+            k, s = k0 + j, sums[:, j]
             acc += s
-            window[:, k % _MEAN_WINDOW] = acc
-            seg_scale = np.maximum(seg_scale, np.abs(s))
-            small = np.abs(s) <= tol * np.maximum(np.abs(acc), 1e-300)
-            done = small & prev_small & (hi >= reach)
-            out[idx[done]] = acc[done]
+            window[..., k % _MEAN_WINDOW] = acc
+            size = np.abs(s)
+            seg_scale = np.maximum(seg_scale, size)
+            small = size <= tol * np.maximum(np.abs(acc), 1e-300)
+            done = running & small & prev_small & (his[:, j] >= reach)[:, None]
             prev_small = small
+            value = acc
             if k >= 8 and k % 4 == 0:
-                val, err = _iterated_mean(recent(k))
-                settled = ~done & (err <= np.maximum(tol * np.abs(val), 5e-16 * seg_scale))
-                out[idx[settled]] = val[settled]
+                val, err = limits(k)
+                settled = running & ~done & (err <= np.maximum(tol * np.abs(val),
+                                                               5e-16 * seg_scale))
+                value = np.where(settled, val, acc)
                 done |= settled
-            if done.any():
-                keep = ~done
-                idx, w, reach, acc, seg_scale, prev_small, window, sums, his = (
-                    a[keep] for a in (idx, w, reach, acc, seg_scale, prev_small, window,
-                                      sums, his))
+            if not done.any():
+                continue
+            out[idx] = np.where(done, value, out[idx])
+            running &= ~done
+            keep = running.any(axis=1)
+            if not keep.all():
+                idx, w, reach, acc, seg_scale, prev_small, running, window, sums, his = (
+                    a[keep] for a in (idx, w, reach, acc, seg_scale, prev_small, running,
+                                      window, sums, his))
     if idx.size:
-        val, err = _iterated_mean(recent(cfg.max_segments - 1))
+        val, err = limits(cfg.max_segments - 1)
         ok = err <= np.maximum(1e3 * tol * np.abs(val), 1e-14 * seg_scale)
-        out[idx[ok]] = val[ok]
-        if not ok.all():
-            bad = int(np.argmin(ok))
+        out[idx] = np.where(running & ok, val, out[idx])
+        bad = running & ~ok
+        if bad.any():
+            i, c = np.argwhere(bad)[0]
             raise HankelConvergenceError(
                 f"no convergence after {cfg.max_segments} segments at "
-                f"rho={w[bad]:.6g} (last error estimate {err[bad]:.3e}; "
-                f"{int(np.count_nonzero(~ok))} of {rho.size} frequencies failed)")
-    return float(out[0]) if rho.ndim == 0 else out.reshape(rho.shape)
+                f"rho={w[i]:.6g} in column {c} (last error estimate {err[i, c]:.3e}; "
+                f"{int(np.count_nonzero(bad.any(axis=1)))} of {rho.size} frequencies failed)")
+    if columns is None:       # no frequencies: the profile's own shape gives the columns
+        columns, out = np.shape(f(np.empty(0)))[:-1], np.empty(0)
+    out = out.reshape(rho.shape + columns)
+    return float(out) if out.ndim == 0 else out
 
 
 def radial_moment(f, power, tail_hint: float | None = None,
-                  rel_tol: float = 1e-12) -> float:
+                  rel_tol: float = 1e-12):
     """Evaluate int_0^inf r**power f(r) dr for a decaying profile.
 
     Used for the small-argument limits of the inverse spectral transform,
-    where the Bessel factor degenerates to its leading monomial.
+    where the Bessel factor degenerates to its leading monomial.  A profile
+    of m columns, shape (m, n) at n radii, gives the m moments from one
+    panel loop; each column keeps the value at which it turned quiet, and
+    the loop ends when every column has.  A 1-D profile gives a float.
     """
     hint = float(tail_hint) if tail_hint is not None else _probe_tail_scale(f, power)
     nodes, weights = _gauss_legendre(48)
     edges = np.concatenate(([0.0], hint * 2.0 ** np.arange(-24, 10, dtype=float)))
-    acc = 0.0
+    acc = out = 0.0
     quiet = 0
+    running = True
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         r = mid + half * nodes
-        s = float(np.sum(np.asarray(f(r), dtype=float) * r ** power * weights) * half)
-        acc += s
-        quiet = quiet + 1 if abs(s) <= rel_tol * max(abs(acc), 1e-300) else 0
-        if quiet >= 2 and b >= hint:
-            return acc
-    return acc
+        s = np.sum(np.asarray(f(r), dtype=float) * r ** power * weights, axis=-1) * half
+        acc = acc + s
+        quiet = np.where(np.abs(s) <= rel_tol * np.maximum(np.abs(acc), 1e-300), quiet + 1, 0)
+        done = running & (quiet >= 2) & (b >= hint)
+        out = np.where(done, acc, out)
+        running = running & ~done
+        if not np.any(running):
+            break
+    out = np.where(running, acc, out)
+    return float(out) if out.ndim == 0 else out

@@ -10,6 +10,10 @@ to (hpar, hperp),
 with mu = d/2 - 1, kdiff = kpar - kperp and I[.; J_nu] the oscillatory
 integral against J_nu(2 pi p r), is an involution: the same formulas,
 written once in `_transform`, take (hpar, hperp) back to (kpar, kperp).
+The two J_mu integrals share their weight, order, frequencies and tail, so
+they are one two-column `hankel_integral` pass: one J_mu evaluation and
+one profile call (one `radial` call on the forward side) per block of
+segments; the J_{mu+1} integral of the difference is the second pass.
 Nonnegativity of both spectral coefficients is equivalent to positive
 definiteness, and hpar = 0 / hperp = 0 characterize divergence-free /
 curl-free kernels.  `hodge_split` masks hperp in physical space, where
@@ -25,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import TriKernel, div_free_residual, ktilde
+from .kernels import TriKernel, ktilde
 from .specfun import hankel_integral, radial_moment
 
 TWO_PI = 2.0 * math.pi
@@ -124,29 +128,35 @@ def _tail_scale_from_samples(grid, a, b) -> float:
     return float(grid[min(alive[-1] + 1, len(grid) - 1)])
 
 
-def _transform(par, perp, diff, mu, x, tail):
+def _transform(pair, diff, mu, x, tail):
     """The coefficient transform of (par, perp) at an array x > 0.
 
-    diff = par - perp.  The same formulas take kernel coefficients to
-    spectral ones (x a frequency) and spectral ones back (x a radius).
+    pair(r) gives the rows (par, perp), which share one J_mu pass, and
+    diff = par - perp the J_{mu+1} one.  The same formulas take kernel
+    coefficients to spectral ones (x a frequency) and spectral ones back
+    (x a radius).
     """
     w = TWO_PI * x
-    i_par = hankel_integral(par, mu + 1.0, mu, w, tail_hint=tail)
-    i_perp = hankel_integral(perp, mu + 1.0, mu, w, tail_hint=tail)
+    i_pair = hankel_integral(pair, mu + 1.0, mu, w, tail_hint=tail)
     i_diff = hankel_integral(diff, mu, mu + 1.0, w, tail_hint=tail)
     lead = TWO_PI / x ** mu
     cross = i_diff / x ** (mu + 1.0)
-    return lead * i_par - (2.0 * mu + 1.0) * cross, lead * i_perp + cross
+    return lead * i_pair[..., 0] - (2.0 * mu + 1.0) * cross, lead * i_pair[..., 1] + cross
 
 
 def spectral_pair_at(k: TriKernel, rho):
     """(hpar, hperp) of kernel k by quadrature, at one frequency or an array.
 
-    An array of frequencies takes one whole-grid pass per integrand and
-    gives two arrays of its shape; a scalar frequency gives two floats.
+    An array of frequencies takes two whole-grid passes and gives two
+    arrays of its shape; a scalar frequency gives two floats.  The J_mu
+    pass reads kpar = kperp + r^2 ktilde and kperp from one `radial` call;
     kpar - kperp enters as r^2 ktilde, which does not cancel near r = 0.
     """
-    return _transform(k.k_par, k.k_perp, lambda r: np.square(r) * ktilde(k, r),
+    def pair(r):
+        kperp, kt = k.radial(r)
+        return np.stack([kperp + np.square(r) * kt, kperp])
+
+    return _transform(pair, lambda r: np.square(r) * ktilde(k, r),
                       k.mu, np.asarray(rho, dtype=float), k.tail_scale)
 
 
@@ -176,9 +186,12 @@ def forward_map(k: TriKernel, rho_grid=None) -> Spectrum:
 def inverse_limits(s: Spectrum) -> float:
     """Common r -> 0 limit of both inverted coefficients (the kernel's k0)."""
     mu = s.mu
-    m_par = radial_moment(s.h_par, 2.0 * mu + 1.0, tail_hint=s.tail_scale)
-    m_diff = radial_moment(lambda p: s.h_par(p) - s.h_perp(p), 2.0 * mu + 1.0,
-                           tail_hint=s.tail_scale)
+
+    def par_and_diff(p):
+        h_par = s.h_par(p)
+        return np.stack([h_par, h_par - s.h_perp(p)])
+
+    m_par, m_diff = radial_moment(par_and_diff, 2.0 * mu + 1.0, tail_hint=s.tail_scale)
     lead = 2.0 * math.pi ** (mu + 1.0) / math.gamma(mu + 1.0)
     cross = (2.0 * mu + 1.0) * math.pi ** (mu + 1.0) / math.gamma(mu + 2.0)
     return lead * m_par - cross * m_diff
@@ -198,7 +211,8 @@ def inverse_map(s: Spectrum, r_grid) -> tuple[np.ndarray, np.ndarray]:
     kp, kq = np.empty_like(r_grid), np.empty_like(r_grid)
     if small.any():
         kp[small] = kq[small] = inverse_limits(s)
-    kp[~small], kq[~small] = _transform(s.h_par, s.h_perp, lambda p: s.h_par(p) - s.h_perp(p),
+    kp[~small], kq[~small] = _transform(lambda p: np.stack([s.h_par(p), s.h_perp(p)]),
+                                        lambda p: s.h_par(p) - s.h_perp(p),
                                         s.mu, r_grid[~small], s.tail_scale)
     return kp, kq
 
@@ -395,18 +409,26 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
             or r_grid[0] <= 0 or np.any(np.diff(r_grid) <= 0)):
         raise ValueError("r grid must be finite, positive and strictly increasing")
     d, whole = k.dim, k.radial
+
+    def residual(r):
+        """D and ktilde at radii r from one radial call."""
+        _, kt, dkpar, _ = whole(r, True)
+        return (d - 1) * r * kt + dkpar, kt
+
     nodes = np.concatenate([[0.0], r_grid])
     t, w = np.polynomial.legendre.leggauss(16)
     half = np.diff(nodes)[:, None] / 2.0
     s = nodes[:-1, None] + half * (1.0 + t)
-    inner = np.cumsum((half * s ** d * div_free_residual(k, s)) @ w)
-    m = np.append(np.cumsum(((half * s * ktilde(k, s)) @ w)[::-1])[::-1], 0.0)
+    div, kt = residual(s)
+    inner = np.cumsum((half * s ** d * div) @ w)
+    m = np.append(np.cumsum(((half * s * kt) @ w)[::-1])[::-1], 0.0)
     # D is odd, so G(0) = -D'(0)/(d+2) with D'(0) = D(eps)/eps + O(eps^2)
     eps = 1e-6 * r_grid[0]
-    g = np.concatenate([-div_free_residual(k, [eps]) / (eps * (d + 2)),
+    g = np.concatenate([-residual(np.array([eps]))[0] / (eps * (d + 2)),
                         -inner / r_grid ** (d + 2)])
-    dg = -(d + 2) * g[1:] / r_grid - div_free_residual(k, r_grid) / r_grid ** 2
-    slopes = [np.append(0.0, dg), np.append(0.0, -r_grid * ktilde(k, r_grid))]
+    div, kt = residual(r_grid)
+    dg = -(d + 2) * g[1:] / r_grid - div / r_grid ** 2
+    slopes = [np.append(0.0, dg), np.append(0.0, -r_grid * kt)]
     interpolant = _hermite(nodes, np.stack([g, m]), np.stack(slopes))
     R = float(r_grid[-1])
 

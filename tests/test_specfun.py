@@ -339,3 +339,81 @@ def test_radial_moment_gaussian():
     # int r^3 e^{-r^2} dr = 1/2
     got = sf.radial_moment(lambda r: np.exp(-r * r), 3.0, tail_hint=7.0)
     assert got == pytest.approx(0.5, rel=1e-11)
+
+
+# --- profiles of several columns ----------------------------------------------
+
+def _gauss(r):
+    return np.exp(-r * r)
+
+
+@pytest.mark.parametrize("cols,hint", [
+    ((_gauss, lambda r: r * r * np.exp(-r * r)), math.sqrt(48.0)),
+    # Cauchy stops by the iterated mean, the Gaussian beside it directly
+    ((lambda r: 1.0 / (1.0 + r * r), _gauss), 8.0),
+    ((np.zeros_like, _gauss), math.sqrt(48.0)),
+], ids=["gaussian-r2gaussian", "cauchy-gaussian", "zero-gaussian"])
+def test_hankel_columns_match_per_column_calls(cols, hint):
+    got = sf.hankel_integral(lambda r: np.stack([f(r) for f in cols]), 1.0, 0.0, FREQS,
+                             tail_hint=hint)
+    assert got.shape == FREQS.shape + (len(cols),)
+    for j, f in enumerate(cols):
+        want = sf.hankel_integral(f, 1.0, 0.0, FREQS, tail_hint=hint)
+        assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
+    # a scalar frequency keeps the column axis
+    one = sf.hankel_integral(lambda r: np.stack([f(r) for f in cols]), 1.0, 0.0, 2.0,
+                             tail_hint=hint)
+    assert one.shape == (len(cols),)
+
+
+def test_hankel_columns_share_one_profile_call_per_block(monkeypatch):
+    hint = math.sqrt(48.0)
+    pair = lambda r: np.stack([_gauss(r), r * r * _gauss(r)])
+    calls = _profile_calls(pair, 1.0, 0.0, FREQS, tail_hint=hint)
+    monkeypatch.setattr(sf, "_SEGMENT_BLOCK", 1)
+    segments = _profile_calls(pair, 1.0, 0.0, FREQS, tail_hint=hint)
+    assert calls <= math.ceil(segments / 4) + 1
+
+
+def test_hankel_columns_without_frequencies():
+    got = sf.hankel_integral(lambda r: np.stack([_gauss(r), r]), 1.0, 0.0, np.empty(0),
+                             tail_hint=1.0)
+    assert got.shape == (0, 2)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_hankel_nonconvergent_column_is_named(column):
+    cfg = sf.HankelQuadConfig(segment_tol=1e-10, max_segments=8, nodes_per_segment=8)
+    # the 1/(1 + r) tail cannot settle in 8 segments at rho = 2; the Gaussian can
+    assert sf.hankel_integral(_gauss, 0.0, 0.0, 2.0, cfg=cfg, tail_hint=7.0) > 0
+    cols = [_gauss, _gauss]
+    cols[column] = lambda r: 1.0 / (1.0 + r)
+    with pytest.raises(sf.HankelConvergenceError,
+                       match=rf"rho=2 in column {column} .*1 of 1 frequencies"):
+        sf.hankel_integral(lambda r: np.stack([f(r) for f in cols]), 0.0, 0.0, 2.0,
+                           cfg=cfg, tail_hint=7.0)
+
+
+def test_hankel_probe_uses_the_largest_column():
+    narrow = _gauss
+    wide = lambda r: 1e-3 * np.exp(-0.01 * r * r)
+    pair = lambda r: np.stack([narrow(r), wide(r)])
+    largest = lambda r: np.maximum(np.abs(narrow(r)), np.abs(wide(r)))
+    hint = sf._probe_tail_scale(largest, 1.0)
+    assert sf._probe_tail_scale(pair, 1.0) == hint
+    assert hint > 2.0 * sf._probe_tail_scale(narrow, 1.0)
+    got = sf.hankel_integral(pair, 1.0, 0.0, FREQS)
+    for j, f in enumerate((narrow, wide)):
+        want = sf.hankel_integral(f, 1.0, 0.0, FREQS, tail_hint=hint)
+        assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_radial_moment_columns_match_per_column_calls():
+    cols = (_gauss, np.zeros_like, lambda r: 1.0 / (1.0 + r * r) ** 3)
+    got = sf.radial_moment(lambda r: np.stack([f(r) for f in cols]), 1.0, tail_hint=7.0)
+    assert got.shape == (3,)
+    for j, f in enumerate(cols):
+        want = sf.radial_moment(f, 1.0, tail_hint=7.0)
+        assert abs(got[j] - want) <= 1e-15 * abs(want)
+    # int r e^{-r^2} dr = 1/2 and int r/(1 + r^2)^3 dr = 1/4
+    np.testing.assert_allclose(got, [0.5, 0.0, 0.25], rtol=1e-11)

@@ -8,6 +8,7 @@ import pytest
 
 from trikernels import kernels as K
 from trikernels import spectral as S
+from trikernels import specfun as sf
 from conftest import mixed_gaussian_kernel, random_rotation
 
 QUICK_RHO = np.geomspace(1e-3, 6.0, 48)
@@ -89,6 +90,28 @@ def test_forward_map_rejects_bad_grid():
         S.forward_map(k, np.array([0.0, 1.0]))
 
 
+def test_forward_map_one_radial_call_per_bessel_call(monkeypatch):
+    # kpar and kperp share the J_mu nodes and one radial call; r^2 ktilde takes the J_mu+1 pass
+    k = K.gaussian_kernel(1.0, 2)
+    radial_calls, jv_sizes = [], []
+
+    def radial(r, derivatives=False):
+        radial_calls.append(np.size(r))
+        return k.radial(r, derivatives)
+
+    counted = K.TriKernel(dim=k.dim, radial=radial, tail_scale=k.tail_scale)
+    radial_calls.clear()
+    jv = sf._jv
+    monkeypatch.setattr(sf, "_jv", lambda nu, x: jv_sizes.append(np.size(x)) or jv(nu, x))
+    s = S.forward_map(counted, np.geomspace(1e-3, 20.0, 32))
+    assert len(radial_calls) == len(jv_sizes) > 0
+    # one J_mu pass per coefficient takes 54,880 Bessel arguments on this grid
+    assert sum(jv_sizes) <= 0.7 * 53536
+    want = S.forward_map(k, np.geomspace(1e-3, 20.0, 32))
+    assert np.array_equal(s.h_par_samples, want.h_par_samples)
+    assert np.array_equal(s.h_perp_samples, want.h_perp_samples)
+
+
 # --- inverse map and the involution -------------------------------------------
 
 def test_involution_on_example1():
@@ -145,6 +168,21 @@ def test_inverse_small_r_limit_matches_k0():
     kp, kq = S.inverse_map(s, np.array([1e-4, 5e-4]))
     np.testing.assert_allclose(kp, 1.0, rtol=1e-9)
     np.testing.assert_allclose(kq, 1.0, rtol=1e-9)
+
+
+@pytest.mark.parametrize("s", [S.example1_spectrum(1.0, 1.0, 1.0, 3),
+                               S.mixed_gaussian_spectrum(1.0, 2.0, 2),
+                               S.forward_map(K.cauchy_kernel(1.0, 2))],
+                         ids=["example1", "mixed", "tabulated-cauchy"])
+def test_inverse_limits_one_loop_matches_two_moments(s):
+    # the moments of hpar and hpar - hperp from one panel loop, each at its own stop
+    p = 2.0 * s.mu + 1.0
+    m_par = sf.radial_moment(s.h_par, p, tail_hint=s.tail_scale)
+    m_diff = sf.radial_moment(lambda q: s.h_par(q) - s.h_perp(q), p, tail_hint=s.tail_scale)
+    lead = 2.0 * math.pi ** (s.mu + 1.0) / math.gamma(s.mu + 1.0)
+    cross = (2.0 * s.mu + 1.0) * math.pi ** (s.mu + 1.0) / math.gamma(s.mu + 2.0)
+    want = lead * m_par - cross * m_diff
+    assert abs(S.inverse_limits(s) - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("c", [1.0, 100.0, 1e4])
@@ -439,6 +477,25 @@ def test_hodge_split_derivatives_off_the_grid(gaussian_split):
 def test_hodge_split_warns_on_heavy_tails():
     with pytest.warns(S.HeavyTailWarning):
         S.hodge_split(K.gaussian_kernel(1.0, 2))
+
+
+def test_hodge_split_tabulates_from_three_radial_calls():
+    # D and ktilde at the panel nodes, at one radius near 0 and on r_grid; the
+    # calls without derivatives are the parts' own one-radius evaluations
+    k = K.family_example1(1.0, 1.0, 1.0, 2)
+    calls = []
+
+    def radial(r, derivatives=False):
+        calls.append((derivatives, np.size(r)))
+        return k.radial(r, derivatives)
+
+    counted = K.TriKernel(dim=k.dim, radial=radial, tail_scale=k.tail_scale)
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", S.HeavyTailWarning)
+        S.hodge_split(counted, r_grid=np.geomspace(0.05, 5.0, 24))
+    assert [n for deriv, n in calls if deriv] == [16 * 24, 1, 24]
+    assert all(n == 1 for deriv, n in calls if not deriv)
 
 
 def test_hodge_split_of_div_free_input_is_trivial():
