@@ -10,7 +10,6 @@ transport of ambient grids.
 
 from .specfun import (
     HankelConvergenceError,
-    HankelQuadConfig,
     bessel_j,
     bessel_k,
     hankel_integral,
@@ -49,8 +48,6 @@ from .spectral import (
     Spectrum,
     cauchy_spectrum,
     certify_pd,
-    certify_spectrum,
-    default_rho_grid,
     example1_spectrum,
     example2_spectrum,
     forward_map,

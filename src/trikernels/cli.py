@@ -386,13 +386,11 @@ def _phase_header(n: int, d: int) -> list[str]:
     return [f"{v}{a+1}_{i+1}" for v in "qp" for a in range(n) for i in range(d)]
 
 
-def _trajectory_csv(path: Path, traj: dyn.Trajectory) -> None:
-    header = ["t", *_phase_header(traj.n_landmarks, traj.dim), "H"]
-    rows = np.column_stack([traj.times,
-                            traj.q.reshape(len(traj.times), -1),
-                            traj.p.reshape(len(traj.times), -1),
+def _phase_rows(traj: dyn.Trajectory) -> np.ndarray:
+    """One row per sample: t, then q and p in `_phase_header` order, then H."""
+    n = len(traj.times)
+    return np.column_stack([traj.times, traj.q.reshape(n, -1), traj.p.reshape(n, -1),
                             traj.hamiltonians])
-    _write_csv(path, header, rows)
 
 
 def cmd_shoot(cfg: dict, k: ker.TriKernel, args) -> int:
@@ -407,7 +405,7 @@ def cmd_shoot(cfg: dict, k: ker.TriKernel, args) -> int:
     else:
         fg, traj = None, dyn.shoot(k, lmk, mom, icfg)
     path = _out_path(args, out, "trajectory.csv")
-    _trajectory_csv(path, traj)
+    _write_csv(path, ["t", *_phase_header(traj.n_landmarks, traj.dim), "H"], _phase_rows(traj))
     print(f"wrote {path}")
     h0 = traj.hamiltonians[0]
     print(f"H(0) = {h0:.9g}   max |H - H(0)| = {traj.energy_drift():.3e}")
@@ -463,15 +461,10 @@ def cmd_expmap(cfg: dict, k: ker.TriKernel, args) -> int:
         print(f"trajectory {idx} (theta={thetas[idx]:.4f}) failed: {msg}")
 
     path = _out_path(args, out, "expmap.csv")
-    rows = []
-    for i, traj in enumerate(fan.trajectories):
-        if traj is None:
-            continue
-        for j, t in enumerate(traj.times):
-            rows.append([thetas[i], t,
-                         *traj.q[j].ravel(), *traj.p[j].ravel(),
-                         traj.hamiltonians[j]])
-    _write_csv(path, ["theta", "t", *_phase_header(lmk.n, k.dim), "H"], rows)
+    rows = [np.column_stack([np.full(len(traj.times), theta), _phase_rows(traj)])
+            for theta, traj in zip(thetas, fan.trajectories) if traj is not None]
+    _write_csv(path, ["theta", "t", *_phase_header(lmk.n, k.dim), "H"],
+               np.concatenate(rows) if rows else rows)
     print(f"wrote {path}")
 
     if out["format"] == "svg":
@@ -503,9 +496,8 @@ def cmd_hodge(cfg: dict, k: ker.TriKernel, args) -> int:
     print(f"wrote {path}")
 
     kb = cfg["kernel"]
-    if kb["family"] == "gaussian" and k.dim == 2 and kb["b"] == 1.0:
-        c = _gaussian_c(kb)
-        closed = (1.0 - np.exp(-c * r * r)) / (2.0 * c * r * r)
+    if kb["family"] == "gaussian":
+        closed = kb["b"] * ker.gaussian_hodge_pair(_gaussian_c(kb), k.dim)[0].k_perp(r)
         dev = float(np.max(np.abs(k1.k_perp(r) - closed)))
         print(f"closed-form transverse check: max dev = {dev:.3e}")
 

@@ -221,18 +221,18 @@ def curl_magnitude_at(k: TriKernel, x, alpha):
     return (curl_free_residual(k, r) * wedge / r)[()]
 
 
-def field_zero(k: TriKernel, alpha, x0, tol: float = 1e-12,
-               max_iter: int = 60) -> np.ndarray:
+def field_zero(k: TriKernel, alpha, x0) -> np.ndarray:
     """Newton search for a zero of the single-center field y -> k(y)alpha.
 
     The Jacobian columns are the coordinate derivatives of the kernel
-    matrix applied to alpha.
+    matrix applied to alpha.  The search stops at |k(x)alpha| < 1e-12 and
+    raises after 60 steps.
     """
     alpha = np.asarray(alpha, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(60):
         v = eval_matrix(k, x) @ alpha
-        if np.linalg.norm(v) < tol:
+        if np.linalg.norm(v) < 1e-12:
             return x
         # column i holds the derivative of the field along axis i
         jac = np.column_stack([partial_matrix(k, x, i) @ alpha for i in range(k.dim)])

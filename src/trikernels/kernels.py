@@ -113,7 +113,9 @@ def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> Sca
     z = r/sigma the fused tuple is amplitude times
     (phi_nu, -phi_{nu-1}/sigma^2, phi_{nu-2}/sigma^4,
     r ((2 nu - 1) phi_{nu-2} - phi_{nu-1})/sigma^4): three K_m calls.
-    f''(0) is finite for nu > 1 and f''''(0) for nu > 2.
+    f''(0) is finite for nu > 1 and f''''(0) for nu > 2.  For 1 < nu <= 2,
+    g diverges like r^(2 nu - 4) at the origin: there the tuple holds g at
+    the floor z = 1e-8, a phi_{nu-2}(1e-8)/sigma^4, which is no limit.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -164,6 +166,12 @@ class TriKernel:
     small_r_ktilde are read from it.  k_par and k_perp, the coefficients
     as callables of r, default to the values `radial` gives.  Instances are
     immutable; evaluation is pure and thread-safe.
+
+    small_r_ktilde is a limit only where ktilde is bounded.  The curl-free
+    and div-free kernels of a Bessel profile with 1 < nu <= 2 have
+    ktilde ~ r^(2 nu - 4), and report the profile's floor value
+    -/+ a phi_{nu-2}(1e-8)/sigma^4 (see `bessel_profile`).  No matrix
+    reads it: ktilde multiplies x x^T = 0 at the origin.
     """
 
     dim: int
@@ -369,11 +377,10 @@ def cauchy_kernel(sigma: float, dim: int) -> TriKernel:
     return replace(k, pd_hint=True)
 
 
-def bessel_kernel(sigma: float, ell: float, dim: int, normalized: bool = True) -> TriKernel:
-    """Scalar Sobolev-type kernel of smoothness ell and width sigma."""
-    nu = ell - dim / 2.0
-    amp = sobolev_green_constant(sigma, ell, dim) if normalized else 1.0
-    prof = bessel_profile(nu, sigma, amp)
+def bessel_kernel(sigma: float, ell: float, dim: int) -> TriKernel:
+    """Scalar Sobolev-type kernel of smoothness ell and width sigma, with the
+    Green's function amplitude `sobolev_green_constant`."""
+    prof = bessel_profile(ell - dim / 2.0, sigma, sobolev_green_constant(sigma, ell, dim))
     k = scalar_kernel(prof, dim, tag=f"bessel(sigma={sigma},ell={ell})")
     return replace(k, pd_hint=True)
 

@@ -11,7 +11,9 @@ segmented quadrature for semi-infinite oscillatory integrals
 which is the workhorse behind every spectral transform in the package.
 Integration proceeds segment by segment between consecutive zeros of the
 oscillating Bessel factor (zeros located by the McMahon expansion), with
-fixed-order Gauss-Legendre panels inside each segment.  Profiles with
+fixed-order Gauss-Legendre panels inside each segment.  Every transform
+uses the same settings, which are module constants: a relative tolerance
+of 1e-10, at most 400 segments and 32 nodes per panel.  Profiles with
 slowly decaying tails (e.g. rational ones) produce alternating segment
 sums that converge like 1/k; those are resummed by iterated averaging of
 the partial sums, which turns the 1/k tail into geometric convergence.
@@ -33,7 +35,6 @@ spherical Bessel function j_n, and only the remaining orders to ``jv``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,30 +44,12 @@ class HankelConvergenceError(RuntimeError):
     """Raised when the segment budget is exhausted before the tolerance."""
 
 
-@dataclass(frozen=True)
-class HankelQuadConfig:
-    """Controls for the segmented oscillatory quadrature.
-
-    segment_tol : relative tolerance on the accumulated tail.
-    max_segments : budget of Bessel-zero segments per integral.
-    nodes_per_segment : Gauss-Legendre order used on each panel.
-    """
-
-    segment_tol: float = 1e-10
-    max_segments: int = 400
-    nodes_per_segment: int = 32
-
-    def __post_init__(self):
-        if not self.segment_tol > 0:
-            raise ValueError("segment_tol must be positive")
-        if self.max_segments < 8:
-            raise ValueError("max_segments must be at least 8")
-        if self.nodes_per_segment < 8:
-            raise ValueError("nodes_per_segment must be at least 8")
-
-
-DEFAULT_QUAD = HankelQuadConfig()
-
+# quadrature settings, read at each call: the relative size of a segment
+# against the running sum below which it counts as small, the budget of
+# Bessel-zero segments per integral and the Gauss-Legendre order per panel
+_SEGMENT_TOL = 1e-10
+_MAX_SEGMENTS = 400
+_NODES_PER_SEGMENT = 32
 # partial sums kept for the iterated-mean limit estimate
 _MEAN_WINDOW = 48
 # Bessel-zero segments per profile call; blocks end where the iterated mean
@@ -244,8 +227,7 @@ def _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights):
     return sums.reshape(cols, lo.size).T.reshape(lo.shape + fr.shape[:-1])
 
 
-def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QUAD,
-                    tail_hint: float | None = None):
+def hankel_integral(f, weight_power, nu, rho, tail_hint: float | None = None):
     """Evaluate int_0^inf r**weight_power f(r) J_nu(rho r) dr.
 
     Parameters
@@ -266,8 +248,6 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
         each frequency with its own stopping tests.  The result has rho's
         shape, with a trailing axis of length m for a profile of m columns;
         a scalar rho and a 1-D profile give a float.
-    cfg : HankelQuadConfig
-        Segmentation and panel controls.
     tail_hint : float, optional
         Radius beyond which the weighted profile is negligible.  Probed
         numerically on the largest column when omitted; callers with
@@ -276,8 +256,8 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
     Raises
     ------
     HankelConvergenceError
-        If cfg.max_segments zero-to-zero segments do not reach the
-        requested tolerance at some frequency; the message names one, and
+        If _MAX_SEGMENTS zero-to-zero segments do not reach the
+        tolerance at some frequency; the message names one, and
         its column.
     """
     rho = np.asarray(rho, dtype=float)
@@ -291,9 +271,9 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
         hint = float(tail_hint)
     else:
         hint = _probe_tail_scale(f, weight_power)
-    tol = cfg.segment_tol
-    nodes, weights = _gauss_legendre(cfg.nodes_per_segment)
-    zeros = _bessel_zeros(nu, cfg.max_segments)
+    tol, budget = _SEGMENT_TOL, _MAX_SEGMENTS
+    nodes, weights = _gauss_legendre(_NODES_PER_SEGMENT)
+    zeros = _bessel_zeros(nu, budget)
     # extra cuts resolving the profile mass when oscillation is slow
     ladder = hint * 2.0 ** np.arange(-5, 4, dtype=float)
 
@@ -314,7 +294,7 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
         return (a.reshape(acc.shape) for a in _iterated_mean(recent(k)))
 
     # segments k0..k1-1 of every running frequency in one call, then their tests in order
-    starts = [0, *range(1, cfg.max_segments, _SEGMENT_BLOCK), cfg.max_segments]
+    starts = [0, *range(1, budget, _SEGMENT_BLOCK), budget]
     for k0, k1 in zip(starts[:-1], starts[1:]):
         if idx.size == 0:
             break
@@ -355,14 +335,14 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
                     a[keep] for a in (idx, w, reach, acc, seg_scale, prev_small, running,
                                       window, sums, his))
     if idx.size:
-        val, err = limits(cfg.max_segments - 1)
+        val, err = limits(budget - 1)
         ok = err <= np.maximum(1e3 * tol * np.abs(val), 1e-14 * seg_scale)
         out[idx] = np.where(running & ok, val, out[idx])
         bad = running & ~ok
         if bad.any():
             i, c = np.argwhere(bad)[0]
             raise HankelConvergenceError(
-                f"no convergence after {cfg.max_segments} segments at "
+                f"no convergence after {budget} segments at "
                 f"rho={w[i]:.6g} in column {c} (last error estimate {err[i, c]:.3e}; "
                 f"{int(np.count_nonzero(bad.any(axis=1)))} of {rho.size} frequencies failed)")
     if columns is None:       # no frequencies: the profile's own shape gives the columns
@@ -371,17 +351,17 @@ def hankel_integral(f, weight_power, nu, rho, cfg: HankelQuadConfig = DEFAULT_QU
     return float(out) if out.ndim == 0 else out
 
 
-def radial_moment(f, power, tail_hint: float | None = None,
-                  rel_tol: float = 1e-12):
+def radial_moment(f, power, tail_hint: float):
     """Evaluate int_0^inf r**power f(r) dr for a decaying profile.
 
     Used for the small-argument limits of the inverse spectral transform,
     where the Bessel factor degenerates to its leading monomial.  A profile
     of m columns, shape (m, n) at n radii, gives the m moments from one
     panel loop; each column keeps the value at which it turned quiet, and
-    the loop ends when every column has.  A 1-D profile gives a float.
+    the loop ends when every column has.  tail_hint is the radius beyond
+    which the weighted profile is negligible.  A 1-D profile gives a float.
     """
-    hint = float(tail_hint) if tail_hint is not None else _probe_tail_scale(f, power)
+    hint = float(tail_hint)
     nodes, weights = _gauss_legendre(48)
     edges = np.concatenate(([0.0], hint * 2.0 ** np.arange(-24, 10, dtype=float)))
     acc = out = 0.0
@@ -392,7 +372,7 @@ def radial_moment(f, power, tail_hint: float | None = None,
         r = mid + half * nodes
         s = np.sum(np.asarray(f(r), dtype=float) * r ** power * weights, axis=-1) * half
         acc = acc + s
-        quiet = np.where(np.abs(s) <= rel_tol * np.maximum(np.abs(acc), 1e-300), quiet + 1, 0)
+        quiet = np.where(np.abs(s) <= 1e-12 * np.maximum(np.abs(acc), 1e-300), quiet + 1, 0)
         done = running & (quiet >= 2) & (b >= hint)
         out = np.where(done, acc, out)
         running = running & ~done

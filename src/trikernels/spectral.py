@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import TriKernel, ktilde
-from .specfun import hankel_integral, radial_moment
+from .specfun import bessel_k, hankel_integral, lower_gamma, radial_moment, upper_gamma
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,16 +85,11 @@ class PdVerdict:
     n_grid: int
 
 
-def default_rho_grid(scale: float = 1.0, n: int = 256,
-                     lo: float = 1e-3, hi: float = 20.0) -> np.ndarray:
-    """Log-spaced frequency grid, scaled by the kernel's length constant."""
-    return np.geomspace(lo * scale, hi * scale, n)
-
-
 def _grid_for(k: TriKernel) -> np.ndarray:
-    """Default grid scaled so unit-width kernels get scale 1."""
+    """Default grid: 256 log-spaced frequencies on [1e-3, 20], scaled by the
+    kernel's length constant so that unit-width kernels get scale 1."""
     scale = 7.0 / k.tail_scale if np.isfinite(k.tail_scale) and k.tail_scale > 0 else 1.0
-    return default_rho_grid(scale=scale)
+    return np.geomspace(1e-3 * scale, 20.0 * scale, 256)
 
 
 def _spline(grid, samples):
@@ -218,20 +213,10 @@ def inverse_map(s: Spectrum, r_grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def certify_pd(k: TriKernel, rho_grid=None, tol: float = 1e-8) -> PdVerdict:
-    """Sampled positive-definiteness certificate from the spectral signs."""
-    return certify_spectrum(forward_map(k, rho_grid), tol)
-
-
-def certify_spectrum(s: Spectrum, tol: float = 1e-8) -> PdVerdict:
-    """Certificate straight from a Spectrum (closed-form or tabulated)."""
-    if s.rho_grid is not None:
-        grid = s.rho_grid
-        hp = s.h_par_samples
-        hq = s.h_perp_samples
-    else:
-        grid = default_rho_grid()
-        hp = np.asarray(s.h_par(grid), dtype=float)
-        hq = np.asarray(s.h_perp(grid), dtype=float)
+    """Sampled positive-definiteness certificate from the signs of the
+    spectral samples that `forward_map` tabulates on rho_grid."""
+    s = forward_map(k, rho_grid)
+    grid, hp, hq = s.rho_grid, s.h_par_samples, s.h_perp_samples
     min_par, min_perp = float(hp.min()), float(hq.min())
     if min_par <= min_perp:
         witness = float(grid[int(np.argmin(hp))])
@@ -278,10 +263,8 @@ def cauchy_spectrum(sigma: float, dim: int) -> Spectrum:
     mu = dim / 2.0 - 1.0
 
     def h(rho):
-        from scipy import special as sp
-
         rho = np.asarray(rho, dtype=float)
-        return TWO_PI * sigma ** 2 * (sigma / rho) ** mu * sp.kv(mu, TWO_PI * sigma * rho)
+        return TWO_PI * sigma ** 2 * (sigma / rho) ** mu * bessel_k(mu, TWO_PI * sigma * rho)
 
     return Spectrum(dim=dim, h_par=h, h_perp=h, tail_scale=8.0 / sigma)
 
@@ -328,18 +311,15 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
     mu = dim / 2.0 - 1.0
-    gnum = math.gamma(mu + 1.0)
 
     def gamma_diff(rho):
         # upper(mu+1, x2) - upper(mu+1, x1) = lower(mu+1, x1) - lower(mu+1, x2)
-        from scipy import special as sp
-
         rho = np.asarray(rho, dtype=float)
         x1 = math.pi ** 2 * np.square(rho) / c1
         x2 = math.pi ** 2 * np.square(rho) / c2
         small = np.maximum(x1, x2) < mu + 2.0
-        lower = gnum * (sp.gammainc(mu + 1.0, x1) - sp.gammainc(mu + 1.0, x2))
-        upper = gnum * (sp.gammaincc(mu + 1.0, x2) - sp.gammaincc(mu + 1.0, x1))
+        lower = lower_gamma(mu + 1.0, x1) - lower_gamma(mu + 1.0, x2)
+        upper = upper_gamma(mu + 1.0, x2) - upper_gamma(mu + 1.0, x1)
         return np.where(small, lower, upper)
 
     # finite rho -> 0 limits of the gamma-difference terms
@@ -461,8 +441,7 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     return curl_free, div_free
 
 
-def hodge_orthogonality(k1: TriKernel, k2: TriKernel, radius: float,
-                        n_r: int | None = None) -> tuple[float, float, float]:
+def hodge_orthogonality(k1: TriKernel, k2: TriKernel, radius: float) -> tuple[float, float, float]:
     """Truncated-domain L2 pairing of the fields x -> k1(x)e1 and k2(x)e1.
 
     Reduces to a radial trapezoid integral: the angular average of the
@@ -470,11 +449,10 @@ def hodge_orthogonality(k1: TriKernel, k2: TriKernel, radius: float,
     the analogue in higher dimension.  Returns (inner, norm1, norm2).
     The pairing vanishes over all of R^d; over a ball of radius R the
     r^{-(2mu+2)} component tails leave a defect of order 1/R^2 relative.
+    The trapezoid takes max(4000, 200 R) radii.
     """
     d = k1.dim
-    if n_r is None:
-        n_r = max(4000, int(200 * radius))
-    r = np.linspace(1e-6, radius, n_r)
+    r = np.linspace(1e-6, radius, max(4000, int(200 * radius)))
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     w = surf * r ** (d - 1)
     # angular averages of (e1 . xhat)^2 and its complement

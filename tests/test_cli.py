@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, artifacts, and CSV round-trips."""
 
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -536,6 +538,33 @@ def test_expmap_single_angle_matches_shoot(tmp_path):
                                traj.q.reshape(len(traj.times), -1), atol=0.0)
 
 
+def test_expmap_csv_of_a_fan_with_a_coalescing_member(tmp_path):
+    # members at theta = 1.0472 and above coalesce; the rows of the others are the
+    # per-sample rows (theta, t, q, p, H) the library's trajectories give
+    cfg = {
+        "kernel": {"family": "gaussian_curl_free", "b": 0.03125, "c": 16.0, "dim": 2},
+        "landmarks": [[0.0, -0.05], [0.0, 0.05]],
+        "expmap": {"magnitude": 60.0, "count": 7, "theta_min": 0.0,
+                   "theta_max": math.pi / 2},
+        "integrator": {"step": 0.001, "record_every": 100},
+    }
+    assert run(tmp_path, "expmap", cfg) == 0
+    thetas = np.linspace(0.0, math.pi / 2, 7)
+    k = cli.build_kernel(cfg["kernel"])
+    fan = D.exp_map_fan(k, F.LandmarkConfig(cfg["landmarks"]), D.theta_momenta(60.0, thetas),
+                        D.IntegratorConfig(step=0.001, record_every=100))
+    assert [i for i, _ in fan.failures] == [4, 5, 6]
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["theta", "t", "q1_1", "q1_2", "q2_1", "q2_2",
+                     "p1_1", "p1_2", "p2_1", "p2_2", "H"])
+    for theta, traj in zip(thetas, fan.trajectories):
+        for j, t in enumerate(traj.times if traj is not None else []):
+            writer.writerow([float(v) for v in (theta, t, *traj.q[j].ravel(),
+                                                *traj.p[j].ravel(), traj.hamiltonians[j])])
+    assert (tmp_path / "expmap.csv").read_bytes() == want.getvalue().encode()
+
+
 # --- hodge ------------------------------------------------------------------------
 
 def test_hodge_command(tmp_path, capsys):
@@ -557,6 +586,17 @@ def test_hodge_command(tmp_path, capsys):
     assert float(ortho_line.split("=")[-1]) <= 1e-4
     assert (tmp_path / "hodge_curl_free.svg").exists()
     assert (tmp_path / "hodge_div_free.svg").exists()
+
+
+@pytest.mark.parametrize("kernel", [
+    {"family": "gaussian", "c": 0.7, "dim": 3},
+    {"family": "gaussian", "c": 1.3, "b": 0.5, "dim": 2},
+], ids=["d3", "b-half"])
+def test_hodge_closed_form_check_on_every_gaussian(tmp_path, capsys, kernel):
+    assert run(tmp_path, "hodge", {"kernel": kernel, "hodge": {"n": 64}}) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "closed-form" in l]
+    assert len(lines) == 1
+    assert float(lines[0].split("=")[-1]) <= 1e-6
 
 
 def test_hodge_div_free_input_has_tiny_curl_component(tmp_path):

@@ -368,6 +368,19 @@ def test_bessel_constructions_take_exact_limits_at_the_origin(nu, d):
     assert df.small_r_ktilde == pytest.approx(f4 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("make", [K.make_curl_free, K.make_div_free],
+                         ids=["curl_free", "div_free"])
+def test_bessel_constructions_below_order_two_give_k0_identity_at_the_origin(make, d):
+    # for 1 < nu <= 2 ktilde ~ r^(2 nu - 4) has no limit, and small_r_ktilde is the
+    # profile's floor value; it multiplies x x^T = 0, so no matrix sees it
+    k = make(K.bessel_profile(1.5, 0.8, 1.3), d)
+    assert abs(k.small_r_ktilde) > 1e6 * abs(k.k0) > 0
+    got = K.eval_matrix(k, np.zeros((3, d)))
+    assert np.array_equal(got, np.broadcast_to(k.k0 * np.eye(d), (3, d, d)))
+    assert np.array_equal(K.eval_matrix(k, np.zeros(d)), k.k0 * np.eye(d))
+
+
 def _cauchy_series(sigma):
     """(c, p) with 1 / (1 + r^2/sigma^2) = sum c r^p near the origin."""
     return [((-1.0) ** k / sigma ** (2 * k), 2.0 * k) for k in range(12)]

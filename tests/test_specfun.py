@@ -182,12 +182,17 @@ def test_hankel_rho_domain():
         sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, 0.0, 0.0)
 
 
-def test_hankel_nonconvergence_error():
-    cfg = sf.HankelQuadConfig(segment_tol=1e-10, max_segments=8, nodes_per_segment=8)
+def short_budget(monkeypatch, max_segments=8, nodes_per_segment=8):
+    """Quadrature at a segment budget and panel order below the module's."""
+    monkeypatch.setattr(sf, "_MAX_SEGMENTS", max_segments)
+    monkeypatch.setattr(sf, "_NODES_PER_SEGMENT", nodes_per_segment)
+
+
+def test_hankel_nonconvergence_error(monkeypatch):
+    short_budget(monkeypatch)
     # 1/sqrt(r)-type tail needs far more than 8 segments at this frequency
     with pytest.raises(sf.HankelConvergenceError):
-        sf.hankel_integral(lambda r: 1.0 / (1.0 + r), 0.0, 0.0, 50.0,
-                           cfg=cfg, tail_hint=1.0)
+        sf.hankel_integral(lambda r: 1.0 / (1.0 + r), 0.0, 0.0, 50.0, tail_hint=1.0)
 
 
 # frequencies spanning the default spectral grid, times 2 pi
@@ -208,35 +213,34 @@ def test_hankel_array_matches_scalar_calls(f, weight, nu, hint):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_hankel_array_with_one_nonconvergent_frequency():
-    cfg = sf.HankelQuadConfig(segment_tol=1e-10, max_segments=8, nodes_per_segment=8)
+def test_hankel_array_with_one_nonconvergent_frequency(monkeypatch):
+    short_budget(monkeypatch)
     f = lambda r: np.exp(-r * r)
     # the low frequencies settle within the budget; rho = 400 needs ~900 segments
     rho = np.array([0.5, 1.0, 2.0])
-    got = sf.hankel_integral(f, 1.0, 0.0, rho, cfg=cfg, tail_hint=7.0)
+    got = sf.hankel_integral(f, 1.0, 0.0, rho, tail_hint=7.0)
     np.testing.assert_allclose(got, 0.5 * np.exp(-rho ** 2 / 4), rtol=1e-9)
     with pytest.raises(sf.HankelConvergenceError, match=r"rho=400 .*1 of 4"):
-        sf.hankel_integral(f, 1.0, 0.0, np.array([0.5, 1.0, 2.0, 400.0]),
-                           cfg=cfg, tail_hint=7.0)
+        sf.hankel_integral(f, 1.0, 0.0, np.array([0.5, 1.0, 2.0, 400.0]), tail_hint=7.0)
 
 
 @pytest.mark.parametrize("max_segments", [9, 10, 11, 12])
-def test_hankel_budget_ending_inside_a_block(max_segments):
+def test_hankel_budget_ending_inside_a_block(max_segments, monkeypatch):
     # segments are evaluated in blocks ending at k = 4, 8, 12, ...; budgets of 10 to 12
     # cut the last block short, and rho = 5 takes exactly 12 segments
     f = lambda r: np.exp(-r * r)
     hint = math.sqrt(48.0)
     rho = np.array([0.5, 2.0, 4.0, 4.5, 5.0])[:4 + (max_segments >= 12)]
-    cfg = sf.HankelQuadConfig(max_segments=max_segments)
-    got = sf.hankel_integral(f, 1.0, 0.0, rho, cfg=cfg, tail_hint=hint)
     want = sf.hankel_integral(f, 1.0, 0.0, rho, tail_hint=hint)
+    with monkeypatch.context() as m:
+        m.setattr(sf, "_MAX_SEGMENTS", max_segments)
+        got = sf.hankel_integral(f, 1.0, 0.0, rho, tail_hint=hint)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
     np.testing.assert_allclose(got, 0.5 * np.exp(-rho ** 2 / 4), rtol=1e-9)
-    cfg = sf.HankelQuadConfig(segment_tol=1e-10, max_segments=max_segments, nodes_per_segment=8)
+    short_budget(monkeypatch, max_segments)
     with pytest.raises(sf.HankelConvergenceError,
                        match=rf"no convergence after {max_segments} segments at rho=400 .*1 of 4"):
-        sf.hankel_integral(f, 1.0, 0.0, np.array([0.5, 1.0, 2.0, 400.0]),
-                           cfg=cfg, tail_hint=7.0)
+        sf.hankel_integral(f, 1.0, 0.0, np.array([0.5, 1.0, 2.0, 400.0]), tail_hint=7.0)
 
 
 def _profile_calls(f, *args, **kwargs):
@@ -326,15 +330,6 @@ def test_hankel_scalar_rho_returns_float():
     assert got == pytest.approx(0.5 * math.exp(-1.0), rel=1e-12)
 
 
-def test_quad_config_validation():
-    with pytest.raises(ValueError):
-        sf.HankelQuadConfig(segment_tol=0.0)
-    with pytest.raises(ValueError):
-        sf.HankelQuadConfig(max_segments=4)
-    with pytest.raises(ValueError):
-        sf.HankelQuadConfig(nodes_per_segment=4)
-
-
 def test_radial_moment_gaussian():
     # int r^3 e^{-r^2} dr = 1/2
     got = sf.radial_moment(lambda r: np.exp(-r * r), 3.0, tail_hint=7.0)
@@ -382,16 +377,16 @@ def test_hankel_columns_without_frequencies():
 
 
 @pytest.mark.parametrize("column", [0, 1])
-def test_hankel_nonconvergent_column_is_named(column):
-    cfg = sf.HankelQuadConfig(segment_tol=1e-10, max_segments=8, nodes_per_segment=8)
+def test_hankel_nonconvergent_column_is_named(column, monkeypatch):
+    short_budget(monkeypatch)
     # the 1/(1 + r) tail cannot settle in 8 segments at rho = 2; the Gaussian can
-    assert sf.hankel_integral(_gauss, 0.0, 0.0, 2.0, cfg=cfg, tail_hint=7.0) > 0
+    assert sf.hankel_integral(_gauss, 0.0, 0.0, 2.0, tail_hint=7.0) > 0
     cols = [_gauss, _gauss]
     cols[column] = lambda r: 1.0 / (1.0 + r)
     with pytest.raises(sf.HankelConvergenceError,
                        match=rf"rho=2 in column {column} .*1 of 1 frequencies"):
         sf.hankel_integral(lambda r: np.stack([f(r) for f in cols]), 0.0, 0.0, 2.0,
-                           cfg=cfg, tail_hint=7.0)
+                           tail_hint=7.0)
 
 
 def test_hankel_probe_uses_the_largest_column():
