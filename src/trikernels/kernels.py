@@ -172,6 +172,12 @@ class TriKernel:
     ktilde ~ r^(2 nu - 4), and report the profile's floor value
     -/+ a phi_{nu-2}(1e-8)/sigma^4 (see `bessel_profile`).  No matrix
     reads it: ktilde multiplies x x^T = 0 at the origin.
+
+    generator, when set, is (profile, (w_s, w_c, w_d)): the kernel is
+    w_s f I + w_c curl(f) + w_d div(f) of one scalar profile f, the scalar,
+    curl-free and div-free constructions below.  Only the spectral side
+    reads it, for one Hankel transform of f per spectrum and an exact Hodge
+    split when w_s = 0; `radial` stays each family's own closed form.
     """
 
     dim: int
@@ -181,6 +187,7 @@ class TriKernel:
     pd_hint: Optional[bool] = None
     k_par: Optional[Callable] = field(default=None, repr=False)
     k_perp: Optional[Callable] = field(default=None, repr=False)
+    generator: Optional[tuple] = field(default=None, repr=False)
     k0: float = field(init=False)
     small_r_ktilde: float = field(init=False)
     # perfbench/tracing.py reads these by name (RADIAL_FIELDS); they go with ROADMAP item 4
@@ -310,7 +317,9 @@ def family_example1(a: float, b: float, c: float, dim: int) -> TriKernel:
     """Gaussian family with kpar = b e^{-cr^2}, kperp = (b - a r^2) e^{-cr^2}.
 
     ktilde = a e^{-cr^2}; positive definite iff (a, b) lies in D1.  The
-    boundary b = (d-1) a / (2c) gives divergence-free kernels.
+    boundary b = (d-1) a / (2c) gives divergence-free kernels.  With
+    f = e^{-cr^2} it is (b - (d-1) a/(2c)) f I + a/(4c^2) div(f), and D1 is
+    "both weights >= 0".
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -323,15 +332,18 @@ def family_example1(a: float, b: float, c: float, dim: int) -> TriKernel:
             return kperp, kt
         return kperp, kt, (-2.0 * b * c) * r * e, -2.0 * r * (kt + c * kperp)
 
+    weights = (b - (dim - 1) * a / (2.0 * c), 0.0, a / (4.0 * c * c))
     return TriKernel(dim=dim, radial=radial, family_tag=f"example1(a={a},b={b},c={c})",
-                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D1(a, b, c, dim))
+                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D1(a, b, c, dim),
+                     generator=(gaussian_profile(1.0, c), weights))
 
 
 def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
     """Mirror family: kpar = (b - a r^2) e^{-cr^2}, kperp = b e^{-cr^2}.
 
     ktilde = -a e^{-cr^2}; positive definite iff (a, b) lies in D2.  The
-    boundary b = a / (2c) gives curl-free kernels.
+    boundary b = a / (2c) gives curl-free kernels.  With f = e^{-cr^2} it is
+    (b - a/(2c)) f I + a/(4c^2) curl(f), and D2 is "both weights >= 0".
     """
     if c <= 0:
         raise ValueError("c must be positive")
@@ -345,8 +357,10 @@ def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
         kpar = kperp + np.square(r) * kt
         return kperp, kt, -2.0 * r * (c * kpar - kt), (-2.0 * c) * r * kperp
 
+    weights = (b - a / (2.0 * c), a / (4.0 * c * c), 0.0)
     return TriKernel(dim=dim, radial=radial, family_tag=f"example2(a={a},b={b},c={c})",
-                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D2(a, b, c))
+                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D2(a, b, c),
+                     generator=(gaussian_profile(1.0, c), weights))
 
 
 def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriKernel:
@@ -361,7 +375,8 @@ def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriK
         dk = r * q[0]
         return f, kt, dk, dk
 
-    return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale)
+    return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale,
+                     generator=(profile, (1.0, 0.0, 0.0)))
 
 
 def gaussian_kernel(c: float, dim: int, amplitude: float = 1.0) -> TriKernel:
@@ -406,7 +421,8 @@ def make_curl_free(profile: ScalarProfile, dim: int) -> TriKernel:
         return -q, -g, -f3[0], -r * g
 
     return TriKernel(dim=dim, radial=radial, family_tag="curl_free",
-                     tail_scale=profile.tail_scale, pd_hint=True)
+                     tail_scale=profile.tail_scale, pd_hint=True,
+                     generator=(profile, (0.0, 1.0, 0.0)))
 
 
 def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
@@ -429,7 +445,8 @@ def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
         return kperp, g, -(d - 1) * rg, -(d - 2) * rg - f3[0]
 
     return TriKernel(dim=dim, radial=radial, family_tag="div_free",
-                     tail_scale=profile.tail_scale, pd_hint=True)
+                     tail_scale=profile.tail_scale, pd_hint=True,
+                     generator=(profile, (0.0, 0.0, 1.0)))
 
 
 def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:

@@ -14,10 +14,18 @@ The two J_mu integrals share their weight, order, frequencies and tail, so
 they are one two-column `hankel_integral` pass: one J_mu evaluation and
 one profile call (one `radial` call on the forward side) per block of
 segments; the J_{mu+1} integral of the difference is the second pass.
-Nonnegativity of both spectral coefficients is equivalent to positive
-definiteness, and hpar = 0 / hperp = 0 characterize divergence-free /
-curl-free kernels.  `hodge_split` masks hperp in physical space, where
-for a radial kernel the mask is two radial integrals and no transform.
+A kernel that knows its generator, w_s f I + w_c curl(f) + w_d div(f) of
+one scalar profile f, takes one pass instead: with q = 4 pi^2 p^2 and f's
+transform fhat = 2pi/p^mu I[r^{mu+1} f; J_mu], its spectrum is
+
+  hpar = (w_s + w_c q) fhat,    hperp = (w_s + w_d q) fhat,
+
+one single-column J_mu pass.  Nonnegativity of both spectral coefficients
+is equivalent to positive definiteness, and hpar = 0 / hperp = 0
+characterize divergence-free / curl-free kernels.  `hodge_split` masks
+hperp in physical space, where for a radial kernel the mask is two radial
+integrals and no transform; a generated kernel with w_s = 0 is already
+split into its curl-free and div-free terms.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import TriKernel, ktilde
+from .kernels import ScalarProfile, TriKernel, ktilde, make_curl_free, make_div_free
 from .specfun import bessel_k, hankel_integral, lower_gamma, radial_moment, upper_gamma
 
 TWO_PI = 2.0 * math.pi
@@ -113,8 +121,8 @@ def _spline(grid, samples):
     return evaluate
 
 
-def _tail_scale_from_samples(grid, a, b) -> float:
-    mag = np.maximum(np.abs(a), np.abs(b))
+def _tail_scale_from_samples(grid, *columns) -> float:
+    mag = np.max(np.abs(columns), axis=0)
     peak = mag.max()
     if peak == 0.0:
         return float(grid[-1])
@@ -139,20 +147,37 @@ def _transform(pair, diff, mu, x, tail):
     return lead * i_pair[..., 0] - (2.0 * mu + 1.0) * cross, lead * i_pair[..., 1] + cross
 
 
+def _quadrature_pair(k: TriKernel, rho):
+    """(hpar, hperp) of k at frequencies rho, and the quadrature results
+    they are weighted from, whose noise floor marks the spectrum's tail."""
+    rho = np.asarray(rho, dtype=float)
+    if k.generator is None:
+        def pair(r):
+            kperp, kt = k.radial(r)
+            return np.stack([kperp + np.square(r) * kt, kperp])
+
+        hp, hq = _transform(pair, lambda r: np.square(r) * ktilde(k, r), k.mu, rho, k.tail_scale)
+        return hp, hq, (hp, hq)
+    profile, (ws, wc, wd) = k.generator
+    mu = k.mu
+    f_hat = TWO_PI / rho ** mu * hankel_integral(lambda r: profile.fused(r, 0)[0], mu + 1.0, mu,
+                                                TWO_PI * rho, tail_hint=profile.tail_scale)
+    q = np.square(TWO_PI * rho)
+    # + 0.0 writes the -0.0 of a zero weight times a negative sample as +0.0
+    return (ws + wc * q) * f_hat + 0.0, (ws + wd * q) * f_hat + 0.0, (f_hat,)
+
+
 def spectral_pair_at(k: TriKernel, rho):
     """(hpar, hperp) of kernel k by quadrature, at one frequency or an array.
 
-    An array of frequencies takes two whole-grid passes and gives two
-    arrays of its shape; a scalar frequency gives two floats.  The J_mu
-    pass reads kpar = kperp + r^2 ktilde and kperp from one `radial` call;
-    kpar - kperp enters as r^2 ktilde, which does not cancel near r = 0.
+    An array of frequencies gives two arrays of its shape; a scalar
+    frequency gives two floats.  A kernel with a generator takes one
+    whole-grid J_mu pass of its profile f and weights f's transform.  A
+    generic kernel takes two: the J_mu pass reads kpar = kperp + r^2 ktilde
+    and kperp from one `radial` call, and kpar - kperp enters the J_{mu+1}
+    pass as r^2 ktilde, which does not cancel near r = 0.
     """
-    def pair(r):
-        kperp, kt = k.radial(r)
-        return np.stack([kperp + np.square(r) * kt, kperp])
-
-    return _transform(pair, lambda r: np.square(r) * ktilde(k, r),
-                      k.mu, np.asarray(rho, dtype=float), k.tail_scale)
+    return _quadrature_pair(k, rho)[:2]
 
 
 def forward_map(k: TriKernel, rho_grid=None) -> Spectrum:
@@ -166,12 +191,12 @@ def forward_map(k: TriKernel, rho_grid=None) -> Spectrum:
     rho_grid = np.asarray(rho_grid, dtype=float)
     if np.any(rho_grid <= 0):
         raise ValueError("rho grid must be positive")
-    hp, hq = spectral_pair_at(k, rho_grid)
+    hp, hq, quadrature = _quadrature_pair(k, rho_grid)
     return Spectrum(
         dim=k.dim,
         h_par=_spline(rho_grid, hp),
         h_perp=_spline(rho_grid, hq),
-        tail_scale=_tail_scale_from_samples(rho_grid, hp, hq),
+        tail_scale=_tail_scale_from_samples(rho_grid, *quadrature),
         rho_grid=rho_grid,
         h_par_samples=hp,
         h_perp_samples=hq,
@@ -367,6 +392,24 @@ def _hermite(x, y, dy):
     return evaluate
 
 
+def _zero_radial(r, derivatives=False):
+    return tuple(np.zeros(np.shape(r)) for _ in range(4 if derivatives else 2))
+
+
+def _generated_parts(k: TriKernel) -> tuple[TriKernel, TriKernel]:
+    """The terms w_c curl(f) and w_d div(f) of a generated k with w_s = 0."""
+    profile, (_, wc, wd) = k.generator
+    if wc != 0.0 and wd != 0.0:
+        def scaled(w):
+            return ScalarProfile(lambda r, order=3: [w * v for v in profile.fused(r, order)],
+                                 profile.tail_scale)
+
+        return make_curl_free(scaled(wc), k.dim), make_div_free(scaled(wd), k.dim)
+    zero = TriKernel(dim=k.dim, radial=_zero_radial, family_tag="zero",
+                     tail_scale=k.tail_scale, pd_hint=False)
+    return (k, zero) if wd == 0.0 else (zero, k)
+
+
 def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     """Split k into its curl-free and divergence-free kernel components.
 
@@ -380,6 +423,10 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     complement k - curl_free, so the parts sum to k to rounding.  Both
     decay like r^{-d} even for a Gaussian k; a HeavyTailWarning signals
     truncation at R visible at the 1e-3 * k0 level.
+
+    A generated kernel w_c curl(f) + w_d div(f), with w_s = 0, is split
+    exactly and without integrals: into (k, 0) when w_d = 0, (0, k) when
+    w_c = 0, and the constructions of the profiles w_c f and w_d f otherwise.
     """
     if r_grid is None:
         scale = k.tail_scale / 7.0 if np.isfinite(k.tail_scale) else 1.0
@@ -388,6 +435,8 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     if (r_grid.ndim != 1 or r_grid.size == 0 or not np.all(np.isfinite(r_grid))
             or r_grid[0] <= 0 or np.any(np.diff(r_grid) <= 0)):
         raise ValueError("r grid must be finite, positive and strictly increasing")
+    if k.generator is not None and k.generator[1][0] == 0.0:
+        return _generated_parts(k)
     d, whole = k.dim, k.radial
 
     def residual(r):

@@ -339,6 +339,22 @@ def test_spectrum_dump(tmp_path, capsys):
     np.testing.assert_allclose(rows[:, 1], want, atol=1e-7 * want.max())
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("family, zero", [("gaussian_div_free", "par"),
+                                          ("gaussian_curl_free", "perp")])
+def test_zero_coefficient_is_written_as_plus_zero(tmp_path, capsys, family, zero, dim):
+    # a zero weight times a negative tail sample of f's transform is -0.0,
+    # which must neither print as "-0.000000e+00" nor reach the CSV as "-0.0"
+    kernel = {"family": family, "b": 1.0, "c": 1.0, "dim": dim}
+    assert run(tmp_path, "certify", {"kernel": kernel}) == 0
+    label = "h_par " if zero == "par" else "h_perp"
+    assert f"min {label} =  0.000000e+00" in capsys.readouterr().out
+    assert run(tmp_path, "spectrum", {"kernel": kernel}) == 0
+    fields = (tmp_path / f"spectrum_h{zero}.csv").read_text().replace("\n", ",").split(",")
+    assert "-0.0" not in fields
+    assert float(fields[-2]) == 0.0
+
+
 def test_spectrum_output_path_in_subdirectory(tmp_path):
     code = run(tmp_path, "spectrum",
                {"kernel": {"family": "gaussian", "sigma": 1.0, "dim": 2},

@@ -159,6 +159,20 @@ def test_pair_coefficients_match_paper_formulas(name, dim, a, b, c, seed):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)),
                                    err_msg=f"{name} {label}")
 
+    # radial is the weighted map w_s scalar + w_c curl + w_d div of the
+    # generator's tuple, which the spectral side reads instead of radial
+    assert (k.generator is None) == name.startswith("hodge")
+    if k.generator is not None:
+        profile, weights = k.generator
+        units = (K.scalar_kernel(profile, dim), K.make_curl_free(profile, dim),
+                 K.make_div_free(profile, dim))
+        labels = ("kperp", "ktilde", "dkpar", "dkperp")
+        columns = zip(*(unit.radial(r, True) for unit in units))
+        for label, g, unit_columns in zip(labels, k.radial(r, True), columns):
+            w = sum(weight * column for weight, column in zip(weights, unit_columns))
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)),
+                                       err_msg=f"{name} generator {label}")
+
     # the derivatives are those of the coefficients: 4th-order central differences
     h = 1e-3 * scale
     at = [_coefficients(k, r + j * h) for j in (-2, -1, 1, 2)]

@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trikernels import cli
 from trikernels import kernels as K
 from trikernels import spectral as S
 from trikernels import specfun as sf
@@ -107,9 +109,96 @@ def test_forward_map_one_radial_call_per_bessel_call(monkeypatch):
     assert len(radial_calls) == len(jv_sizes) > 0
     # one J_mu pass per coefficient takes 54,880 Bessel arguments on this grid
     assert sum(jv_sizes) <= 0.7 * 53536
-    want = S.forward_map(k, np.geomspace(1e-3, 20.0, 32))
+    want = S.forward_map(replace(k, generator=None), np.geomspace(1e-3, 20.0, 32))
     assert np.array_equal(s.h_par_samples, want.h_par_samples)
     assert np.array_equal(s.h_perp_samples, want.h_perp_samples)
+
+
+# --- kernels with a generator ---------------------------------------------------
+#
+# A generated kernel takes one J_mu pass of its profile; `replace(k,
+# generator=None)` is the same kernel on the generic two-pass path, its oracle.
+
+GRID_32 = np.geomspace(1e-3, 20.0, 32)
+
+# CLI kernel blocks without "dim"; example1/2 in and out of D1/D2
+GENERATED = {
+    "gaussian": {"family": "gaussian", "c": 1.0},
+    "cauchy": {"family": "cauchy", "sigma": 1.0},
+    "bessel": {"family": "bessel", "sigma": 1.0, "ell": 3.5},
+    "gaussian_curl_free": {"family": "gaussian_curl_free", "b": 1.0, "c": 1.0},
+    "gaussian_div_free": {"family": "gaussian_div_free", "b": 1.0, "c": 0.7},
+    "bessel_curl_free": {"family": "bessel_curl_free", "sigma": 1.0, "ell": 4.5},
+    "bessel_div_free": {"family": "bessel_div_free", "sigma": 1.0, "ell": 4.5},
+    "example1_in": {"family": "example1", "a": 1.0, "b": 1.0, "c": 1.0},
+    "example1_out": {"family": "example1", "a": 3.0, "b": 1.0, "c": 1.0},
+    "example2_in": {"family": "example2", "a": 1.0, "b": 1.0, "c": 1.0},
+    "example2_out": {"family": "example2", "a": 3.0, "b": 1.0, "c": 1.0},
+}
+MATRIX_FAMILIES = [name for name in GENERATED if name not in ("gaussian", "cauchy", "bessel")]
+
+
+def generated(name, dim):
+    return cli.build_kernel({**GENERATED[name], "dim": dim})
+
+
+def grid_of(k, which):
+    return S._grid_for(k) if which == "default" else GRID_32
+
+
+@pytest.mark.parametrize("which", ["default", "n32"])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generator_spectrum_matches_the_generic_transform(name, dim, which):
+    k = generated(name, dim)
+    assert k.generator is not None
+    grid = grid_of(k, which)
+    got = S.spectral_pair_at(k, grid)
+    want = S.spectral_pair_at(replace(k, generator=None), grid)
+    peak = max(np.max(np.abs(w)) for w in want)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-10 * peak
+
+
+@pytest.mark.parametrize("which", ["default", "n32"])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", MATRIX_FAMILIES)
+def test_generated_tail_scale_reads_the_scalar_transform(name, dim, which):
+    # q = 4 pi^2 rho^2 lifts f's quadrature noise above the 1e-14 floor; read
+    # off f's own samples, the tail is no longer than the generic path's, and
+    # the inverse map of the spectrum keeps its error
+    k = generated(name, dim)
+    grid = grid_of(k, which)
+    s, ref = S.forward_map(k, grid), S.forward_map(replace(k, generator=None), grid)
+    assert s.tail_scale <= ref.tail_scale
+    r = np.geomspace(0.01, 3.0, 7)
+
+    def inverse_error(spectrum):
+        kp, kq = S.inverse_map(spectrum, r)
+        return max(np.max(np.abs(kp - k.k_par(r))), np.max(np.abs(kq - k.k_perp(r))))
+
+    assert inverse_error(s) <= 1.1 * inverse_error(ref)
+
+
+@pytest.mark.parametrize("name, dim", [("gaussian", 2), ("example1_in", 3),
+                                       ("gaussian_div_free", 2), ("bessel_curl_free", 3)])
+def test_generated_forward_map_is_one_single_column_pass(monkeypatch, name, dim):
+    k = generated(name, dim)
+    calls, jv_sizes = [], []
+    hankel, jv = S.hankel_integral, sf._jv
+
+    def counted(f, weight_power, nu, rho, **kw):
+        out = hankel(f, weight_power, nu, rho, **kw)
+        calls.append((nu, np.shape(out)))
+        return out
+
+    monkeypatch.setattr(S, "hankel_integral", counted)
+    monkeypatch.setattr(sf, "_jv", lambda nu, x: jv_sizes.append(np.size(x)) or jv(nu, x))
+    S.forward_map(k, GRID_32)
+    assert calls == [(k.mu, (32,))]
+    if name == "gaussian":
+        # the generic path takes 34,080 Bessel arguments on this grid
+        assert sum(jv_sizes) <= 21000
 
 
 # --- inverse map and the involution -------------------------------------------
@@ -518,6 +607,52 @@ def test_hodge_split_of_div_free_input_is_trivial():
     assert np.max(np.abs(part_df.k_par(r))) < 1e-6 * scale
     assert np.max(np.abs(part_df.k_perp(r))) < 1e-6 * scale
     assert np.max(np.abs(part_cf.k_par(r) - kcf.k_par(r))) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("make, zero", [
+    (lambda d: K.make_curl_free(K.gaussian_profile(0.5, 1.0), d), 1),
+    (lambda d: K.make_div_free(K.gaussian_profile(0.5, 1.0), d), 0),
+    (lambda d: K.make_div_free(K.bessel_profile(3.5, 1.0), d), 0),
+    (lambda d: K.family_example1(2.0 / (d - 1), 1.0, 1.0, d), 0),   # b = (d-1) a / (2c)
+    (lambda d: K.family_example2(2.0, 1.0, 1.0, d), 1),             # b = a / (2c)
+], ids=["curl_free", "div_free", "bessel_div_free", "example1_D1_edge", "example2_D2_edge"])
+def test_hodge_split_of_a_generated_kernel_without_scalar_term_is_exact(make, zero, dim):
+    # w_s = 0: one part is exactly the zero kernel and the other is k itself,
+    # with no integrals, hence no truncation and no HeavyTailWarning
+    k = make(dim)
+    assert k.generator[1][0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", S.HeavyTailWarning)
+        parts = S.hodge_split(k)
+    r = np.concatenate([[0.0], np.linspace(0.05, 5.0, 200)])
+    for coefficient in parts[zero].radial(r, True):
+        assert np.all(coefficient == 0.0)
+    for got, want in zip(parts[1 - zero].radial(r, True), k.radial(r, True)):
+        assert np.array_equal(got, want)
+
+
+def test_hodge_split_of_a_generated_curl_and_div_sum_matches_the_integrals():
+    # with both w_c and w_d nonzero, the parts are the constructions of the
+    # scaled profiles; the radial integrals of the generic path agree
+    prof = K.gaussian_profile(1.0, 1.0)
+    curl_free, div_free = K.make_curl_free(prof, 2), K.make_div_free(prof, 2)
+    wc, wd = 0.5, 2.0
+
+    def radial(r, derivatives=False):
+        return tuple(wc * a + wd * b for a, b in zip(curl_free.radial(r, derivatives),
+                                                     div_free.radial(r, derivatives)))
+
+    k = K.TriKernel(dim=2, radial=radial, tail_scale=prof.tail_scale,
+                    generator=(prof, (0.0, wc, wd)))
+    exact = S.hodge_split(k)
+    integrals = hodge_split_quietly(replace(k, generator=None))
+    r = np.linspace(0.05, 5.0, 200)
+    for part, want, w, unit in zip(exact, integrals, (wc, wd), (curl_free, div_free)):
+        for got, ref, built in zip(part.radial(r, True), want.radial(r, True),
+                                   unit.radial(r, True)):
+            assert np.array_equal(got, w * built)
+            assert np.max(np.abs(got - ref)) <= 1e-6 * abs(k.k0)
 
 
 @pytest.mark.parametrize("make", [
