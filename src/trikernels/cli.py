@@ -20,7 +20,6 @@ default filled in; it runs unchanged as a config.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -307,10 +306,11 @@ def _out_path(args, out_block: dict, default_name: str) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The header, then one line of repr(float) values per row; CRLF line ends."""
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    line = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(np.asarray(rows, dtype=float).reshape(-1, len(header)).tolist())
+        fh.write(",".join(header) + "\r\n" + (line * len(table)) % tuple(table.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

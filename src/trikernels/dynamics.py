@@ -15,7 +15,10 @@ start positions at once, each with its own coalescence test; a single
 shoot is a batch of one.  `flow_grid` is that same integrator with an
 ambient lattice carried along: each stage moves the lattice with the
 velocity field spanned by the landmarks at that stage, yielding the
-deformation map and its Jacobian determinants.
+deformation map and its Jacobian determinants.  The integrator keeps the
+whole state (every member's q and p, then the lattice) in one flat
+buffer, so the stage shifts and the RK4 combination run in place over all
+of it at once instead of once per quantity.
 """
 
 from __future__ import annotations
@@ -139,17 +142,12 @@ def _dots(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (x @ p[..., :, :, None])[..., 0]
 
 
-def _row_sums(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_b a_ab x_ab for a of shape (..., N, N) and x of shape (..., N, N, d)."""
-    return (a[..., None, :] @ x)[..., 0, :]
-
-
 def _ham(k: TriKernel, q: np.ndarray, p: np.ndarray):
     """H for states of shape (..., N, d); one value per leading index."""
     x = _differences(q)
     c = pair_coefficients(k, x)
     v = _dots(x, p)
-    quad = c.kperp * (p @ np.swapaxes(p, -1, -2)) - c.ktilde * v * np.swapaxes(v, -1, -2)
+    quad = c.kperp * (p @ p.mT) - c.ktilde * v * v.mT
     return 0.5 * quad.sum(axis=(-2, -1))
 
 
@@ -169,14 +167,14 @@ def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray):
     c = pair_coefficients(k, x, derivatives=True)
     inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
     u = _dots(x, p)                                       # x_ab . p_a
-    w = -np.swapaxes(u, -1, -2)                           # x_ab . p_b
+    w = -u.mT                                             # x_ab . p_b
     kw = c.ktilde * w
-    dq = c.kperp @ p + _row_sums(kw, x)
+    dq = c.kperp @ p + (kw[..., None, :] @ x)[..., 0, :]
 
     uw = u * w * np.square(inv_r)                         # (p_a . xhat)(p_b . xhat)
-    s_pp = p @ np.swapaxes(p, -1, -2)                     # p_a . p_b
-    radial = (c.dkpar * uw + c.dkperp * (s_pp - uw)) * inv_r - 2.0 * c.ktilde * uw
-    grad = _row_sums(radial, x) + kw.sum(axis=-1)[..., None] * p + (c.ktilde * u) @ p
+    radial = (c.dkpar * uw + c.dkperp * (p @ p.mT - uw)) * inv_r - 2.0 * c.ktilde * uw
+    grad = (radial[..., None, :] @ x)[..., 0, :] + kw.sum(axis=-1)[..., None] * p \
+        + (c.ktilde * u) @ p
     return dq, -grad, c.r
 
 
@@ -185,11 +183,16 @@ def _coalesced(r: np.ndarray, t: float) -> dict[int, CoalescenceError]:
 
     The n diagonal entries of each member's r are exactly 0 (x_aa = q_a - q_a),
     so a member has a close pair when more than n entries lie below the
-    threshold; the pair itself is located only for such members.
+    threshold; the pair itself is located only for such members.  When the
+    whole batch has exactly B*N entries below it, which is every step of a
+    run without coalescence, no member is scanned.
     """
     n = r.shape[-1]
+    below = r < COALESCENCE_TOL
+    if np.count_nonzero(below) == r.size // n:         # the diagonals alone
+        return {}
     out = {}
-    for m in np.flatnonzero((r < COALESCENCE_TOL).sum(axis=(-2, -1)) > n):
+    for m in np.flatnonzero(below.sum(axis=(-2, -1)) > n):
         flat = (r[m] + np.diag(np.full(n, np.inf))).ravel()
         idx = int(np.argmin(flat))
         out[int(m)] = CoalescenceError((idx // n, idx % n), t, float(flat[idx]))
@@ -214,75 +217,109 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
                cfg: IntegratorConfig, points: Optional[np.ndarray] = None):
     """Integrate a batch of members from shared positions q0 (N, d).
 
-    `momenta` holds one (N, d) initial momentum per member.  Each RK4
-    stage evaluates every running member at once.  Each member has its
-    own coalescence test; a member that fails at some stage is dropped
-    from the batch once the step ends, and the others continue.  For a
-    batch of one, `points` (G, d) move in the same stages with the field
-    of each stage's (q, p); they are carried as a C-contiguous (d, G)
-    array, whose .T view `field_apply` takes and returns without copies.
-    The H of a recorded row is 1/2 sum_a p_a . dq_a with the dq of the
-    next step's first stage, taken at that same state; only the final
-    row, which no stage follows, evaluates the Hamiltonian itself.
-    Returns, per member, its Trajectory or the CoalescenceError that a
-    lone integration of that member raises, and a list holding the final
-    points as (G, d) (empty without points).
+    `momenta` holds one (N, d) initial momentum per member.  The state is
+    one flat buffer: every member's q, then p, both (B, N, d), then, for a
+    batch of one carrying `points` (G, d), the lattice as a (d, G) block,
+    whose .T view `field_apply` takes and returns without copies; a further
+    per-point row would be one more slice at the end.  Each stage evaluates
+    every running member at once into a preallocated k buffer of the same
+    layout.  The shifts (c k, then y + that) and the RK4 combination (2 k2,
+    + k1, + 2 k3, + k4, times h/6, then y + that) run in place over whole
+    buffers, in the operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4) on
+    separate arrays, so the results are those bit for bit.  Each member
+    has its own coalescence test; a member that fails at some stage is
+    dropped once the step ends, by repacking the buffers without it.  The
+    H of a recorded row is 1/2 sum_a p_a . dq_a with the dq of the next
+    step's first stage, taken at that same state; only the final row
+    evaluates the Hamiltonian itself.  Returns, per member, its Trajectory
+    or the CoalescenceError that a lone integration of that member raises,
+    and a list holding the final points as (G, d) (empty without points).
     """
     n_steps = cfg.n_steps
     h = 1.0 / n_steps
     p = np.array(momenta, dtype=float)
-    q = np.broadcast_to(np.asarray(q0, dtype=float), p.shape).copy()
-    state = [q, p] if points is None else \
-        [q, p, np.array(np.asarray(points, dtype=float).T, order="C")]
+    carry = points is not None
+    lattice = np.asarray(points, dtype=float).T if carry else np.empty((p.shape[2], 0))
+
+    def pack(q, p, x):
+        """Flat buffers for y (holding q, p, x), the stage input and k1..k4,
+        each with its views q, p (B, N, d) and lattice (d, G)."""
+        s = q.size
+        bufs = np.empty((6, 2 * s + x.size))
+        vs = [(b[:s].reshape(q.shape), b[s:2 * s].reshape(q.shape), b[2 * s:].reshape(x.shape))
+              for b in bufs]
+        vs[0][0][...], vs[0][1][...], vs[0][2][...] = q, p, x
+        return bufs, vs
+
     recorded = [i + 1 for i in range(n_steps)
                 if (i + 1) % cfg.record_every == 0 or i == n_steps - 1]
     qs = np.zeros((len(recorded) + 1,) + p.shape)
     ps = np.zeros_like(qs)
     hs = np.zeros((len(recorded) + 1, len(p)))
-    qs[0], ps[0] = q, p
+    qs[0], ps[0] = q0, p
     live = np.arange(len(p))
     errors: dict[int, CoalescenceError] = {}
+    (y, tmp, k1, k2, k3, k4), (vy, vtmp, vk1, vk2, vk3, vk4) = \
+        pack(np.broadcast_to(q0, p.shape), p, lattice)
 
-    def rate(s, t):
-        dq, dp, r = _rhs(k, s[0], s[1])
+    def rate(state, out, t):
+        """Rates at the views `state` of one buffer, into the views `out`."""
+        q, p, x = state
+        dq, dp, r = _rhs(k, q, p)
         for m, err in _coalesced(r, t).items():
             errors.setdefault(int(live[m]), err)
-        return [dq, dp] if len(s) == 2 else [dq, dp, field_apply(k, s[0][0], s[1][0], s[2].T).T]
+        out[0][...], out[1][...] = dq, dp
+        if carry:
+            out[2][...] = field_apply(k, q[0], p[0], x.T).T
 
-    def shift(s, c, ds):
-        return [a + c * b for a, b in zip(s, ds)]
+    def shift(kj, c):
+        """tmp = y + c kj."""
+        np.multiply(kj, c, out=tmp)
+        np.add(y, tmp, out=tmp)
 
     row, pending = 1, 0                # pending: the recorded row still without its H
     for i in range(n_steps):
         t = i * h
-        k1 = rate(state, t)
+        rate(vy, vk1, t)
         if pending is not None:
-            hs[pending, live] = 0.5 * np.einsum("bnd,bnd->b", state[1], k1[0])
+            hs[pending, live] = 0.5 * np.einsum("bnd,bnd->b", vy[1], vk1[0])
             pending = None
         if cfg.scheme == "euler":
-            state = shift(state, h, k1)
+            shift(k1, h)
+            y, tmp = tmp, y
+            vy, vtmp = vtmp, vy
         else:
-            k2 = rate(shift(state, 0.5 * h, k1), t + 0.5 * h)
-            k3 = rate(shift(state, 0.5 * h, k2), t + 0.5 * h)
-            k4 = rate(shift(state, h, k3), t + h)
-            state = [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+            shift(k1, 0.5 * h)
+            rate(vtmp, vk2, t + 0.5 * h)
+            shift(k2, 0.5 * h)
+            rate(vtmp, vk3, t + 0.5 * h)
+            shift(k3, h)
+            rate(vtmp, vk4, t + h)
+            np.multiply(k2, 2.0, out=k2)
+            np.add(k1, k2, out=tmp)
+            np.multiply(k3, 2.0, out=k3)
+            np.add(tmp, k3, out=tmp)
+            np.add(tmp, k4, out=tmp)
+            np.multiply(tmp, h / 6.0, out=tmp)
+            np.add(y, tmp, out=y)
         failed = [j for j, m in enumerate(live) if m in errors]
         if failed:
             live = np.delete(live, failed)
-            state = [np.delete(a, failed, axis=0) for a in state[:2]] + state[2:]
             if not len(live):
                 break
+            (y, tmp, k1, k2, k3, k4), (vy, vtmp, vk1, vk2, vk3, vk4) = \
+                pack(np.delete(vy[0], failed, axis=0), np.delete(vy[1], failed, axis=0), vy[2])
         if row <= len(recorded) and recorded[row - 1] == i + 1:
-            qs[row, live], ps[row, live] = state[:2]
+            qs[row, live], ps[row, live] = vy[:2]
             pending, row = row, row + 1
     if pending is not None:
-        hs[pending, live] = _ham(k, *state[:2])
+        hs[pending, live] = _ham(k, *vy[:2])
     times = np.array([0.0] + recorded) * h
     return [errors[m] if m in errors else
             Trajectory(times=times, q=qs[:, m].copy(), p=ps[:, m].copy(),
                        hamiltonians=hs[:, m].copy(), step=h)
-            for m in range(len(momenta))], [np.ascontiguousarray(x.T) for x in state[2:]]
+            for m in range(len(momenta))], \
+        [np.ascontiguousarray(vy[2].T)] if carry else []
 
 
 def _check_shapes(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet):

@@ -31,10 +31,6 @@ class Projector:
         return np.column_stack([x, y])
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def document(elements, proj: Projector, metadata: dict) -> str:
     meta = " ".join(f'{k}="{v}"' for k, v in metadata.items())
     head = (
@@ -48,43 +44,48 @@ def document(elements, proj: Projector, metadata: dict) -> str:
 
 def quiver(points, vectors, proj: Projector, arrow_scale: float,
            color: str = "#1f4e8c") -> list[str]:
-    """Arrows with heads, lengths multiplied by arrow_scale in data units."""
+    """Arrows with heads, lengths multiplied by arrow_scale in data units.
+
+    The pixel coordinates of every arrow are one row of an (M, 10) array:
+    the line's two ends, then the head's tip and its two base corners.
+    An arrow shorter than 1e-9 pixels is drawn as a dot at its start.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vec = np.atleast_2d(np.asarray(vectors, dtype=float)) * arrow_scale
-    starts = proj(pts)
-    ends = proj(pts + vec)
-    out = []
-    for (x0, y0), (x1, y1) in zip(starts, ends):
-        dx, dy = x1 - x0, y1 - y0
-        length = math.hypot(dx, dy)
-        if length < 1e-9:
-            out.append(f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="0.8" fill="{color}"/>')
-            continue
-        ux, uy = dx / length, dy / length
-        head = min(4.0, 0.35 * length)
-        bx, by = x1 - head * ux, y1 - head * uy
-        px, py = -uy, ux
-        out.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-            f'stroke="{color}" stroke-width="1"/>')
-        out.append(
-            f'<polygon points="{_fmt(x1)},{_fmt(y1)} {_fmt(bx + 0.5 * head * px)},'
-            f'{_fmt(by + 0.5 * head * py)} {_fmt(bx - 0.5 * head * px)},'
-            f'{_fmt(by - 0.5 * head * py)}" fill="{color}"/>')
-    return out
+    x0, y0 = proj(pts).T
+    x1, y1 = proj(pts + vec).T
+    dx, dy = x1 - x0, y1 - y0
+    length = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
+    short = length < 1e-9
+    safe = np.where(short, 1.0, length)
+    ux, uy = dx / safe, dy / safe
+    head = np.where(0.35 * length < 4.0, 0.35 * length, 4.0)
+    bx, by = x1 - head * ux, y1 - head * uy
+    px, py = -uy, ux
+    half = 0.5 * head
+    cols = np.column_stack([x0, y0, x1, y1, x1, y1, bx + half * px, by + half * py,
+                            bx - half * px, by - half * py])
+    used = np.ones(cols.shape, dtype=bool)
+    used[short, 2:] = False                # a dot reads its row's first two columns
+    c = color.replace("%", "%%")
+    dot = f'<circle cx="%.2f" cy="%.2f" r="0.8" fill="{c}"/>'
+    arrow = (f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{c}" stroke-width="1"/>\0'
+             f'<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="{c}"/>')
+    text = "\0".join([dot if s else arrow for s in short.tolist()])
+    return (text % tuple(cols[used].tolist())).split("\0") if len(cols) else []
 
 
 def polyline(points, proj: Projector, color: str = "#222222",
              width: float = 1.0) -> str:
     pix = proj(points)
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pix)
+    coords = " ".join(["%.2f,%.2f"] * len(pix)) % tuple(pix.ravel().tolist())
     return (f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
 
 
 def dots(points, proj: Projector, color: str = "#000000", radius: float = 3.0) -> list[str]:
-    return [f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{radius}" fill="{color}"/>'
-            for x, y in proj(points)]
+    dot = f'<circle cx="%.2f" cy="%.2f" r="{radius}" fill="{color.replace("%", "%%")}"/>'
+    return [dot % xy for xy in map(tuple, proj(points).tolist())]
 
 
 def deformed_grid(transported: np.ndarray, shape, proj: Projector,

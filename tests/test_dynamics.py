@@ -130,6 +130,37 @@ def test_rhs_coalescence_error():
         D.hamilton_rhs(k, D.PhaseState(q, p, 0.0))
 
 
+def full_scan(r, t):
+    """Every member's closest pair, for members with more than N entries of
+    r below the threshold: _coalesced without its early exit."""
+    n = r.shape[-1]
+    out = {}
+    for m in np.flatnonzero((r < D.COALESCENCE_TOL).sum(axis=(-2, -1)) > n):
+        flat = (r[m] + np.diag(np.full(n, np.inf))).ravel()
+        idx = int(np.argmin(flat))
+        out[int(m)] = D.CoalescenceError((idx // n, idx % n), t, float(flat[idx]))
+    return out
+
+
+@pytest.mark.parametrize("case", ["none", "one-of-several", "coincident"])
+def test_coalesced_early_exit_matches_full_scan(case, rng):
+    k = scalar16()
+    q = rng.uniform(-1.0, 1.0, (5, 4, 2))
+    if case == "one-of-several":
+        q[3, 2] = q[3, 0] + [3e-7, -2e-7]
+    elif case == "coincident":
+        q[0, 1] = q[0, 3]
+    _, _, r = D._rhs(k, q, rng.normal(size=q.shape))
+    want = {"none": {}, "one-of-several": {3: (0, 2)}, "coincident": {0: (1, 3)}}[case]
+
+    def summary(errors):
+        return {m: (e.pair, e.time, e.distance, str(e)) for m, e in errors.items()}
+
+    got = D._coalesced(r, 0.25)
+    assert summary(got) == summary(full_scan(r, 0.25))
+    assert {m: e.pair for m, e in got.items()} == want
+
+
 # --- shoot -----------------------------------------------------------------------
 
 def test_shoot_zero_momenta_is_static():
@@ -334,6 +365,56 @@ def test_flow_grid_coalescence_matches_shoot():
     with pytest.raises(D.CoalescenceError) as flowed:
         D.flow_grid(k, q0, p0, D.GridSpec(lo=(-0.1, -0.1), hi=(0.1, 0.1), n=(3, 3)), cfg)
     assert str(flowed.value) == str(shot.value)
+
+
+def rk4_flow_reference(k, q, p, x, cfg):
+    """Reference loop on separate arrays: out-of-place shifts and the
+    combination y + (h/6)(k1 + 2 k2 + 2 k3 + k4), landmark rates from
+    hamilton_rhs and the (G, d) lattice moved by field_apply.  Returns the
+    recorded q and p and the final lattice."""
+    h = 1.0 / cfg.n_steps
+
+    def rate(y, t):
+        dq, dp = D.hamilton_rhs(k, D.PhaseState(y[0], y[1], t))
+        return dq, dp, F.field_apply(k, y[0], y[1], y[2])
+
+    def shift(y, c, ks):
+        return [a + c * b for a, b in zip(y, ks)]
+
+    y = [q, p, x]
+    qs, ps = [q], [p]
+    for i in range(cfg.n_steps):
+        t = i * h
+        k1 = rate(y, t)
+        if cfg.scheme == "euler":
+            y = shift(y, h, k1)
+        else:
+            k2 = rate(shift(y, 0.5 * h, k1), t + 0.5 * h)
+            k3 = rate(shift(y, 0.5 * h, k2), t + 0.5 * h)
+            k4 = rate(shift(y, h, k3), t + h)
+            y = [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if (i + 1) % cfg.record_every == 0 or i == cfg.n_steps - 1:
+            qs.append(y[0])
+            ps.append(y[1])
+    return np.array(qs), np.array(ps), y[2]
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_flow_grid_is_the_out_of_place_loop_bit_for_bit(scheme, record_every):
+    # the flat in-place state must keep the operation order of separate arrays
+    k = divfree16()
+    q0, _ = row_a()
+    p0 = transport_momenta(15.0, 0.1)
+    spec = D.GridSpec(lo=(-0.3, -0.5), hi=(1.1, 0.7), n=(9, 7))
+    cfg = D.IntegratorConfig(scheme=scheme, step=2e-2, record_every=record_every)
+    fg = D.flow_grid(k, q0, p0, spec, cfg)
+    qs, ps, x = rk4_flow_reference(k, q0.points, p0.vectors, spec.lattice(), cfg)
+    assert np.array_equal(fg.trajectory.q, qs)
+    assert np.array_equal(fg.trajectory.p, ps)
+    assert np.array_equal(fg.transported, x)
+    assert not np.array_equal(x, spec.lattice())
 
 
 def assert_recorded_hamiltonians(k, traj):
