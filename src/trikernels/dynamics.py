@@ -18,7 +18,9 @@ velocity field spanned by the landmarks at that stage, yielding the
 deformation map and its Jacobian determinants.  The integrator keeps the
 whole state (every member's q and p, then the lattice) in one flat
 buffer, so the stage shifts and the RK4 combination run in place over all
-of it at once instead of once per quantity.
+of it at once instead of once per quantity.  Landmarks are coordinate-major
+like the lattice: q and p are (d, B, N) blocks and the displacements
+(d, B, N, N), so no array has a trailing axis of length d.
 """
 
 from __future__ import annotations
@@ -129,53 +131,51 @@ class FlowGrid:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian and its vector field, on a leading batch axis
+# Hamiltonian and its vector field, on coordinate-major (d, B, N) states
 # ---------------------------------------------------------------------------
 
-def _differences(q: np.ndarray) -> np.ndarray:
-    """q_a - q_b for positions q of shape (..., N, d), shape (..., N, N, d)."""
-    return q[..., :, None, :] - q[..., None, :, :]
-
-
-def _dots(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x_ab . p_a; its negated transpose is x_ab . p_b, since x_ba = -x_ab."""
-    return (x @ p[..., :, :, None])[..., 0]
+def _pairs(k: TriKernel, q: np.ndarray, p: np.ndarray, derivatives: bool = False):
+    """x_ab = q_a - q_b as a contiguous (d, B, N, N) array, its coefficients,
+    x_ab . p_a and p_a . p_b (B, N, N), and the (B, N, d) view pt of p; the
+    transpose of x_ab . p_a is -x_ab . p_b, since x_ba = -x_ab."""
+    x = q[..., :, None] - q[..., None, :]
+    pt = p.transpose(1, 2, 0)                 # C @ pt sums C_ab p_b over b
+    return (x, pair_coefficients(k, x, derivatives, axis=0),
+            np.einsum("iBab,iBa->Bab", x, p), pt @ pt.mT, pt)
 
 
 def _ham(k: TriKernel, q: np.ndarray, p: np.ndarray):
-    """H for states of shape (..., N, d); one value per leading index."""
-    x = _differences(q)
-    c = pair_coefficients(k, x)
-    v = _dots(x, p)
-    quad = c.kperp * (p @ p.mT) - c.ktilde * v * v.mT
-    return 0.5 * quad.sum(axis=(-2, -1))
+    """H for coordinate-major states (d, B, N); one value per member."""
+    _, c, u, pp, _ = _pairs(k, q, p)
+    return 0.5 * (c.kperp * pp - c.ktilde * u * u.mT).sum(axis=(-2, -1))
 
 
 def hamiltonian(k: TriKernel, s: PhaseState) -> float:
     """H = 1/2 sum_ab p_a . k(q_a - q_b) p_b, the kernel cometric quadratic."""
-    return float(_ham(k, np.asarray(s.q, dtype=float), np.asarray(s.p, dtype=float)))
+    return float(_ham(k, *(np.asarray(a, dtype=float).T[:, None] for a in (s.q, s.p)))[0])
 
 
-def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray):
-    """Right-hand side of the geodesic equations for states (B, N, d).
+def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray, dp: np.ndarray):
+    """Right-hand side of the geodesic equations for states (d, B, N).
 
-    Returns (dq, dp, r) with r the (B, N, N) pairwise distances for the
-    coalescence test.  Self-terms contribute 0 to dp: the displacement
-    vanishes and the primitive's radial derivatives are 0 at zero radius.
+    Writes the rates into dq and dp, of q's shape, and returns r, the (B, N, N)
+    pairwise distances for the coalescence test.  r, hence every coefficient,
+    is bitwise symmetric in a and b; dp sums the negated gradient terms.
+    Self-terms contribute 0 to dp: the displacement vanishes and the
+    primitive's radial derivatives are 0 at zero radius.
     """
-    x = _differences(q)
-    c = pair_coefficients(k, x, derivatives=True)
+    x, c, u, pp, pt = _pairs(k, q, p, derivatives=True)
     inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
-    u = _dots(x, p)                                       # x_ab . p_a
-    w = -u.mT                                             # x_ab . p_b
-    kw = c.ktilde * w
-    dq = c.kperp @ p + (kw[..., None, :] @ x)[..., 0, :]
+    nkw = c.ktilde * u.mT                 # -ktilde (x_ab . p_b); its transpose is ktilde u
+    np.matmul(c.kperp, pt, out=dq.transpose(1, 2, 0))
+    np.subtract(dq, np.vecdot(x, nkw), out=dq)
 
-    uw = u * w * np.square(inv_r)                         # (p_a . xhat)(p_b . xhat)
-    radial = (c.dkpar * uw + c.dkperp * (p @ p.mT - uw)) * inv_r - 2.0 * c.ktilde * uw
-    grad = (radial[..., None, :] @ x)[..., 0, :] + kw.sum(axis=-1)[..., None] * p \
-        + (c.ktilde * u) @ p
-    return dq, -grad, c.r
+    nuw = u * u.mT * np.square(inv_r)                     # -(p_a . xhat)(p_b . xhat)
+    nradial = (c.dkpar * nuw - c.dkperp * (pp + nuw)) * inv_r - 2.0 * c.ktilde * nuw
+    np.vecdot(x, nradial, out=dp)
+    np.add(dp, nkw.sum(axis=-1) * p, out=dp)
+    np.subtract(dp, (nkw.mT @ pt).transpose(2, 0, 1), out=dp)
+    return c.r
 
 
 def _coalesced(r: np.ndarray, t: float) -> dict[int, CoalescenceError]:
@@ -201,12 +201,12 @@ def _coalesced(r: np.ndarray, t: float) -> dict[int, CoalescenceError]:
 
 def hamilton_rhs(k: TriKernel, s: PhaseState):
     """(dq/dt, dp/dt) at a phase state; raises on near-coalescence."""
-    dq, dp, r = _rhs(k, np.asarray(s.q, dtype=float)[None],
-                     np.asarray(s.p, dtype=float)[None])
-    errors = _coalesced(r, s.t)
+    q, p = (np.ascontiguousarray(np.asarray(a, dtype=float).T[:, None]) for a in (s.q, s.p))
+    dq, dp = np.empty_like(q), np.empty_like(p)
+    errors = _coalesced(_rhs(k, q, p, dq, dp), s.t)
     if errors:
         raise errors[0]
-    return dq[0], dp[0]
+    return dq[:, 0].T, dp[:, 0].T
 
 
 # ---------------------------------------------------------------------------
@@ -217,33 +217,34 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
                cfg: IntegratorConfig, points: Optional[np.ndarray] = None):
     """Integrate a batch of members from shared positions q0 (N, d).
 
-    `momenta` holds one (N, d) initial momentum per member.  The state is
-    one flat buffer: every member's q, then p, both (B, N, d), then, for a
-    batch of one carrying `points` (G, d), the lattice as a (d, G) block,
-    whose .T view `field_apply` takes and returns without copies; a further
-    per-point row would be one more slice at the end.  Each stage evaluates
-    every running member at once into a preallocated k buffer of the same
-    layout.  The shifts (c k, then y + that) and the RK4 combination (2 k2,
-    + k1, + 2 k3, + k4, times h/6, then y + that) run in place over whole
-    buffers, in the operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4) on
-    separate arrays, so the results are those bit for bit.  Each member
-    has its own coalescence test; a member that fails at some stage is
-    dropped once the step ends, by repacking the buffers without it.  The
-    H of a recorded row is 1/2 sum_a p_a . dq_a with the dq of the next
-    step's first stage, taken at that same state; only the final row
-    evaluates the Hamiltonian itself.  Returns, per member, its Trajectory
-    or the CoalescenceError that a lone integration of that member raises,
-    and a list holding the final points as (G, d) (empty without points).
+    `momenta` holds one (N, d) initial momentum per member.  The state is one
+    flat buffer: every member's q, then p, both coordinate-major (d, B, N)
+    blocks, then, for a batch of one carrying `points` (G, d), the lattice as
+    a (d, G) block; `field_apply` takes the .T views of the lattice and of
+    q[:, 0] and p[:, 0] without copies, and a further per-point row would be
+    one more slice at the end.  Each stage writes the rates of every running
+    member at once into a preallocated k buffer of the same layout.  The
+    shifts (c k, then y + that) and the RK4 combination (2 k2, + k1, + 2 k3,
+    + k4, times h/6, then y + that) run in place over whole buffers, in the
+    operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4) on separate arrays, so
+    the results are those bit for bit.  Each member has its own coalescence
+    test; a member that fails at some stage is dropped once the step ends, by
+    repacking the buffers without it.  The H of a recorded row is
+    1/2 sum_a p_a . dq_a with the dq of the next step's first stage, taken at
+    that same state; only the final row evaluates the Hamiltonian itself.
+    Returns, per member, its Trajectory or the CoalescenceError that a lone
+    integration of that member raises, and a list holding the final points
+    as (G, d) (empty without points).
     """
     n_steps = cfg.n_steps
     h = 1.0 / n_steps
-    p = np.array(momenta, dtype=float)
+    p = np.array(momenta, dtype=float).transpose(2, 0, 1)
     carry = points is not None
-    lattice = np.asarray(points, dtype=float).T if carry else np.empty((p.shape[2], 0))
+    lattice = np.asarray(points, dtype=float).T if carry else np.empty((len(p), 0))
 
     def pack(q, p, x):
         """Flat buffers for y (holding q, p, x), the stage input and k1..k4,
-        each with its views q, p (B, N, d) and lattice (d, G)."""
+        each with its views q, p (d, B, N) and lattice (d, G)."""
         s = q.size
         bufs = np.empty((6, 2 * s + x.size))
         vs = [(b[:s].reshape(q.shape), b[s:2 * s].reshape(q.shape), b[2 * s:].reshape(x.shape))
@@ -255,22 +256,20 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
                 if (i + 1) % cfg.record_every == 0 or i == n_steps - 1]
     qs = np.zeros((len(recorded) + 1,) + p.shape)
     ps = np.zeros_like(qs)
-    hs = np.zeros((len(recorded) + 1, len(p)))
-    qs[0], ps[0] = q0, p
-    live = np.arange(len(p))
+    hs = np.zeros((len(recorded) + 1, p.shape[1]))
+    qs[0], ps[0] = q0.T[:, None], p
+    live = np.arange(p.shape[1])
     errors: dict[int, CoalescenceError] = {}
     (y, tmp, k1, k2, k3, k4), (vy, vtmp, vk1, vk2, vk3, vk4) = \
-        pack(np.broadcast_to(q0, p.shape), p, lattice)
+        pack(np.broadcast_to(q0.T[:, None], p.shape), p, lattice)
 
     def rate(state, out, t):
         """Rates at the views `state` of one buffer, into the views `out`."""
         q, p, x = state
-        dq, dp, r = _rhs(k, q, p)
-        for m, err in _coalesced(r, t).items():
+        for m, err in _coalesced(_rhs(k, q, p, out[0], out[1]), t).items():
             errors.setdefault(int(live[m]), err)
-        out[0][...], out[1][...] = dq, dp
         if carry:
-            out[2][...] = field_apply(k, q[0], p[0], x.T).T
+            out[2][...] = field_apply(k, q[:, 0].T, p[:, 0].T, x.T).T
 
     def shift(kj, c):
         """tmp = y + c kj."""
@@ -282,7 +281,7 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
         t = i * h
         rate(vy, vk1, t)
         if pending is not None:
-            hs[pending, live] = 0.5 * np.einsum("bnd,bnd->b", vy[1], vk1[0])
+            hs[pending, live] = 0.5 * np.einsum("ibn,ibn->b", vy[1], vk1[0])
             pending = None
         if cfg.scheme == "euler":
             shift(k1, h)
@@ -308,15 +307,15 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
             if not len(live):
                 break
             (y, tmp, k1, k2, k3, k4), (vy, vtmp, vk1, vk2, vk3, vk4) = \
-                pack(np.delete(vy[0], failed, axis=0), np.delete(vy[1], failed, axis=0), vy[2])
+                pack(np.delete(vy[0], failed, axis=1), np.delete(vy[1], failed, axis=1), vy[2])
         if row <= len(recorded) and recorded[row - 1] == i + 1:
-            qs[row, live], ps[row, live] = vy[:2]
+            qs[row][:, live], ps[row][:, live] = vy[:2]
             pending, row = row, row + 1
     if pending is not None:
         hs[pending, live] = _ham(k, *vy[:2])
     times = np.array([0.0] + recorded) * h
     return [errors[m] if m in errors else
-            Trajectory(times=times, q=qs[:, m].copy(), p=ps[:, m].copy(),
+            Trajectory(times=times, q=qs[:, :, m].mT.copy(), p=ps[:, :, m].mT.copy(),
                        hamiltonians=hs[:, m].copy(), step=h)
             for m in range(len(momenta))], \
         [np.ascontiguousarray(vy[2].T)] if carry else []
@@ -352,7 +351,8 @@ def path_energy(k: TriKernel, traj: Trajectory) -> float:
     Written through the momenta as int_0^1 p . K(q) p dt, i.e. twice the
     recorded conserved value up to integrator error.
     """
-    return float(np.trapezoid(2.0 * _ham(k, traj.q, traj.p), traj.times))
+    return float(np.trapezoid(2.0 * _ham(k, traj.q.transpose(2, 0, 1), traj.p.transpose(2, 0, 1)),
+                              traj.times))
 
 
 # ---------------------------------------------------------------------------

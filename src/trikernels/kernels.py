@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -224,15 +224,15 @@ def ktilde(k: TriKernel, r):
     return np.asarray(k.radial(np.asarray(r, dtype=float))[1])[()]
 
 
-@dataclass(frozen=True)
-class PairCoefficients:
+class PairCoefficients(NamedTuple):
     """Radial coefficients of a kernel at an array of displacements.
 
     With x a displacement and r = |x|, the kernel acts as
     k(x) alpha = kperp alpha + ktilde (x . alpha) x, and its coordinate
     derivatives need dkpar and dkperp as well.  At r = 0 the entries hold
     the limits at the origin: kperp = k0, ktilde its small-r value, and
-    dkpar = dkperp = 0 (odd functions of r).
+    dkpar = dkperp = 0 (odd functions of r).  A named tuple, since every
+    `pair_coefficients` call constructs one.
     """
 
     r: np.ndarray

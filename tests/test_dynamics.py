@@ -113,12 +113,14 @@ def test_rhs_matches_hamiltonian_gradient(make, rng):
                 qp, qm = q.copy(), q.copy()
                 qp[a, i] += h
                 qm[a, i] -= h
-                fd = -(D._ham(k, qp, p) - D._ham(k, qm, p)) / (2 * h)
+                fd = -(D.hamiltonian(k, D.PhaseState(qp, p, 0.0))
+                      - D.hamiltonian(k, D.PhaseState(qm, p, 0.0))) / (2 * h)
                 assert abs(dp[a, i] - fd) / scale < 1e-6
                 pp, pm = p.copy(), p.copy()
                 pp[a, i] += h
                 pm[a, i] -= h
-                fdq = (D._ham(k, q, pp) - D._ham(k, q, pm)) / (2 * h)
+                fdq = (D.hamiltonian(k, D.PhaseState(q, pp, 0.0))
+                       - D.hamiltonian(k, D.PhaseState(q, pm, 0.0))) / (2 * h)
                 assert abs(dq[a, i] - fdq) / max(1.0, np.max(np.abs(dq))) < 1e-6
 
 
@@ -128,6 +130,46 @@ def test_rhs_coalescence_error():
     p = np.ones((2, 2))
     with pytest.raises(D.CoalescenceError):
         D.hamilton_rhs(k, D.PhaseState(q, p, 0.0))
+
+
+def example1_boundary16():
+    # example1 on the D1 boundary b = (d - 1) a / (2c): div-free, with its own radial
+    return K.family_example1(2.0 * C16 * B16, B16, C16, 2)
+
+
+def rhs_reference(k, q, p):
+    """The landmark-major right-hand side: states (B, N, d), displacements
+    (B, N, N, d) and matmul contractions over the trailing coordinate axis.
+    Returns (dq, dp, r)."""
+    x = q[..., :, None, :] - q[..., None, :, :]
+    c = K.pair_coefficients(k, x, derivatives=True)
+    inv_r = 1.0 / np.maximum(c.r, K.ZERO_RADIUS)
+    u = (x @ p[..., :, :, None])[..., 0]                  # x_ab . p_a
+    w = -u.mT                                             # x_ab . p_b
+    kw = c.ktilde * w
+    dq = c.kperp @ p + (kw[..., None, :] @ x)[..., 0, :]
+    uw = u * w * np.square(inv_r)
+    radial = (c.dkpar * uw + c.dkperp * (p @ p.mT - uw)) * inv_r - 2.0 * c.ktilde * uw
+    grad = (radial[..., None, :] @ x)[..., 0, :] + kw.sum(axis=-1)[..., None] * p \
+        + (c.ktilde * u) @ p
+    return dq, -grad, c.r
+
+
+@pytest.mark.parametrize("batch", [1, 9])
+@pytest.mark.parametrize("n", [1, 2, 36, 100])
+@pytest.mark.parametrize("make", [scalar16, divfree16, curlfree16, example1_boundary16])
+def test_rhs_matches_the_landmark_major_formula(make, n, batch, rng):
+    k = make()
+    q = rng.uniform(-0.5, 0.5, (batch, n, 2))
+    p = rng.normal(size=(batch, n, 2)) * 15.0
+    want_dq, want_dp, want_r = rhs_reference(k, q, p)
+    q, p = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (q, p))   # (d, B, N)
+    dq, dp = np.empty_like(q), np.empty_like(p)
+    r = D._rhs(k, q, p, dq, dp)
+    scale = max(np.max(np.abs(want_dq)), np.max(np.abs(want_dp)))
+    assert np.max(np.abs(dq.transpose(1, 2, 0) - want_dq)) <= 1e-13 * scale
+    assert np.max(np.abs(dp.transpose(1, 2, 0) - want_dp)) <= 1e-13 * scale
+    assert np.array_equal(r, want_r)
 
 
 def full_scan(r, t):
@@ -150,7 +192,8 @@ def test_coalesced_early_exit_matches_full_scan(case, rng):
         q[3, 2] = q[3, 0] + [3e-7, -2e-7]
     elif case == "coincident":
         q[0, 1] = q[0, 3]
-    _, _, r = D._rhs(k, q, rng.normal(size=q.shape))
+    q, p = np.ascontiguousarray(q.transpose(2, 0, 1)), rng.normal(size=q.shape).transpose(2, 0, 1)
+    r = D._rhs(k, q, p, np.empty_like(q), np.empty_like(q))
     want = {"none": {}, "one-of-several": {3: (0, 2)}, "coincident": {0: (1, 3)}}[case]
 
     def summary(errors):

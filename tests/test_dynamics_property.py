@@ -28,9 +28,12 @@ def test_batched_rhs_equals_single_member_calls(name, batch, n, seed):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(batch, n, 2)) * 0.3
     p = rng.normal(size=(batch, n, 2)) * 10.0
-    dq, dp, r = D._rhs(k, q, p)
+    q, p = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (q, p))   # (d, B, N)
+    dq, dp = np.empty_like(q), np.empty_like(p)
+    r = D._rhs(k, q, p, dq, dp)
     for m in range(batch):
-        dq1, dp1, r1 = D._rhs(k, q[m:m + 1], p[m:m + 1])
-        for got, want in ((dq[m], dq1[0]), (dp[m], dp1[0]), (r[m], r1[0])):
+        dq1, dp1 = np.empty((2, 1, n)), np.empty((2, 1, n))
+        r1 = D._rhs(k, q[:, m:m + 1], p[:, m:m + 1], dq1, dp1)
+        for got, want in ((dq[:, m], dq1[:, 0]), (dp[:, m], dp1[:, 0]), (r[m], r1[0])):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * max(1.0, np.max(np.abs(want))))
