@@ -36,7 +36,7 @@ thetas = np.linspace(-math.pi / 2, math.pi / 2, 33)
 icfg = IntegratorConfig(step=2e-3, record_every=25)
 
 for name, k in kernels.items():
-    fan = exp_map_fan(k, q0, theta_momenta(50.0, thetas), icfg, parameters=thetas)
+    fan = exp_map_fan(k, q0, theta_momenta(50.0, thetas), icfg)
     ok = sum(t is not None for t in fan.trajectories)
     print(f"{name:>10}: {ok}/{len(thetas)} members integrated", end="")
     if fan.failures:

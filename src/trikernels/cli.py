@@ -418,7 +418,7 @@ def cmd_shoot(cfg: dict, k: ker.TriKernel, args) -> int:
         _write_csv(grid_path, header,
                    np.column_stack([fg.original, fg.transported, fg.jacobian_det]))
         print(f"wrote {grid_path}")
-        if "div_free" in k.family_tag:
+        if k.generator is not None and k.generator[1][:2] == (0.0, 0.0):  # w_s = w_c = 0
             print(f"max |det - 1| = {det_dev:.3e} (volume preservation)")
         else:
             print(f"max |det - 1| = {det_dev:.3e}")
@@ -455,8 +455,7 @@ def cmd_expmap(cfg: dict, k: ker.TriKernel, args) -> int:
     icfg = dyn.IntegratorConfig(**cfg["integrator"])
     out = cfg["output"]
     thetas = np.linspace(t0, t1, count)
-    fan = dyn.exp_map_fan(k, lmk, dyn.theta_momenta(mag, thetas), icfg,
-                          parameters=thetas)
+    fan = dyn.exp_map_fan(k, lmk, dyn.theta_momenta(mag, thetas), icfg)
     for idx, msg in fan.failures:
         print(f"trajectory {idx} (theta={thetas[idx]:.4f}) failed: {msg}")
 

@@ -134,48 +134,50 @@ class FlowGrid:
 # Hamiltonian and its vector field, on coordinate-major (d, B, N) states
 # ---------------------------------------------------------------------------
 
-def _pairs(k: TriKernel, q: np.ndarray, p: np.ndarray, derivatives: bool = False):
-    """x_ab = q_a - q_b as a contiguous (d, B, N, N) array, its coefficients,
-    x_ab . p_a and p_a . p_b (B, N, N), and the (B, N, d) view pt of p; the
-    transpose of x_ab . p_a is -x_ab . p_b, since x_ba = -x_ab."""
-    x = q[..., :, None] - q[..., None, :]
-    pt = p.transpose(1, 2, 0)                 # C @ pt sums C_ab p_b over b
-    return (x, pair_coefficients(k, x, derivatives, axis=0),
-            np.einsum("iBab,iBa->Bab", x, p), pt @ pt.mT, pt)
-
-
-def _ham(k: TriKernel, q: np.ndarray, p: np.ndarray):
-    """H for coordinate-major states (d, B, N); one value per member."""
-    _, c, u, pp, _ = _pairs(k, q, p)
-    return 0.5 * (c.kperp * pp - c.ktilde * u * u.mT).sum(axis=(-2, -1))
-
-
-def hamiltonian(k: TriKernel, s: PhaseState) -> float:
-    """H = 1/2 sum_ab p_a . k(q_a - q_b) p_b, the kernel cometric quadratic."""
-    return float(_ham(k, *(np.asarray(a, dtype=float).T[:, None] for a in (s.q, s.p)))[0])
-
-
 def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray, dp: np.ndarray):
     """Right-hand side of the geodesic equations for states (d, B, N).
 
     Writes the rates into dq and dp, of q's shape, and returns r, the (B, N, N)
-    pairwise distances for the coalescence test.  r, hence every coefficient,
-    is bitwise symmetric in a and b; dp sums the negated gradient terms.
-    Self-terms contribute 0 to dp: the displacement vanishes and the
+    pairwise distances for the coalescence test.  The displacements
+    x_ab = q_a - q_b form one contiguous (d, B, N, N) array; r, hence every
+    coefficient, is bitwise symmetric in a and b; dp sums the negated gradient
+    terms.  Self-terms contribute 0 to dp: the displacement vanishes and the
     primitive's radial derivatives are 0 at zero radius.
     """
-    x, c, u, pp, pt = _pairs(k, q, p, derivatives=True)
+    x = q[..., :, None] - q[..., None, :]
+    c = pair_coefficients(k, x, True, axis=0)
+    u = np.einsum("iBab,iBa->Bab", x, p)  # x_ab . p_a; its transpose is -x_ab . p_b
+    pt = p.transpose(1, 2, 0)             # C @ pt sums C_ab p_b over b
     inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
     nkw = c.ktilde * u.mT                 # -ktilde (x_ab . p_b); its transpose is ktilde u
     np.matmul(c.kperp, pt, out=dq.transpose(1, 2, 0))
     np.subtract(dq, np.vecdot(x, nkw), out=dq)
 
     nuw = u * u.mT * np.square(inv_r)                     # -(p_a . xhat)(p_b . xhat)
-    nradial = (c.dkpar * nuw - c.dkperp * (pp + nuw)) * inv_r - 2.0 * c.ktilde * nuw
+    nradial = (c.dkpar * nuw - c.dkperp * (pt @ pt.mT + nuw)) * inv_r - 2.0 * c.ktilde * nuw
     np.vecdot(x, nradial, out=dp)
     np.add(dp, nkw.sum(axis=-1) * p, out=dp)
     np.subtract(dp, (nkw.mT @ pt).transpose(2, 0, 1), out=dp)
     return c.r
+
+
+def _energy(p: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """1/2 sum_a p_a . dq_a per member of (d, B, N) blocks: the Hamiltonian
+    when dq is the rate `_rhs` writes at p's state."""
+    return 0.5 * np.einsum("ibn,ibn->b", p, dq)
+
+
+def _ham(k: TriKernel, q: np.ndarray, p: np.ndarray):
+    """H for coordinate-major states (d, B, N); one value per member."""
+    dq = np.empty(q.shape)
+    _rhs(k, q, p, dq, np.empty(q.shape))
+    return _energy(p, dq)
+
+
+def hamiltonian(k: TriKernel, s: PhaseState) -> float:
+    """H = 1/2 sum_ab p_a . k(q_a - q_b) p_b, the kernel cometric quadratic,
+    evaluated as 1/2 sum_a p_a . dq_a/dt."""
+    return float(_ham(k, *(np.asarray(a, dtype=float).T[:, None] for a in (s.q, s.p)))[0])
 
 
 def _coalesced(r: np.ndarray, t: float) -> dict[int, CoalescenceError]:
@@ -222,52 +224,49 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
     blocks, then, for a batch of one carrying `points` (G, d), the lattice as
     a (d, G) block; `field_apply` takes the .T views of the lattice and of
     q[:, 0] and p[:, 0] without copies, and a further per-point row would be
-    one more slice at the end.  Each stage writes the rates of every running
-    member at once into a preallocated k buffer of the same layout.  The
-    shifts (c k, then y + that) and the RK4 combination (2 k2, + k1, + 2 k3,
-    + k4, times h/6, then y + that) run in place over whole buffers, in the
-    operation order of y + (h/6)(k1 + 2 k2 + 2 k3 + k4) on separate arrays, so
-    the results are those bit for bit.  Each member has its own coalescence
-    test; a member that fails at some stage is dropped once the step ends, by
-    repacking the buffers without it.  The H of a recorded row is
-    1/2 sum_a p_a . dq_a with the dq of the next step's first stage, taken at
-    that same state; only the final row evaluates the Hamiltonian itself.
-    Returns, per member, its Trajectory or the CoalescenceError that a lone
-    integration of that member raises, and a list holding the final points
-    as (G, d) (empty without points).
+    one more slice at the end.  The six buffers (y, the stage input and
+    k1..k4) are allocated once.  Each stage writes the rates of every member
+    at once into a k buffer of the same layout.  The shifts (c k, then y +
+    that) and the RK4 combination (2 k2, + k1, + 2 k3, + k4, times h/6, then
+    y + that) run in place over whole buffers, in the operation order of
+    y + (h/6)(k1 + 2 k2 + 2 k3 + k4) on separate arrays, so the results are
+    those bit for bit.  Each member has its own coalescence test; a member
+    that fails at some stage is reset, once the step ends, to q0 with p = 0,
+    where its rates are exactly 0, so it stays there and never fails again.
+    The H of a recorded row is 1/2 sum_a p_a . dq_a with the dq of the next
+    step's first stage, taken at that same state; the final row takes dq
+    from `_ham`, so every row is the same formula.  Returns, per member, its
+    Trajectory or the CoalescenceError that a lone integration of that
+    member raises, and a list holding the final points as (G, d) (empty
+    without points).
     """
     n_steps = cfg.n_steps
     h = 1.0 / n_steps
     p = np.array(momenta, dtype=float).transpose(2, 0, 1)
+    rest = q0.T[:, None]
     carry = points is not None
     lattice = np.asarray(points, dtype=float).T if carry else np.empty((len(p), 0))
-
-    def pack(q, p, x):
-        """Flat buffers for y (holding q, p, x), the stage input and k1..k4,
-        each with its views q, p (d, B, N) and lattice (d, G)."""
-        s = q.size
-        bufs = np.empty((6, 2 * s + x.size))
-        vs = [(b[:s].reshape(q.shape), b[s:2 * s].reshape(q.shape), b[2 * s:].reshape(x.shape))
-              for b in bufs]
-        vs[0][0][...], vs[0][1][...], vs[0][2][...] = q, p, x
-        return bufs, vs
+    s = p.size
+    y, tmp, k1, k2, k3, k4 = np.empty((6, 2 * s + lattice.size))
+    # views q, p (d, B, N) and lattice (d, G) of each flat buffer
+    vy, vtmp, vk1, vk2, vk3, vk4 = [
+        (b[:s].reshape(p.shape), b[s:2 * s].reshape(p.shape), b[2 * s:].reshape(lattice.shape))
+        for b in (y, tmp, k1, k2, k3, k4)]
+    vy[0][...], vy[1][...], vy[2][...] = rest, p, lattice
 
     recorded = [i + 1 for i in range(n_steps)
                 if (i + 1) % cfg.record_every == 0 or i == n_steps - 1]
     qs = np.zeros((len(recorded) + 1,) + p.shape)
     ps = np.zeros_like(qs)
     hs = np.zeros((len(recorded) + 1, p.shape[1]))
-    qs[0], ps[0] = q0.T[:, None], p
-    live = np.arange(p.shape[1])
+    qs[0], ps[0] = rest, p
     errors: dict[int, CoalescenceError] = {}
-    (y, tmp, k1, k2, k3, k4), (vy, vtmp, vk1, vk2, vk3, vk4) = \
-        pack(np.broadcast_to(q0.T[:, None], p.shape), p, lattice)
 
     def rate(state, out, t):
         """Rates at the views `state` of one buffer, into the views `out`."""
         q, p, x = state
         for m, err in _coalesced(_rhs(k, q, p, out[0], out[1]), t).items():
-            errors.setdefault(int(live[m]), err)
+            errors.setdefault(m, err)
         if carry:
             out[2][...] = field_apply(k, q[:, 0].T, p[:, 0].T, x.T).T
 
@@ -281,7 +280,7 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
         t = i * h
         rate(vy, vk1, t)
         if pending is not None:
-            hs[pending, live] = 0.5 * np.einsum("ibn,ibn->b", vy[1], vk1[0])
+            hs[pending] = _energy(vy[1], vk1[0])
             pending = None
         if cfg.scheme == "euler":
             shift(k1, h)
@@ -301,18 +300,16 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
             np.add(tmp, k4, out=tmp)
             np.multiply(tmp, h / 6.0, out=tmp)
             np.add(y, tmp, out=y)
-        failed = [j for j, m in enumerate(live) if m in errors]
-        if failed:
-            live = np.delete(live, failed)
-            if not len(live):
+        if errors:
+            if len(errors) == p.shape[1]:
                 break
-            (y, tmp, k1, k2, k3, k4), (vy, vtmp, vk1, vk2, vk3, vk4) = \
-                pack(np.delete(vy[0], failed, axis=1), np.delete(vy[1], failed, axis=1), vy[2])
+            failed = list(errors)
+            vy[0][:, failed], vy[1][:, failed] = rest, 0.0
         if row <= len(recorded) and recorded[row - 1] == i + 1:
-            qs[row][:, live], ps[row][:, live] = vy[:2]
+            qs[row], ps[row] = vy[:2]
             pending, row = row, row + 1
     if pending is not None:
-        hs[pending, live] = _ham(k, *vy[:2])
+        hs[pending] = _ham(k, *vy[:2])
     times = np.array([0.0] + recorded) * h
     return [errors[m] if m in errors else
             Trajectory(times=times, q=qs[:, :, m].mT.copy(), p=ps[:, :, m].mT.copy(),
@@ -399,7 +396,6 @@ def flow_grid(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet, spec: GridSpec,
 class FanResult:
     """One trajectory per momentum sample; failures recorded, fan continues."""
 
-    parameters: np.ndarray
     trajectories: list[Optional[Trajectory]]
     failures: list[tuple[int, str]]
 
@@ -418,8 +414,7 @@ class FanResult:
 
 
 def exp_map_fan(k: TriKernel, q0: LandmarkConfig, p_family,
-                cfg: IntegratorConfig = IntegratorConfig(),
-                parameters=None) -> FanResult:
+                cfg: IntegratorConfig = IntegratorConfig()) -> FanResult:
     """Shoot every momentum sample of a parameterized family from q0.
 
     The whole fan is one batched integration.  Failures are per member:
@@ -432,9 +427,7 @@ def exp_map_fan(k: TriKernel, q0: LandmarkConfig, p_family,
     for p0 in p_list:
         _check_shapes(k, q0, p0)
     results = _integrate(k, q0.points, [p0.vectors for p0 in p_list], cfg)[0] if p_list else []
-    params = np.arange(len(p_list)) if parameters is None else np.asarray(parameters)
     return FanResult(
-        parameters=params,
         trajectories=[None if isinstance(res, CoalescenceError) else res for res in results],
         failures=[(i, str(res)) for i, res in enumerate(results)
                   if isinstance(res, CoalescenceError)])

@@ -31,7 +31,7 @@ differential residual in the package is computed from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple, Optional
 
 import numpy as np
@@ -175,16 +175,16 @@ class TriKernel:
 
     generator, when set, is (profile, (w_s, w_c, w_d)): the kernel is
     w_s f I + w_c curl(f) + w_d div(f) of one scalar profile f, the scalar,
-    curl-free and div-free constructions below.  Only the spectral side
-    reads it, for one Hankel transform of f per spectrum and an exact Hodge
-    split when w_s = 0; `radial` stays each family's own closed form.
+    curl-free and div-free constructions below.  The spectral side reads it,
+    for one Hankel transform of f per spectrum and an exact Hodge split when
+    w_s = 0, and `shoot` for the div-free case w_s = w_c = 0; `radial` stays
+    each family's own closed form.
     """
 
     dim: int
     radial: Callable = field(repr=False)
     family_tag: str = "generic"
     tail_scale: float = np.inf
-    pd_hint: Optional[bool] = None
     k_par: Optional[Callable] = field(default=None, repr=False)
     k_perp: Optional[Callable] = field(default=None, repr=False)
     generator: Optional[tuple] = field(default=None, repr=False)
@@ -334,7 +334,7 @@ def family_example1(a: float, b: float, c: float, dim: int) -> TriKernel:
 
     weights = (b - (dim - 1) * a / (2.0 * c), 0.0, a / (4.0 * c * c))
     return TriKernel(dim=dim, radial=radial, family_tag=f"example1(a={a},b={b},c={c})",
-                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D1(a, b, c, dim),
+                     tail_scale=math.sqrt(52.0 / c),
                      generator=(gaussian_profile(1.0, c), weights))
 
 
@@ -359,7 +359,7 @@ def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
 
     weights = (b - a / (2.0 * c), a / (4.0 * c * c), 0.0)
     return TriKernel(dim=dim, radial=radial, family_tag=f"example2(a={a},b={b},c={c})",
-                     tail_scale=math.sqrt(52.0 / c), pd_hint=in_D2(a, b, c),
+                     tail_scale=math.sqrt(52.0 / c),
                      generator=(gaussian_profile(1.0, c), weights))
 
 
@@ -381,23 +381,20 @@ def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriK
 
 def gaussian_kernel(c: float, dim: int, amplitude: float = 1.0) -> TriKernel:
     """Scalar Gaussian kernel amplitude * e^{-c r^2} * I."""
-    k = scalar_kernel(gaussian_profile(amplitude, c), dim,
-                      tag=f"gaussian(c={c},amp={amplitude})")
-    return replace(k, pd_hint=amplitude >= 0)
+    return scalar_kernel(gaussian_profile(amplitude, c), dim,
+                         tag=f"gaussian(c={c},amp={amplitude})")
 
 
 def cauchy_kernel(sigma: float, dim: int) -> TriKernel:
     """Scalar rational kernel 1 / (1 + r^2 / sigma^2) * I."""
-    k = scalar_kernel(cauchy_profile(sigma), dim, tag=f"cauchy(sigma={sigma})")
-    return replace(k, pd_hint=True)
+    return scalar_kernel(cauchy_profile(sigma), dim, tag=f"cauchy(sigma={sigma})")
 
 
 def bessel_kernel(sigma: float, ell: float, dim: int) -> TriKernel:
     """Scalar Sobolev-type kernel of smoothness ell and width sigma, with the
     Green's function amplitude `sobolev_green_constant`."""
     prof = bessel_profile(ell - dim / 2.0, sigma, sobolev_green_constant(sigma, ell, dim))
-    k = scalar_kernel(prof, dim, tag=f"bessel(sigma={sigma},ell={ell})")
-    return replace(k, pd_hint=True)
+    return scalar_kernel(prof, dim, tag=f"bessel(sigma={sigma},ell={ell})")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +418,7 @@ def make_curl_free(profile: ScalarProfile, dim: int) -> TriKernel:
         return -q, -g, -f3[0], -r * g
 
     return TriKernel(dim=dim, radial=radial, family_tag="curl_free",
-                     tail_scale=profile.tail_scale, pd_hint=True,
+                     tail_scale=profile.tail_scale,
                      generator=(profile, (0.0, 1.0, 0.0)))
 
 
@@ -445,7 +442,7 @@ def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
         return kperp, g, -(d - 1) * rg, -(d - 2) * rg - f3[0]
 
     return TriKernel(dim=dim, radial=radial, family_tag="div_free",
-                     tail_scale=profile.tail_scale, pd_hint=True,
+                     tail_scale=profile.tail_scale,
                      generator=(profile, (0.0, 0.0, 1.0)))
 
 
@@ -495,7 +492,7 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
 
     tail = max(math.sqrt(48.0 / c), 8.0 / math.sqrt(c))
     return tuple(TriKernel(dim=d, radial=radial, family_tag=f"gaussian_hodge_{tag}(c={c})",
-                           tail_scale=tail, pd_hint=True)
+                           tail_scale=tail)
                  for radial, tag in ((curl_free, "curl_free"), (div_free, "div_free")))
 
 

@@ -406,7 +406,7 @@ def _generated_parts(k: TriKernel) -> tuple[TriKernel, TriKernel]:
 
         return make_curl_free(scaled(wc), k.dim), make_div_free(scaled(wd), k.dim)
     zero = TriKernel(dim=k.dim, radial=_zero_radial, family_tag="zero",
-                     tail_scale=k.tail_scale, pd_hint=False)
+                     tail_scale=k.tail_scale)
     return (k, zero) if wd == 0.0 else (zero, k)
 
 
@@ -473,13 +473,13 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
         return -q, -G, (d - 1) * (rG + r * kt) + dk[0], -rG
 
     curl_free = TriKernel(dim=d, radial=radial, family_tag=f"curl_free_component({k.family_tag})",
-                          tail_scale=R, pd_hint=k.pd_hint)
+                          tail_scale=R)
 
     def complement(r, derivatives=False):
         return tuple(a - b for a, b in zip(whole(r, derivatives), radial(r, derivatives)))
 
     div_free = TriKernel(dim=d, radial=complement, family_tag=f"div_free_component({k.family_tag})",
-                         tail_scale=R, pd_hint=k.pd_hint)
+                         tail_scale=R)
 
     tail_mag = max(abs(float(curl_free.k_perp(R))), abs(float(div_free.k_par(R))))
     if tail_mag * R ** 2 > 1e-3 * abs(k.k0):

@@ -318,8 +318,7 @@ def test_criterion_11_figure_reproduction():
         counts = {}
         for name, k in kernels.items():
             fan = D.exp_map_fan(k, q0, D.theta_momenta(50.0, thetas),
-                                D.IntegratorConfig(step=2e-3, record_every=50),
-                                parameters=thetas)
+                                D.IntegratorConfig(step=2e-3, record_every=50))
             for traj in fan.trajectories:
                 if traj is not None:
                     assert np.all(np.isfinite(traj.q))

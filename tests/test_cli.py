@@ -480,6 +480,21 @@ def test_shoot_with_grid_and_svg(tmp_path, capsys):
     assert "max |det - 1|" in out
 
 
+@pytest.mark.parametrize("kernel, volume", [
+    ({"family": "gaussian_div_free", "b": 1.0, "c": 16.0, "dim": 2}, True),
+    # on the D1 boundary b = (d-1) a / (2c): the same div-free kernel
+    ({"family": "example1", "a": 32.0, "b": 1.0, "c": 16.0, "dim": 2}, True),
+    ({"family": "gaussian", "c": 16.0, "b": 0.03125, "dim": 2}, False),
+    ({"family": "gaussian_curl_free", "b": 1.0, "c": 16.0, "dim": 2}, False),
+])
+def test_shoot_volume_label_follows_the_generator(tmp_path, capsys, kernel, volume):
+    cfg = dict(SHOOT_CFG, kernel=kernel, integrator={"step": 0.01, "record_every": 10},
+               grid={"lo": [-0.2, -0.3], "hi": [0.8, 0.5], "n": [6, 5]})
+    assert run(tmp_path, "shoot", cfg) == 0
+    line, = [l for l in capsys.readouterr().out.splitlines() if "max |det - 1|" in l]
+    assert line.endswith("(volume preservation)") == volume
+
+
 def test_shoot_companions_follow_output_path_into_subdirectory(tmp_path):
     cfg = dict(SHOOT_CFG, grid={"lo": [-0.2, -0.3], "hi": [0.8, 0.5], "n": [6, 5]},
                output={"format": "svg", "arrow_scale": 0.01, "path": "sub/run.csv"})

@@ -461,7 +461,7 @@ def test_flow_grid_is_the_out_of_place_loop_bit_for_bit(scheme, record_every):
 
 
 def assert_recorded_hamiltonians(k, traj):
-    # each recorded H is 1/2 p . dq from the next stage, or _ham for the final row
+    # each recorded H is 1/2 p . dq from the next step's first stage, or from _ham for the final row
     want = np.array([D.hamiltonian(k, D.PhaseState(q, p, t))
                      for q, p, t in zip(traj.q, traj.p, traj.times)])
     assert np.max(np.abs(traj.hamiltonians - want)) <= 1e-13 * np.max(np.abs(want))
@@ -481,13 +481,26 @@ def test_recorded_hamiltonians_equal_hamiltonian(scheme, record_every):
         assert np.array_equal(getattr(fg.trajectory, name), getattr(traj, name)), name
 
 
+def test_final_recorded_hamiltonian_is_half_p_dot_qdot():
+    # near coalescence the cometric quadratic form, summed on its own, and
+    # 1/2 p . dq differ in the 9th digit; every row, the last included, is the latter
+    k = scalar16()
+    q0, _ = row_a()
+    p0 = F.MomentaSet(D.theta_momenta(60.0, [np.pi / 2])[0])
+    traj = D.shoot(k, q0, p0, D.IntegratorConfig(step=1e-2))
+    q, p = traj.q[-1], traj.p[-1]
+    dq, _ = D.hamilton_rhs(k, D.PhaseState(q, p, 1.0))
+    assert traj.hamiltonians[-1] == 0.5 * np.sum(p * dq)
+    assert traj.hamiltonians[-1] == D.hamiltonian(k, D.PhaseState(q, p, 1.0))
+
+
 # --- exponential map fans ----------------------------------------------------------
 
 def test_fan_single_angle_equals_shoot():
     k = scalar16()
     q0 = F.LandmarkConfig(np.array([[0.0, -0.125], [0.0, 0.125]]))
     cfg = D.IntegratorConfig(step=2e-3, record_every=50)
-    fan = D.exp_map_fan(k, q0, D.theta_momenta(50.0, [0.3]), cfg, parameters=[0.3])
+    fan = D.exp_map_fan(k, q0, D.theta_momenta(50.0, [0.3]), cfg)
     direct = D.shoot(k, q0, F.MomentaSet(D.theta_momenta(50.0, [0.3])[0]), cfg)
     np.testing.assert_array_equal(fan.trajectories[0].q, direct.q)
     assert not fan.failures
@@ -501,7 +514,7 @@ def test_fan_mirror_symmetry():
     q0 = F.LandmarkConfig(np.array([[0.0, -0.125], [0.0, 0.125]]))
     cfg = D.IntegratorConfig(step=2e-3, record_every=100)
     thetas = [-0.6, 0.3, 1.1]
-    fan = D.exp_map_fan(k, q0, D.theta_momenta(50.0, thetas), cfg, parameters=thetas)
+    fan = D.exp_map_fan(k, q0, D.theta_momenta(50.0, thetas), cfg)
     flip = np.array([1.0, -1.0])
     for traj in fan.trajectories:
         assert np.max(np.abs(traj.q[:, 1, :] - traj.q[:, 0, :] * flip)) <= 1e-9
