@@ -19,7 +19,6 @@ from .specfun import (
 )
 from .kernels import (
     ScalarProfile,
-    SingularityError,
     TriKernel,
     bessel_kernel,
     bessel_profile,
@@ -30,6 +29,7 @@ from .kernels import (
     eval_matrix,
     family_example1,
     family_example2,
+    field_jacobian,
     gaussian_hodge_pair,
     gaussian_kernel,
     gaussian_profile,
@@ -38,7 +38,6 @@ from .kernels import (
     ktilde,
     make_curl_free,
     make_div_free,
-    partial_matrix,
     scalar_kernel,
     sobolev_green_constant,
 )

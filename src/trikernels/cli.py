@@ -466,7 +466,7 @@ def cmd_expmap(cfg: dict, k: ker.TriKernel, args) -> int:
                np.concatenate(rows) if rows else rows)
     print(f"wrote {path}")
 
-    if out["format"] == "svg":
+    if out["format"] == "svg" and rows:
         sheets = [fan.sheet(a) for a in range(lmk.n)]
         finite = np.concatenate([s[np.isfinite(s).all(axis=2)] for s in sheets])
         lo, hi = finite.min(axis=0) - 0.1, finite.max(axis=0) + 0.1

@@ -134,25 +134,30 @@ class FlowGrid:
 # Hamiltonian and its vector field, on coordinate-major (d, B, N) states
 # ---------------------------------------------------------------------------
 
-def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray, dp: np.ndarray):
+def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray,
+         dp: Optional[np.ndarray] = None):
     """Right-hand side of the geodesic equations for states (d, B, N).
 
-    Writes the rates into dq and dp, of q's shape, and returns r, the (B, N, N)
-    pairwise distances for the coalescence test.  The displacements
-    x_ab = q_a - q_b form one contiguous (d, B, N, N) array; r, hence every
-    coefficient, is bitwise symmetric in a and b; dp sums the negated gradient
-    terms.  Self-terms contribute 0 to dp: the displacement vanishes and the
-    primitive's radial derivatives are 0 at zero radius.
+    Writes the rates into dq and, when given, dp, of q's shape, and returns r,
+    the (B, N, N) pairwise distances for the coalescence test; without dp the
+    radial derivatives are not evaluated.  The displacements x_ab = q_a - q_b
+    form one contiguous (d, B, N, N) array; r, hence every coefficient, is
+    bitwise symmetric in a and b.  dp sums the negated gradient terms, which
+    are -field_jacobian(x_ab, p_b)^T p_a in fused form.  Self-terms contribute
+    0 to dp: the displacement vanishes and the primitive's radial derivatives
+    are 0 at zero radius.
     """
     x = q[..., :, None] - q[..., None, :]
-    c = pair_coefficients(k, x, True, axis=0)
+    c = pair_coefficients(k, x, dp is not None)
     u = np.einsum("iBab,iBa->Bab", x, p)  # x_ab . p_a; its transpose is -x_ab . p_b
     pt = p.transpose(1, 2, 0)             # C @ pt sums C_ab p_b over b
-    inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
     nkw = c.ktilde * u.mT                 # -ktilde (x_ab . p_b); its transpose is ktilde u
     np.matmul(c.kperp, pt, out=dq.transpose(1, 2, 0))
     np.subtract(dq, np.vecdot(x, nkw), out=dq)
+    if dp is None:
+        return c.r
 
+    inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
     nuw = u * u.mT * np.square(inv_r)                     # -(p_a . xhat)(p_b . xhat)
     nradial = (c.dkpar * nuw - c.dkperp * (pt @ pt.mT + nuw)) * inv_r - 2.0 * c.ktilde * nuw
     np.vecdot(x, nradial, out=dp)
@@ -170,7 +175,7 @@ def _energy(p: np.ndarray, dq: np.ndarray) -> np.ndarray:
 def _ham(k: TriKernel, q: np.ndarray, p: np.ndarray):
     """H for coordinate-major states (d, B, N); one value per member."""
     dq = np.empty(q.shape)
-    _rhs(k, q, p, dq, np.empty(q.shape))
+    _rhs(k, q, p, dq)
     return _energy(p, dq)
 
 

@@ -1,10 +1,11 @@
 """Vector-field services built on TRI kernels.
 
 Minimal-norm interpolation of point constraints, evaluation of fields
-spanned by kernel translates, and the pointwise divergence / rotational
-intensity of single-center fields, all from the kernels module's
-pairwise primitive (through `eval_matrix`, `pair_coefficients` and the
-differential residuals).  The interpolation problem
+spanned by kernel translates, the pointwise divergence / rotational
+intensity of single-center fields and a Newton search for their zeros,
+all from the kernels module's pairwise primitive (through `eval_matrix`,
+`pair_coefficients`, `field_jacobian` and the differential residuals).
+The interpolation problem
 
     u(x_a) = beta_a  for all a,   |u| minimal in the kernel's space
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .kernels import (ZERO_RADIUS, TriKernel, curl_free_residual, div_free_residual,
-                      eval_matrix, pair_coefficients, partial_matrix)
+                      eval_matrix, field_jacobian, pair_coefficients)
 
 MIN_SEPARATION = 1e-9
 
@@ -129,7 +130,7 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
     single = pts.ndim == 1
     pts = np.ascontiguousarray(np.atleast_2d(pts).T)          # (d, M)
     x = pts[:, None, :] - centers.T[:, :, None]               # (d, N, M)
-    c = pair_coefficients(k, x, axis=0)
+    c = pair_coefficients(k, x)
     dot = np.einsum("inm,ni->nm", x, momenta)
     out = momenta.T @ c.kperp + np.einsum("nm,inm->im", c.ktilde * dot, x)
     return out[:, 0] if single else out.T
@@ -224,9 +225,8 @@ def curl_magnitude_at(k: TriKernel, x, alpha):
 def field_zero(k: TriKernel, alpha, x0) -> np.ndarray:
     """Newton search for a zero of the single-center field y -> k(y)alpha.
 
-    The Jacobian columns are the coordinate derivatives of the kernel
-    matrix applied to alpha.  The search stops at |k(x)alpha| < 1e-12 and
-    raises after 60 steps.
+    Each step solves against `field_jacobian(k, x, alpha)`.  The search
+    stops at |k(x)alpha| < 1e-12 and raises after 60 steps.
     """
     alpha = np.asarray(alpha, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
@@ -234,8 +234,5 @@ def field_zero(k: TriKernel, alpha, x0) -> np.ndarray:
         v = eval_matrix(k, x) @ alpha
         if np.linalg.norm(v) < 1e-12:
             return x
-        # column i holds the derivative of the field along axis i
-        jac = np.column_stack([partial_matrix(k, x, i) @ alpha for i in range(k.dim)])
-        step = np.linalg.solve(jac, v)
-        x = x - step
+        x = x - np.linalg.solve(field_jacobian(k, x, alpha), v)
     raise RuntimeError("field zero search did not converge")

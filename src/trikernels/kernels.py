@@ -7,8 +7,8 @@ orthogonal complement,
     k(x) = kpar(|x|) P(x) + kperp(|x|) (I - P(x)),    P(x) = x x^T / |x|^2,
 
 with k(0) = k0 * I.  This module holds the kernel data type, the pairwise
-primitive, matrix evaluation and its analytic spatial derivative, the
-concrete Gaussian families, the curl-free / divergence-free
+primitive, matrix evaluation and the analytic Jacobian of a kernel
+field, the concrete Gaussian families, the curl-free / divergence-free
 constructions from scalar profiles, and the closed-form Hodge pair of
 the scalar Gaussian.
 
@@ -24,8 +24,9 @@ written in closed form with its limits at r = 0: the Gaussian takes one
 exp, the Cauchy profile one reciprocal and the Bessel profile three K_m
 calls.  The scalar, curl-free and div-free constructions are linear
 maps of that tuple.  The primitive `pair_coefficients` is one call
-to `radial`; every kernel matrix, matrix derivative, field value and
-differential residual in the package is computed from it.
+to `radial` on coordinate-major (d, ...) displacements; every kernel
+matrix, field value, field Jacobian and differential residual in the
+package is computed from it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from .specfun import bessel_k, lower_gamma
 
 # separations below this radius count as zero
 ZERO_RADIUS = 1e-12
-
-
-class SingularityError(ValueError):
-    """Kernel derivative requested at (numerically) zero separation."""
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +239,18 @@ class PairCoefficients(NamedTuple):
     dkperp: Optional[np.ndarray] = None
 
 
-def pair_coefficients(k: TriKernel, x, derivatives: bool = False,
-                      axis: int = -1) -> PairCoefficients:
-    """Coefficients at displacements x of shape (..., d), safe at x = 0.
+def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoefficients:
+    """Coefficients at coordinate-major displacements x of shape (d, ...),
+    safe at x = 0.
 
-    Every array of the result has x's shape without the coordinate axis:
-    the last one, or with axis=0 the first, for coordinate-major (d, ...)
-    arrays.  The radial derivatives are evaluated only when `derivatives`
-    is set.  This is the one place where every kernel value in the
-    package is computed.
+    Every array of the result has shape x.shape[1:], so no array has a
+    trailing axis of length d; point-major (..., d) displacements enter as
+    the view np.moveaxis(x, -1, 0).  The radial derivatives are evaluated
+    only when `derivatives` is set.  This is the one place where every
+    kernel value in the package is computed.
     """
-    if axis not in (0, -1):
-        raise ValueError("the coordinate axis must be 0 or -1")
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.einsum("i...,i...->..." if axis == 0 else "...i,...i->...", x, x))
+    r = np.sqrt(np.einsum("i...,i...->...", x, x))
     return PairCoefficients(r, *k.radial(r, derivatives))
 
 
@@ -267,32 +262,34 @@ def eval_matrix(k: TriKernel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != k.dim:
         raise ValueError(f"expected vectors of length {k.dim}")
-    c = pair_coefficients(k, x)
+    c = pair_coefficients(k, np.moveaxis(x, -1, 0))
     outer = x[..., :, None] * x[..., None, :]
     return c.kperp[..., None, None] * np.eye(k.dim) + c.ktilde[..., None, None] * outer
 
 
-def partial_matrix(k: TriKernel, x, axis: int) -> np.ndarray:
-    """Derivative of the kernel matrix along coordinate `axis` (0-based).
+def field_jacobian(k: TriKernel, x, alpha) -> np.ndarray:
+    """Jacobian of the field y -> k(y) alpha at displacements x.
 
-    Equals (x_i / r) [dkperp I + ((dkpar - dkperp)/r^2 - 2 ktilde/r) x x^T]
-    + ktilde (e_i x^T + x e_i^T).  Undefined at the origin; the smooth
-    even extension has derivative 0 there, which callers handle themselves.
+    x and alpha broadcast over leading axes (..., d); entry [..., j, i] of
+    the (..., d, d) result is d(k(x) alpha)_j / dx_i.  With u = x . alpha
+    and t = ktilde'/r = ((dkpar - dkperp)/r^2 - 2 ktilde/r)/r,
+
+        J = (dkperp/r) alpha x^T + x (t u x + ktilde alpha)^T + ktilde u I.
+
+    1/r is clamped at ZERO_RADIUS, so J is exactly 0 at x = 0.  The matrix
+    derivative along axis i, applied to e_l, is J(x, e_l)[:, i].
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (k.dim,):
-        raise ValueError(f"expected a vector of length {k.dim}")
-    if not 0 <= axis < k.dim:
-        raise ValueError("axis out of range")
-    c = pair_coefficients(k, x, derivatives=True)
-    r = float(c.r)
-    if r < ZERO_RADIUS:
-        raise SingularityError("kernel derivative evaluated at zero separation")
-    e = np.zeros(k.dim)
-    e[axis] = 1.0
-    radial = (c.dkpar - c.dkperp) / r ** 2 - 2.0 * c.ktilde / r
-    return (x[axis] / r) * (c.dkperp * np.eye(k.dim) + radial * np.outer(x, x)) \
-        + c.ktilde * (np.outer(e, x) + np.outer(x, e))
+    x, alpha = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(alpha, dtype=float))
+    if x.ndim == 0 or x.shape[-1] != k.dim:
+        raise ValueError(f"expected vectors of length {k.dim}")
+    c = pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
+    inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
+    u = np.einsum("...i,...i->...", x, alpha)
+    t = ((c.dkpar - c.dkperp) * np.square(inv_r) - 2.0 * c.ktilde * inv_r) * inv_r
+    left = (c.dkperp * inv_r)[..., None] * alpha
+    right = (t * u)[..., None] * x + c.ktilde[..., None] * alpha
+    return left[..., :, None] * x[..., None, :] + x[..., :, None] * right[..., None, :] \
+        + (c.ktilde * u)[..., None, None] * np.eye(k.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +498,11 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
 
 def div_free_residual(k: TriKernel, r):
     """(d-1)(kpar - kperp)/r + kpar'; identically 0 for div-free kernels."""
-    c = pair_coefficients(k, np.asarray(r, dtype=float)[..., None], derivatives=True)
+    c = pair_coefficients(k, np.asarray(r, dtype=float)[None], derivatives=True)
     return (k.dim - 1) * c.r * c.ktilde + c.dkpar
 
 
 def curl_free_residual(k: TriKernel, r):
     """(kpar - kperp)/r - kperp'; identically 0 for curl-free kernels."""
-    c = pair_coefficients(k, np.asarray(r, dtype=float)[..., None], derivatives=True)
+    c = pair_coefficients(k, np.asarray(r, dtype=float)[None], derivatives=True)
     return c.r * c.ktilde - c.dkperp

@@ -596,6 +596,23 @@ def test_expmap_csv_of_a_fan_with_a_coalescing_member(tmp_path):
     assert (tmp_path / "expmap.csv").read_bytes() == want.getvalue().encode()
 
 
+def test_expmap_svg_of_a_fan_whose_every_member_fails(tmp_path, capsys):
+    # no member to draw: the run writes the header-only CSV and no SVG, and exits 3
+    cfg = {
+        "kernel": {"family": "gaussian", "c": 16.0, "b": 1.0 / 32.0, "dim": 2},
+        "landmarks": [[0.0, 0.0], [0.0, 0.15]],
+        "expmap": {"magnitude": 120.0, "count": 1, "theta_min": 1.5707963,
+                   "theta_max": 1.5707963},
+        "integrator": {"step": 0.01},
+        "output": {"format": "svg"},
+    }
+    assert run(tmp_path, "expmap", cfg) == 3
+    assert "trajectory 0 (theta=1.5708) failed" in capsys.readouterr().out
+    header, rows = read_csv(tmp_path / "expmap.csv")
+    assert header[:2] == ["theta", "t"] and rows.size == 0
+    assert not (tmp_path / "expmap.svg").exists()
+
+
 # --- hodge ------------------------------------------------------------------------
 
 def test_hodge_command(tmp_path, capsys):

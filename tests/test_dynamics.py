@@ -142,7 +142,7 @@ def rhs_reference(k, q, p):
     (B, N, N, d) and matmul contractions over the trailing coordinate axis.
     Returns (dq, dp, r)."""
     x = q[..., :, None, :] - q[..., None, :, :]
-    c = K.pair_coefficients(k, x, derivatives=True)
+    c = K.pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
     inv_r = 1.0 / np.maximum(c.r, K.ZERO_RADIUS)
     u = (x @ p[..., :, :, None])[..., 0]                  # x_ab . p_a
     w = -u.mT                                             # x_ab . p_b
@@ -170,6 +170,32 @@ def test_rhs_matches_the_landmark_major_formula(make, n, batch, rng):
     assert np.max(np.abs(dq.transpose(1, 2, 0) - want_dq)) <= 1e-13 * scale
     assert np.max(np.abs(dp.transpose(1, 2, 0) - want_dp)) <= 1e-13 * scale
     assert np.array_equal(r, want_r)
+
+
+@pytest.mark.parametrize("batch", [1, 9])
+@pytest.mark.parametrize("n", [1, 2, 36, 100])
+@pytest.mark.parametrize("make", [scalar16, divfree16, curlfree16, example1_boundary16])
+def test_rhs_dp_is_minus_the_field_jacobian_contraction(make, n, batch, rng):
+    # dp_a = -sum_b J(q_a - q_b, p_b)^T p_a: the fused dp is the field Jacobian's transpose
+    k = make()
+    q = rng.uniform(-0.5, 0.5, (batch, n, 2))
+    p = rng.normal(size=(batch, n, 2)) * 15.0
+    jac = K.field_jacobian(k, q[:, :, None, :] - q[:, None, :, :], p[:, None, :, :])
+    want = -np.einsum("Babji,Baj->Bai", jac, p)
+    qc, pc = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (q, p))   # (d, B, N)
+    dq, dp = np.empty_like(qc), np.empty_like(pc)
+    D._rhs(k, qc, pc, dq, dp)
+    assert np.max(np.abs(dp.transpose(1, 2, 0) - want)) <= 1e-13 * np.max(np.abs(dp))
+
+    # without dp, _rhs writes the same dq and r and evaluates no radial derivatives
+    flags = []
+    spy = K.TriKernel(dim=2, radial=lambda r, derivatives=False:
+                      flags.append(derivatives) or k.radial(r, derivatives))
+    flags.clear()
+    dq_only = np.empty_like(qc)
+    assert np.array_equal(D._rhs(spy, qc, pc, dq_only), D._rhs(k, qc, pc, dq, dp))
+    assert np.array_equal(dq_only, dq)
+    assert flags == [False]
 
 
 def full_scan(r, t):

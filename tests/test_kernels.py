@@ -133,9 +133,14 @@ def test_ktilde_scalar_kernel_is_zero():
     assert np.all(K.ktilde(k, R_GRID) == 0.0)
 
 
-# --- partial_matrix ----------------------------------------------------------
+# --- field_jacobian ----------------------------------------------------------
 
-def test_partial_matrix_vs_finite_differences(rng):
+def matrix_derivative(k, x, axis):
+    """d k(x) / dx_axis from the field Jacobian: J(x, I)[l, j, axis] = (d_axis k(x) e_l)_j."""
+    return K.field_jacobian(k, x, np.eye(k.dim))[:, :, axis].T
+
+
+def test_field_jacobian_vs_finite_differences(rng):
     kernels = [
         K.family_example1(2.0, 1.0, 1.0, 2),
         K.family_example2(1.5, 1.0, 1.0, 2),
@@ -148,28 +153,43 @@ def test_partial_matrix_vs_finite_differences(rng):
             x = rng.normal(size=k.dim)
             x *= np.clip(np.linalg.norm(x), 0.1, 5.0) / np.linalg.norm(x)
             for axis in range(k.dim):
-                an = K.partial_matrix(k, x, axis)
+                an = matrix_derivative(k, x, axis)
                 fd = fd_matrix_derivative(k, x, axis)
                 assert np.max(np.abs(an - fd)) < 1e-6
 
 
-def test_partial_matrix_scalar_gaussian_axis_point():
+def test_field_jacobian_scalar_gaussian_axis_point():
     k = K.gaussian_kernel(0.5, 2)  # e^{-r^2/2}
-    got = K.partial_matrix(k, np.array([1.0, 0.0]), 0)
+    got = matrix_derivative(k, np.array([1.0, 0.0]), 0)
     np.testing.assert_allclose(got, -math.exp(-0.5) * np.eye(2), atol=1e-14)
 
 
-def test_partial_matrix_oddness(rng, example1):
+def test_field_jacobian_oddness(rng, example1):
     x = rng.normal(size=2)
-    for axis in range(2):
-        lhs = K.partial_matrix(example1, -x, axis)
-        rhs = -K.partial_matrix(example1, x, axis)
+    for alpha in (np.eye(2), rng.normal(size=2)):
+        lhs = K.field_jacobian(example1, -x, alpha)
+        rhs = -K.field_jacobian(example1, x, alpha)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
-def test_partial_matrix_singularity_error(example1):
-    with pytest.raises(K.SingularityError):
-        K.partial_matrix(example1, np.zeros(2), 0)
+def test_field_jacobian_is_zero_at_the_origin(rng, example1):
+    # the smooth even kernel has derivative 0 at x = 0; the clamped 1/r gives it exactly
+    for alpha in (np.eye(2), rng.normal(size=2)):
+        assert np.all(K.field_jacobian(example1, np.zeros(2), alpha) == 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_jacobian_batched_equals_single_calls(rng, d):
+    k = K.make_div_free(K.gaussian_profile(0.25, 1.0), d)
+    x = rng.normal(size=(4, 5, d))
+    x[0, 0] = 0.0
+    alpha = rng.normal(size=(4, 5, d))
+    batched = K.field_jacobian(k, x, alpha)
+    shared = K.field_jacobian(k, x, alpha[1, 2])
+    assert batched.shape == shared.shape == (4, 5, d, d)
+    for idx in np.ndindex(4, 5):
+        np.testing.assert_array_equal(batched[idx], K.field_jacobian(k, x[idx], alpha[idx]))
+        np.testing.assert_array_equal(shared[idx], K.field_jacobian(k, x[idx], alpha[1, 2]))
 
 
 # --- constructions -----------------------------------------------------------
@@ -438,7 +458,7 @@ def test_gaussian_hodge_pair_derivatives(rng):
             x *= np.clip(np.linalg.norm(x), 0.2, 4.0) / np.linalg.norm(x)
             for axis in range(2):
                 fd = fd_matrix_derivative(k, x, axis)
-                np.testing.assert_allclose(K.partial_matrix(k, x, axis), fd, atol=1e-6)
+                np.testing.assert_allclose(matrix_derivative(k, x, axis), fd, atol=1e-6)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -453,17 +473,18 @@ def test_gaussian_construction_ktilde_exact_at_small_r(make, sign, d):
     x = np.zeros((len(r), d))
     x[:, 0] = r
     want = sign * 4.0 * a * c * c * np.exp(-c * r * r)
-    got = K.pair_coefficients(k, x).ktilde
+    got = K.pair_coefficients(k, x.T).ktilde
     assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
 def test_pair_coefficients_coordinate_major(rng, example1):
-    # axis=0 reads (d, ...) displacements and gives the same values as (..., d)
+    # (d, ...) displacements: a strided view of point-major data and its
+    # contiguous copy give the same values
     x = rng.normal(size=(4, 5, 2))
     x[0, 0] = 0.0
-    last = K.pair_coefficients(example1, x, derivatives=True)
-    first = K.pair_coefficients(example1, np.moveaxis(x, -1, 0), derivatives=True, axis=0)
+    view = np.moveaxis(x, -1, 0)
+    strided = K.pair_coefficients(example1, view, derivatives=True)
+    contiguous = K.pair_coefficients(example1, np.ascontiguousarray(view), derivatives=True)
+    assert strided.r.shape == (4, 5)
     for name in ("r", "kperp", "ktilde", "dkpar", "dkperp"):
-        np.testing.assert_array_equal(getattr(first, name), getattr(last, name))
-    with pytest.raises(ValueError):
-        K.pair_coefficients(example1, x, axis=1)
+        np.testing.assert_array_equal(getattr(strided, name), getattr(contiguous, name))

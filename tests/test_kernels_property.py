@@ -141,7 +141,7 @@ def _coefficients(k, r):
     """(kpar, kperp, dkpar, dkperp) of k from the primitive, at radii r along e_1."""
     x = np.zeros(np.shape(r) + (k.dim,))
     x[..., 0] = r
-    c = K.pair_coefficients(k, x, derivatives=True)
+    c = K.pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
     return c.kperp + c.r * c.r * c.ktilde, c.kperp, c.dkpar, c.dkperp
 
 
