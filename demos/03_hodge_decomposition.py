@@ -7,7 +7,8 @@ which `hodge_split` evaluates.  The two components acquire algebraic r^-2
 tails that cancel only in the sum -- worth seeing numerically, because it
 is why truncated-domain orthogonality checks need a generous radius.
 Exits 1 when the split is off the closed-form pair by more than 1e-6 on
-[0.05, 5].
+[0.05, 5], or when R^2 times the relative pairing differs by more than 1%
+between R = 50 and R = 200.
 """
 
 import sys
@@ -45,8 +46,10 @@ split_err = np.max(np.abs(k1.k_perp(rr) - c1.k_perp(rr)))
 print(f"\nmax |split - closed form| over [0.05, 5]: {split_err:.2e}")
 
 print("\ntruncated-domain orthogonality of the two component fields:")
+scaled = {}
 for radius in (8.0, 50.0, 200.0):
     inner, n1, n2 = hodge_orthogonality(k1, k2, radius)
+    scaled[radius] = radius ** 2 * abs(inner) / (n1 * n2)
     print(f"  radius {radius:6.1f}: |<u1,u2>|/(|u1||u2|) = {abs(inner)/(n1*n2):.3e}"
           f"   (1/R^2 = {1/radius**2:.3e})")
 print("the defect tracks 1/R^2 -- the r^-2 component tails at work.\n")
@@ -64,3 +67,6 @@ for part, name in ((k1, "curl_free"), (k2, "div_free")):
     print(f"wrote {path}")
 if not split_err <= 1e-6:
     sys.exit(f"split is off the closed form by {split_err:.2e} > 1e-6")
+if not abs(scaled[200.0] / scaled[50.0] - 1.0) <= 0.01:
+    sys.exit(f"R^2 |<u1,u2>|/(|u1||u2|) reads {scaled[50.0]:.4g} at R = 50 and "
+             f"{scaled[200.0]:.4g} at R = 200, more than 1% apart")

@@ -187,39 +187,36 @@ def interpolate(k: TriKernel, cfg: LandmarkConfig, targets) -> InterpolationResu
                                jittered=jittered)
 
 
-def _nonzero(x, alpha, what: str):
-    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
-    r = np.sqrt(np.einsum("...i,...i->...", x, x))
-    if np.any(r < ZERO_RADIUS):
-        raise ValueError(f"{what} formula needs x != 0")
-    return x, alpha, r
-
-
 def divergence_at(k: TriKernel, x, alpha):
-    """Divergence of y -> k(y)alpha at x != 0.
+    """Divergence of y -> k(y)alpha at x.
 
     x and alpha broadcast to (..., d); the result has shape (...), a float
     for single vectors.  Equals (alpha . xhat) times the div-free residual
-    (d-1)(kpar - kperp)/r + kpar'(r).
+    (d-1)(kpar - kperp)/r + kpar'(r).  1/r is clamped at ZERO_RADIUS, so
+    the value at x = 0 is exactly 0, the trace of the Jacobian there.
     """
-    x, alpha, r = _nonzero(x, alpha, "divergence")
-    return (np.einsum("...i,...i->...", alpha, x) / r * div_free_residual(k, r))[()]
+    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    return (np.einsum("...i,...i->...", alpha, x) / np.maximum(r, ZERO_RADIUS)
+            * div_free_residual(k, r))[()]
 
 
 def curl_magnitude_at(k: TriKernel, x, alpha):
-    """Rotational intensity of y -> k(y)alpha at x != 0.
+    """Rotational intensity of y -> k(y)alpha at x.
 
     The curl-free residual (kpar - kperp)/r - kperp'(r) times
-    |alpha ^ x| / r, the norm of the wedge of the two vectors; shapes as
-    in `divergence_at`.  In the plane this matches the scalar curl of the
-    field up to orientation sign; in R^3 it is (up to the same sign) the
-    Euclidean norm of the classical curl.
+    |alpha ^ x| / r, the norm of the wedge of the two vectors; shapes, the
+    clamp of 1/r and the value 0 at x = 0 as in `divergence_at`.  In the
+    plane this matches the scalar curl of the field up to orientation sign;
+    in R^3 it is (up to the same sign) the Euclidean norm of the classical
+    curl.
     """
-    x, alpha, r = _nonzero(x, alpha, "curl")
+    x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    r = np.sqrt(np.einsum("...i,...i->...", x, x))
     # |alpha ^ x|^2 as the sum of squared 2x2 minors: exact for parallel vectors
     minors = alpha[..., :, None] * x[..., None, :] - x[..., :, None] * alpha[..., None, :]
     wedge = np.sqrt(0.5 * np.sum(minors * minors, axis=(-2, -1)))
-    return (curl_free_residual(k, r) * wedge / r)[()]
+    return (curl_free_residual(k, r) * wedge / np.maximum(r, ZERO_RADIUS))[()]
 
 
 def field_zero(k: TriKernel, alpha, x0) -> np.ndarray:

@@ -83,10 +83,11 @@ def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
 
 def cauchy_profile(sigma: float) -> ScalarProfile:
     """w = 1 / (1 + r^2/sigma^2), the rational profile; its fused tuple is
-    (w, -2 w^2/sigma^2, 8 w^3/sigma^4, 24 r (1 - r^2/sigma^2) w^4/sigma^4)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    (w, -2 w^2/sigma^2, 8 w^3/sigma^4, 24 r (1 - r^2/sigma^2) w^4/sigma^4).
+    sigma^4 and 1/sigma^4 must be finite and nonzero: 1e-77 < sigma < 1e77."""
     s2 = sigma * sigma
+    if not (sigma > 0 and 0.0 < s2 * s2 < math.inf and 1.0 / (s2 * s2) < math.inf):
+        raise ValueError("sigma must be positive, with sigma^4 and 1/sigma^4 finite and nonzero")
 
     def fused(r, order=3):
         u = np.square(r) / s2

@@ -8,7 +8,8 @@ segmented quadrature for semi-infinite oscillatory integrals
 
     I(rho) = int_0^inf  r**w  f(r)  J_nu(rho * r)  dr,
 
-which is the workhorse behind every spectral transform in the package.
+which is the workhorse behind every spectral transform in the package;
+`radial_moment` serves the inverse limit and the Hodge pairing.
 Integration proceeds segment by segment between consecutive zeros of the
 oscillating Bessel factor (zeros located by the McMahon expansion), with
 fixed-order Gauss-Legendre panels inside each segment.  Every transform
@@ -355,7 +356,8 @@ def radial_moment(f, power, tail_hint: float):
     """Evaluate int_0^inf r**power f(r) dr for a decaying profile.
 
     Used for the small-argument limits of the inverse spectral transform,
-    where the Bessel factor degenerates to its leading monomial.  A profile
+    where the Bessel factor degenerates to its leading monomial, and for
+    the Hodge pairing, whose profile is zero beyond tail_hint.  A profile
     of m columns, shape (m, n) at n radii, gives the m moments from one
     panel loop; each column keeps the value at which it turned quiet, and
     the loop ends when every column has.  tail_hint is the radius beyond

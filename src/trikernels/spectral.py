@@ -38,7 +38,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import ScalarProfile, TriKernel, ktilde, make_curl_free, make_div_free
-from .specfun import bessel_k, hankel_integral, lower_gamma, radial_moment, upper_gamma
+from .specfun import (_gauss_legendre, bessel_k, hankel_integral, lower_gamma, radial_moment,
+                      upper_gamma)
 
 TWO_PI = 2.0 * math.pi
 
@@ -445,7 +446,7 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
         return (d - 1) * r * kt + dkpar, kt
 
     nodes = np.concatenate([[0.0], r_grid])
-    t, w = np.polynomial.legendre.leggauss(16)
+    t, w = _gauss_legendre(16)
     half = np.diff(nodes)[:, None] / 2.0
     s = nodes[:-1, None] + half * (1.0 + t)
     div, kt = residual(s)
@@ -482,7 +483,7 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
                          tail_scale=R)
 
     tail_mag = max(abs(float(curl_free.k_perp(R))), abs(float(div_free.k_par(R))))
-    if tail_mag * R ** 2 > 1e-3 * abs(k.k0):
+    if tail_mag * R * R > 1e-3 * abs(k.k0):
         warnings.warn(
             "Hodge components decay like r^-(d) here; truncation at "
             f"r={R:.3g} is visible at the 1e-3*k0 level",
@@ -493,23 +494,21 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
 def hodge_orthogonality(k1: TriKernel, k2: TriKernel, radius: float) -> tuple[float, float, float]:
     """Truncated-domain L2 pairing of the fields x -> k1(x)e1 and k2(x)e1.
 
-    Reduces to a radial trapezoid integral: the angular average of the
-    field dot product is (k1par k2par + k1perp k2perp)/2 in the plane and
-    the analogue in higher dimension.  Returns (inner, norm1, norm2).
-    The pairing vanishes over all of R^d; over a ball of radius R the
-    r^{-(2mu+2)} component tails leave a defect of order 1/R^2 relative.
-    The trapezoid takes max(4000, 200 R) radii.
+    The pairing and both squared norms are moments of the angle-averaged
+    products (k1par k2par + (d-1) k1perp k2perp)/d, set to zero beyond R,
+    from one `radial_moment` call whose geometric panels end at R: the
+    reading is the same at every kernel width.  Returns (inner, norm1,
+    norm2).  The pairing vanishes over all of R^d; over a ball of radius R
+    the r^{-(2mu+2)} component tails leave a defect of order 1/R^2 relative.
     """
     d = k1.dim
-    r = np.linspace(1e-6, radius, max(4000, int(200 * radius)))
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    w = surf * r ** (d - 1)
-    # angular averages of (e1 . xhat)^2 and its complement
-    c_par = 1.0 / d
-    c_perp = 1.0 - 1.0 / d
-    p1, q1 = k1.k_par(r), k1.k_perp(r)
-    p2, q2 = k2.k_par(r), k2.k_perp(r)
-    inner = float(np.trapezoid(w * (c_par * p1 * p2 + c_perp * q1 * q2), r))
-    n1 = math.sqrt(max(float(np.trapezoid(w * (c_par * p1 * p1 + c_perp * q1 * q1), r)), 0.0))
-    n2 = math.sqrt(max(float(np.trapezoid(w * (c_par * p2 * p2 + c_perp * q2 * q2), r)), 0.0))
-    return inner, n1, n2
+
+    def products(r):
+        p1, q1, p2, q2 = k1.k_par(r), k1.k_perp(r), k2.k_par(r), k2.k_perp(r)
+        rows = np.stack([p1 * p2 + (d - 1) * q1 * q2, p1 * p1 + (d - 1) * q1 * q1,
+                         p2 * p2 + (d - 1) * q2 * q2]) / d
+        return np.where(r <= radius, rows, 0.0)
+
+    inner, sq1, sq2 = surf * radial_moment(products, d - 1, tail_hint=radius)
+    return float(inner), math.sqrt(max(sq1, 0.0)), math.sqrt(max(sq2, 0.0))

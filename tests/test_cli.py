@@ -658,6 +658,43 @@ def test_hodge_div_free_input_has_tiny_curl_component(tmp_path):
     assert np.max(np.abs(rows[:, 1:3])) <= 1e-6 * scale
 
 
+def orthogonality_ratio(out):
+    line = [l for l in out.splitlines() if "orthogonality" in l][0]
+    return line.split("=")[-1].strip()
+
+
+def test_hodge_orthogonality_reads_the_same_at_every_gaussian_width(tmp_path, capsys):
+    ratios = []
+    for c in (1.0, 1e-12):
+        cfg = {"kernel": {"family": "gaussian", "c": c, "dim": 2}, "hodge": {"n": 16}}
+        assert run(tmp_path, "hodge", cfg) == 0
+        ratios.append(orthogonality_ratio(capsys.readouterr().out))
+    assert ratios[0] == ratios[1]
+
+
+def test_hodge_of_a_very_wide_div_free_gaussian(tmp_path, capsys):
+    cfg = {"kernel": {"family": "gaussian_div_free", "b": 1.0, "c": 1e-150, "dim": 2},
+           "hodge": {"n": 16}}
+    assert run(tmp_path, "hodge", cfg) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert orthogonality_ratio(captured.out)
+
+
+@pytest.mark.parametrize("command", ["hodge", "shoot"])
+@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+def test_cauchy_width_beyond_the_float_range_is_input_error(tmp_path, capsys, command, sigma):
+    # sigma^4 or 1/sigma^4 leaves the float range, so the profile's
+    # coefficients cannot be formed
+    cfg = {"kernel": {"family": "cauchy", "sigma": sigma, "dim": 2}}
+    if command == "shoot":
+        cfg.update(landmarks=[[0.0, 0.0], [0.5, 0.0]], momenta=[[0.0, 0.3], [0.0, -0.3]])
+    assert run(tmp_path, command, cfg) == 2
+    captured = capsys.readouterr()
+    assert "bad kernel parameters" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 HEAVY_SCIPY = ("scipy.special", "scipy.linalg", "scipy.interpolate")
 SPECTRAL_COMMANDS = ("certify", "spectrum", "hodge")
 COMMAND_BLOCKS = {

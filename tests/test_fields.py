@@ -329,10 +329,8 @@ def test_divergence_and_curl_batched_equal_per_point(make, rng):
         assert div[i, j] == pytest.approx(one_div, rel=1e-14, abs=1e-15 * abs(k.k0))
         assert curl[i, j] == pytest.approx(one_curl, rel=1e-14, abs=1e-15 * abs(k.k0))
     x[2, 1] = 0.0
-    with pytest.raises(ValueError):
-        F.divergence_at(k, x, al)
-    with pytest.raises(ValueError):
-        F.curl_magnitude_at(k, x, al)
+    assert F.divergence_at(k, x, al)[2, 1] == 0.0
+    assert F.curl_magnitude_at(k, x, al)[2, 1] == 0.0
 
 
 def test_divergence_matches_finite_differences(rng):

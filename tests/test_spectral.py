@@ -690,3 +690,59 @@ def test_hodge_orthogonality_defect_scales_inversely_with_area(gaussian_split):
     assert abs(ip8) / (n1 * n2) == pytest.approx(1.0 / 64.0, rel=0.15)
     ip200, m1, m2 = S.hodge_orthogonality(k1, k2, 200.0)
     assert abs(ip200) / (m1 * m2) <= 1e-4
+
+
+def relative_pairing(k1, k2, radius):
+    inner, n1, n2 = S.hodge_orthogonality(k1, k2, radius)
+    return abs(inner) / (n1 * n2)
+
+
+def panel_pairing(k1, k2, radius, panels):
+    """The relative pairing by composite 16-point Gauss-Legendre on uniform panels."""
+    d = k1.dim
+    t, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, radius, panels + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    r = (edges[:-1, None] + half * (1.0 + t)).ravel()
+    weight = (half * w).ravel() * r ** (d - 1)
+    p1, q1, p2, q2 = k1.k_par(r), k1.k_perp(r), k2.k_par(r), k2.k_perp(r)
+    inner = weight @ (p1 * p2 + (d - 1) * q1 * q2)
+    sq1 = weight @ (p1 * p1 + (d - 1) * q1 * q1)
+    sq2 = weight @ (p2 * p2 + (d - 1) * q2 * q2)
+    return abs(inner) / math.sqrt(sq1 * sq2)
+
+
+@pytest.mark.parametrize("radius", [198.0, 6260.0])
+def test_hodge_orthogonality_radii_budget(radius):
+    # one panel quadrature ending at R: the number of radii does not grow with R
+    k1, k2 = K.gaussian_hodge_pair(1.0, 2)
+    seen = []
+
+    def counted(r):
+        seen.append(np.size(r))
+        return k1.k_par(r)
+
+    S.hodge_orthogonality(replace(k1, k_par=counted), k2, radius)
+    assert 0 < sum(seen) <= 1500
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hodge_orthogonality_is_scale_invariant(d):
+    # the closed-form pair at R = 200 tail/7 is one shape at every width c
+    rels = [relative_pairing(*K.gaussian_hodge_pair(c, d), 200.0 * math.sqrt(48.0 / c) / 7.0)
+            for c in (1e-6, 1e-3, 1.0, 1e3)]
+    np.testing.assert_allclose(rels, rels[2], rtol=1e-8)
+    ref = panel_pairing(*K.gaussian_hodge_pair(1.0, d), 200.0 * math.sqrt(48.0) / 7.0, 2000)
+    assert rels[2] == pytest.approx(ref, rel=1e-6)
+
+
+def test_hodge_orthogonality_of_a_numerical_split():
+    k = K.family_example1(1.0, 1.0, 1.0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", S.HeavyTailWarning)
+        k1, k2 = S.hodge_split(k)
+    radius = 200.0 * k.tail_scale / 7.0
+    # the parts are Hermite cubics between the split's nodes, so the
+    # geometric panels read them to a few 1e-4 relative (reference 1.0558e-5)
+    assert relative_pairing(k1, k2, radius) == pytest.approx(
+        panel_pairing(k1, k2, radius, 1000), rel=1e-3)
