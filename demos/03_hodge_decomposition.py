@@ -6,9 +6,9 @@ pair; for a radial kernel that is two radial integrals in physical space,
 which `hodge_split` evaluates.  The two components acquire algebraic r^-2
 tails that cancel only in the sum -- worth seeing numerically, because it
 is why truncated-domain orthogonality checks need a generous radius.
-Exits 1 when the split is off the closed-form pair by more than 1e-6 on
-[0.05, 5], or when R^2 times the relative pairing differs by more than 1%
-between R = 50 and R = 200.
+Exits 1 when the split is off the closed-form pair by more than 1e-12 on
+[0.05, 5], when R^2 times the relative pairing differs by more than 1%
+between R = 50 and R = 200, or when it is off 1 by more than 1e-3 at R = 200.
 """
 
 import sys
@@ -65,8 +65,11 @@ for part, name in ((k1, "curl_free"), (k2, "div_free")):
     path = OUT / f"hodge_{name}.svg"
     path.write_text(svg.document(els, proj, {"arrow-scale": 1.2, "component": name}))
     print(f"wrote {path}")
-if not split_err <= 1e-6:
-    sys.exit(f"split is off the closed form by {split_err:.2e} > 1e-6")
+if not split_err <= 1e-12:
+    sys.exit(f"split is off the closed form by {split_err:.2e} > 1e-12")
 if not abs(scaled[200.0] / scaled[50.0] - 1.0) <= 0.01:
     sys.exit(f"R^2 |<u1,u2>|/(|u1||u2|) reads {scaled[50.0]:.4g} at R = 50 and "
              f"{scaled[200.0]:.4g} at R = 200, more than 1% apart")
+if not abs(scaled[200.0] - 1.0) <= 1e-3:
+    sys.exit(f"R^2 |<u1,u2>|/(|u1||u2|) reads {scaled[200.0]:.4g} at R = 200, "
+             "more than 1e-3 off 1")

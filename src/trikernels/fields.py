@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .kernels import (ZERO_RADIUS, TriKernel, curl_free_residual, div_free_residual,
-                      eval_matrix, field_jacobian, pair_coefficients)
+from .kernels import (ZERO_RADIUS, TriKernel, _field_and_jacobian, curl_free_residual,
+                      div_free_residual, eval_matrix, pair_coefficients)
 
 MIN_SEPARATION = 1e-9
 
@@ -222,14 +222,14 @@ def curl_magnitude_at(k: TriKernel, x, alpha):
 def field_zero(k: TriKernel, alpha, x0) -> np.ndarray:
     """Newton search for a zero of the single-center field y -> k(y)alpha.
 
-    Each step solves against `field_jacobian(k, x, alpha)`.  The search
-    stops at |k(x)alpha| < 1e-12 and raises after 60 steps.
+    Each step takes k(x)alpha and its Jacobian from one kernel evaluation;
+    the search stops at |k(x)alpha| < 1e-12 and raises after 60 steps.
     """
     alpha = np.asarray(alpha, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(60):
-        v = eval_matrix(k, x) @ alpha
+        v, jacobian = _field_and_jacobian(k, x, alpha)
         if np.linalg.norm(v) < 1e-12:
             return x
-        x = x - np.linalg.solve(field_jacobian(k, x, alpha), v)
+        x = x - np.linalg.solve(jacobian, v)
     raise RuntimeError("field zero search did not converge")

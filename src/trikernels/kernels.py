@@ -280,6 +280,11 @@ def field_jacobian(k: TriKernel, x, alpha) -> np.ndarray:
     1/r is clamped at ZERO_RADIUS, so J is exactly 0 at x = 0.  The matrix
     derivative along axis i, applied to e_l, is J(x, e_l)[:, i].
     """
+    return _field_and_jacobian(k, x, alpha)[1]
+
+
+def _field_and_jacobian(k: TriKernel, x, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """k(x) alpha and its Jacobian `field_jacobian` from one `pair_coefficients` call."""
     x, alpha = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(alpha, dtype=float))
     if x.ndim == 0 or x.shape[-1] != k.dim:
         raise ValueError(f"expected vectors of length {k.dim}")
@@ -289,7 +294,8 @@ def field_jacobian(k: TriKernel, x, alpha) -> np.ndarray:
     t = ((c.dkpar - c.dkperp) * np.square(inv_r) - 2.0 * c.ktilde * inv_r) * inv_r
     left = (c.dkperp * inv_r)[..., None] * alpha
     right = (t * u)[..., None] * x + c.ktilde[..., None] * alpha
-    return left[..., :, None] * x[..., None, :] + x[..., :, None] * right[..., None, :] \
+    value = c.kperp[..., None] * alpha + (c.ktilde * u)[..., None] * x
+    return value, left[..., :, None] * x[..., None, :] + x[..., :, None] * right[..., None, :] \
         + (c.ktilde * u)[..., None, None] * np.eye(k.dim)
 
 

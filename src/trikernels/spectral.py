@@ -379,20 +379,6 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
 # Hodge decomposition
 # ---------------------------------------------------------------------------
 
-def _hermite(x, y, dy):
-    """Cubic Hermite interpolant through the rows of y, with slopes dy, at
-    nodes x; it holds its end values beyond x[-1]."""
-    def evaluate(r):
-        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
-        h = x[i + 1] - x[i]
-        t = np.minimum((r - x[i]) / h, 1.0)
-        s = 1.0 - t
-        return (s * s * ((1.0 + 2.0 * t) * y[:, i] + t * h * dy[:, i])
-                + t * t * ((3.0 - 2.0 * t) * y[:, i + 1] - s * h * dy[:, i + 1]))
-
-    return evaluate
-
-
 def _zero_radial(r, derivatives=False):
     return tuple(np.zeros(np.shape(r)) for _ in range(4 if derivatives else 2))
 
@@ -417,13 +403,15 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     With k's divergence factor D = (d-1) r ktilde + dkpar, the curl-free
     part has kperp = -q, ktilde = -G, dkperp = -r G, dkpar = (d-1) r G + D
     for G = -r^{-(d+2)} int_0^r s^d D, M = int_r^inf s ktilde and
-    q = (-kpar + (d-1) M - r^2 G)/d.  G and M are Gauss-Legendre integrals
-    at the nodes {0} and r_grid, Hermite cubics with their exact slopes in
-    between, and beyond the last node R, where k is taken to vanish, M = 0
-    and G = G(R) (R/r)^{d+2}.  The divergence-free part is the exact
-    complement k - curl_free, so the parts sum to k to rounding.  Both
-    decay like r^{-d} even for a Gaussian k; a HeavyTailWarning signals
-    truncation at R visible at the 1e-3 * k0 level.
+    q = (-kpar + (d-1) M - r^2 G)/d.  With k taken to vanish beyond the
+    last node R, both end at min(r, R): beyond R, M = 0 and G is the
+    multipole.  At any r each is a 16-point Gauss-Legendre sum, of the
+    panels between the nodes {0} and r_grid up to min(r, R), tabulated
+    once, and of one panel from the last node to min(r, R), one `radial`
+    call.  Below 1e-6 r_grid[0], G is its limit at 0.  The divergence-free
+    part is the exact complement k - curl_free, so the parts sum to k to
+    rounding.  Both decay like r^{-d} even for a Gaussian k; a
+    HeavyTailWarning signals truncation at R visible at the 1e-3 * k0 level.
 
     A generated kernel w_c curl(f) + w_d div(f), with w_s = 0, is split
     exactly and without integrals: into (k, 0) when w_d = 0, (0, k) when
@@ -439,33 +427,37 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     if k.generator is not None and k.generator[1][0] == 0.0:
         return _generated_parts(k)
     d, whole = k.dim, k.radial
+    t, w = _gauss_legendre(16)
 
     def residual(r):
         """D and ktilde at radii r from one radial call."""
         _, kt, dkpar, _ = whole(r, True)
         return (d - 1) * r * kt + dkpar, kt
 
+    def integrals(a, b):
+        """int_a^b s^d D and int_a^b s ktilde on one 16-point panel per pair
+        of bounds, from one radial call."""
+        half = (b - a)[..., None] / 2.0
+        s = a[..., None] + half * (1.0 + t)
+        div, kt = residual(s)
+        return (half * s ** d * div) @ w, (half * s * kt) @ w
+
     nodes = np.concatenate([[0.0], r_grid])
-    t, w = _gauss_legendre(16)
-    half = np.diff(nodes)[:, None] / 2.0
-    s = nodes[:-1, None] + half * (1.0 + t)
-    div, kt = residual(s)
-    inner = np.cumsum((half * s ** d * div) @ w)
-    m = np.append(np.cumsum(((half * s * kt) @ w)[::-1])[::-1], 0.0)
+    inner, m = integrals(nodes[:-1], nodes[1:])
+    inner = np.append(0.0, np.cumsum(inner))
+    m = np.append(np.cumsum(m[::-1])[::-1], 0.0)
     # D is odd, so G(0) = -D'(0)/(d+2) with D'(0) = D(eps)/eps + O(eps^2)
     eps = 1e-6 * r_grid[0]
-    g = np.concatenate([-residual(np.array([eps]))[0] / (eps * (d + 2)),
-                        -inner / r_grid ** (d + 2)])
-    div, kt = residual(r_grid)
-    dg = -(d + 2) * g[1:] / r_grid - div / r_grid ** 2
-    slopes = [np.append(0.0, dg), np.append(0.0, -r_grid * kt)]
-    interpolant = _hermite(nodes, np.stack([g, m]), np.stack(slopes))
+    g0 = -residual(np.array([eps]))[0][0] / (eps * (d + 2))
     R = float(r_grid[-1])
 
     def radial(r, derivatives=False):
         kperp, kt, *dk = whole(r, derivatives)
-        G, M = interpolant(r)          # beyond R: G(R) and M(R) = 0
-        G = G * (R / np.maximum(r, R)) ** (d + 2)
+        end = np.minimum(r, R)
+        i = np.searchsorted(nodes, end, side="right") - 1
+        panel_inner, panel_m = integrals(nodes[i], end)
+        G = np.where(r < eps, g0, -(inner[i] + panel_inner) / np.maximum(r, eps) ** (d + 2))
+        M = m[i] - panel_m
         r2 = np.square(r)
         q = ((d - 1) * M - kperp - r2 * (kt + G)) / d
         if not derivatives:

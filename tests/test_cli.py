@@ -309,6 +309,22 @@ def test_bad_landmarks_or_momenta_are_input_errors(tmp_path, capsys, command, fi
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("field", {**FIELD_CFG, "grid": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0], "n": [5]}},
+     "grid lo/hi/n must have equal lengths"),
+    ("expmap", {**EXPMAP_CFG, "landmarks": [[0.0, 0.0]]},
+     "expmap requires two landmarks in dimension 2"),
+    ("expmap", {**EXPMAP_CFG, "kernel": {**GAUSS2, "dim": 3},
+                "landmarks": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+     "expmap requires two landmarks in dimension 2"),
+], ids=["grid-lengths", "expmap-one-landmark", "expmap-dim-3"])
+def test_config_shape_errors_name_the_shape(tmp_path, capsys, command, config, message):
+    assert run(tmp_path, command, config) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {message}" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -624,3 +624,21 @@ def test_integrator_config_validation():
         D.IntegratorConfig(scheme="rk2")
     with pytest.raises(ValueError):
         D.IntegratorConfig(record_every=0)
+
+
+# --- input checks ---------------------------------------------------------------
+
+ONE_FAILURE = D.FanResult(trajectories=[None], failures=[(0, "coalescence")])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: D.shoot(K.gaussian_kernel(1.0, 3), F.LandmarkConfig([[0.0, 0.0]]),
+                     F.MomentaSet([[1.0, 0.0]])), "kernel and landmark dimensions differ"),
+    (lambda: D.shoot(K.gaussian_kernel(1.0, 2), F.LandmarkConfig([[0.0, 0.0], [1.0, 0.0]]),
+                     F.MomentaSet([[1.0, 0.0]])),
+     "momenta shape must match the landmark configuration"),
+    (lambda: ONE_FAILURE.sheet(0), "no successful trajectories in the fan"),
+], ids=["shoot-dimension", "shoot-momenta-count", "fan-sheet-all-failed"])
+def test_bad_dynamics_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -273,6 +273,23 @@ def test_example1_field_vortices():
         np.testing.assert_allclose(z, [0.0, sign * math.sqrt(b / a)], atol=1e-9)
 
 
+
+def test_field_zero_evaluates_the_kernel_once_per_step():
+    # the residual k(x) alpha and the Jacobian share one radial call, so no
+    # displacement is evaluated twice: 4 Newton steps and 5 residuals here
+    k = K.family_example1(2.0, 1.0, 1.0, 2)
+    radii = []
+
+    def radial(r, derivatives=False):
+        radii.append(float(np.ravel(r)[0]))
+        return k.radial(r, derivatives)
+
+    counted = K.TriKernel(dim=2, radial=radial, tail_scale=k.tail_scale)
+    radii.clear()
+    z = F.field_zero(counted, np.array([1.0, 0.0]), np.array([0.05, 0.65]))
+    np.testing.assert_allclose(z, [0.0, math.sqrt(0.5)], atol=1e-9)
+    assert len(radii) == len(set(radii)) == 5
+
 # --- divergence and curl ----------------------------------------------------------
 
 def test_divergence_examples():
@@ -366,3 +383,34 @@ def test_curl_matches_finite_differences_3d(rng):
         al = rng.normal(size=3)
         want = np.linalg.norm(fd_curl_3d(k, x, al))
         assert abs(F.curl_magnitude_at(k, x, al)) == pytest.approx(want, abs=1e-6)
+
+
+# --- input checks ---------------------------------------------------------------
+
+def no_zero_field_kernel():
+    """kperp = ktilde = 1: the field (1 + x1^2, x1 x2) of alpha = e1 has no
+    zero and an invertible Jacobian off x1 = 0, where Newton's x1 wanders."""
+    def radial(r, derivatives=False):
+        one = np.ones_like(r)
+        return (one, one, 2.0 * r, 0.0 * r) if derivatives else (one, one)
+
+    return K.TriKernel(dim=2, radial=radial)
+
+
+TWO_POINTS = F.LandmarkConfig([[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: F.LandmarkConfig(np.zeros((2, 2, 2))), ValueError, "points must be an"),
+    (lambda: F.MomentaSet(np.zeros((2, 2, 2))), ValueError, "vectors must be an"),
+    (lambda: F.snapshot_field(K.gaussian_kernel(1.0, 2), TWO_POINTS, F.MomentaSet([[1.0, 0.0]])),
+     ValueError, "momenta shape must match the landmark configuration"),
+    (lambda: F.interpolate(K.gaussian_kernel(1.0, 2), TWO_POINTS, np.zeros((3, 2))),
+     ValueError, "targets must be an"),
+    (lambda: F.field_zero(no_zero_field_kernel(), np.array([1.0, 0.0]), np.array([0.3, 0.2])),
+     RuntimeError, "field zero search did not converge"),
+], ids=["landmarks-3-d", "momenta-3-d", "snapshot-momenta-count", "interpolate-targets",
+        "field_zero-no-zero"])
+def test_bad_fields_input_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -488,3 +488,27 @@ def test_pair_coefficients_coordinate_major(rng, example1):
     assert strided.r.shape == (4, 5)
     for name in ("r", "kperp", "ktilde", "dkpar", "dkperp"):
         np.testing.assert_array_equal(getattr(strided, name), getattr(contiguous, name))
+
+
+# --- input checks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: K.bessel_profile(1.5, sigma=0.0), "sigma must be positive"),
+    (lambda: K.bessel_profile(0.0), "nu must be positive for a bounded profile"),
+    (lambda: K.TriKernel(dim=1, radial=K.gaussian_kernel(1.0, 2).radial),
+     "ambient dimension must be >= 2"),
+    (lambda: K.eval_matrix(K.gaussian_kernel(1.0, 2), np.zeros(3)),
+     "expected vectors of length 2"),
+    (lambda: K.field_jacobian(K.gaussian_kernel(1.0, 2), np.zeros(3), np.ones(3)),
+     "expected vectors of length 2"),
+    (lambda: K.in_D1(1.0, 1.0, 0.0, 2), "c must be positive"),
+    (lambda: K.in_D2(1.0, 1.0, -1.0), "c must be positive"),
+    (lambda: K.family_example1(1.0, 1.0, 0.0, 2), "c must be positive"),
+    (lambda: K.family_example2(1.0, 1.0, -1.0, 2), "c must be positive"),
+    (lambda: K.gaussian_hodge_pair(0.0, 2), "c must be positive"),
+], ids=["bessel-sigma-0", "bessel-nu-0", "dim-1", "eval_matrix-length", "field_jacobian-length",
+        "in_D1-c-0", "in_D2-c-negative", "example1-c-0", "example2-c-negative",
+        "hodge_pair-c-0"])
+def test_bad_kernel_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

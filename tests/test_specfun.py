@@ -412,3 +412,22 @@ def test_radial_moment_columns_match_per_column_calls():
         assert abs(got[j] - want) <= 1e-15 * abs(want)
     # int r e^{-r^2} dr = 1/2 and int r/(1 + r^2)^3 dr = 1/4
     np.testing.assert_allclose(got, [0.5, 0.0, 0.25], rtol=1e-11)
+
+
+# --- input checks and probe fallbacks --------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sf.upper_gamma(1.0, -0.5), "x must be >= 0"),
+    (lambda: sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, -0.75, 1.0),
+     "order nu must be >= -1/2"),
+], ids=["upper_gamma-x-negative", "hankel-nu-below-half"])
+def test_bad_specfun_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_tail_probe_of_a_zero_and_of_a_slow_profile():
+    # a zero profile gets the unit scale; r/(1 + r^2) never falls to 1e-18 of
+    # its peak at r = 1 on the probe grid, so the scale is ten times the peak
+    assert sf._probe_tail_scale(lambda r: np.zeros_like(r), 1.0) == 1.0
+    assert sf._probe_tail_scale(lambda r: 1.0 / (1.0 + r * r), 1.0) == pytest.approx(10.0)

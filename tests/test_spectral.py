@@ -492,9 +492,10 @@ def worst_gaussian_pair_deviation(parts, c, d, r):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("c", [1.0, 16.0])
 def test_hodge_split_matches_the_gaussian_pair_everywhere(c, d):
-    # at r = 0, across the band [r0, 1.1 r0] above the first node, on the nodes
-    # and far beyond the last one the split is exact to quadrature; between
-    # nodes it carries the Hermite interpolation error
+    # at r = 0, across the band [r0, 1.1 r0] above the first node, on and
+    # between the nodes and far beyond the last one the split is exact to
+    # quadrature; test_hodge_split_is_exact_between_and_below_the_nodes pins it
+    # to rounding
     k = K.gaussian_kernel(c, d)
     parts = hodge_split_quietly(k)
     scale = k.tail_scale / 7.0
@@ -508,10 +509,45 @@ def test_hodge_split_matches_the_gaussian_pair_everywhere(c, d):
 
 @pytest.mark.parametrize("c", [0.5, 1.0])
 def test_hodge_split_below_a_coarse_grid(c):
-    # below the first node, 0.05, one Hermite cubic from the node at r = 0 carries G
+    # below the first node, 0.05, one Gauss-Legendre panel from r = 0 gives G
     parts = hodge_split_quietly(K.gaussian_kernel(c, 2), np.geomspace(0.05, 5.0, 24))
     r = np.linspace(0.0, 0.05, 101)
     assert worst_gaussian_pair_deviation(parts, c, 2, r) <= 1e-6
+
+
+COARSE_GRID = np.geomspace(0.05, 5.0, 24)
+
+
+def between_and_below(k, r_grid):
+    """1,000 radii across the nodes and 100 below the first one, for the
+    default nodes when r_grid is None."""
+    if r_grid is None:
+        scale = k.tail_scale / 7.0
+        r_grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)
+    return np.geomspace(r_grid[0], r_grid[-1], 1000), np.linspace(0.0, r_grid[0], 101)[:-1]
+
+
+@pytest.mark.parametrize("r_grid", [None, COARSE_GRID], ids=["default", "coarse"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("c", [1.0, 16.0])
+def test_hodge_split_is_exact_between_and_below_the_nodes(c, d, r_grid):
+    # each radius gets its own Gauss-Legendre panel from the node below it,
+    # so the split meets the closed pair to rounding wherever it is read
+    k = K.gaussian_kernel(c, d)
+    parts = hodge_split_quietly(k, r_grid)
+    for r in between_and_below(k, r_grid):
+        assert worst_gaussian_pair_deviation(parts, c, d, r) <= 1e-13
+
+
+@pytest.mark.parametrize("r_grid", [None, COARSE_GRID], ids=["default", "coarse"])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_hodge_split_of_cauchy_is_the_ball_mean_between_and_below_the_nodes(sigma, r_grid):
+    k = K.cauchy_kernel(sigma, 2)
+    curl_free, _ = hodge_split_quietly(k, r_grid)
+    between, below = between_and_below(k, r_grid)
+    r = np.concatenate([between, below[1:]])
+    want = sigma ** 2 * np.log1p(np.square(r / sigma)) / (2.0 * r ** 2)
+    assert np.max(np.abs(curl_free.k_perp(r) - want)) <= 1e-13 * k.k0
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -551,8 +587,8 @@ def test_hodge_split_rejects_a_bad_r_grid(r_grid):
 
 
 def test_hodge_split_derivatives_off_the_grid(gaussian_split):
-    # beyond the grid the multipole G(R) (R/r)^(d+2) carries the derivatives;
-    # below it the Hermite cubic from the node at r = 0 does
+    # beyond the grid G = -int_0^R s^d D / r^(d+2), the multipole, carries the
+    # derivatives; below it the Gauss-Legendre panel from r = 0 does
     r0 = 1e-3 * K.gaussian_kernel(1.0, 2).tail_scale / 7.0
     for part, exact in zip(gaussian_split, K.gaussian_hodge_pair(1.0, 2)):
         far = np.array([30.0, 60.0])
@@ -568,9 +604,10 @@ def test_hodge_split_warns_on_heavy_tails():
         S.hodge_split(K.gaussian_kernel(1.0, 2))
 
 
-def test_hodge_split_tabulates_from_three_radial_calls():
-    # D and ktilde at the panel nodes, at one radius near 0 and on r_grid; the
-    # calls without derivatives are the parts' own one-radius evaluations
+def test_hodge_split_tabulates_from_two_radial_calls():
+    # D and ktilde at the panel nodes and at one radius near 0; a part then
+    # takes one radial call with derivatives on the 16 points of the panel
+    # below each radius, and the calls without derivatives are k's own values
     k = K.family_example1(1.0, 1.0, 1.0, 2)
     calls = []
 
@@ -582,9 +619,13 @@ def test_hodge_split_tabulates_from_three_radial_calls():
     calls.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", S.HeavyTailWarning)
-        S.hodge_split(counted, r_grid=np.geomspace(0.05, 5.0, 24))
-    assert [n for deriv, n in calls if deriv] == [16 * 24, 1, 24]
+        curl_free, _ = S.hodge_split(counted, r_grid=np.geomspace(0.05, 5.0, 24))
+    # the four 16-point calls are the parts' k0 and the heavy-tail check at R
+    assert [n for deriv, n in calls if deriv] == [16 * 24, 1, 16, 16, 16, 16]
     assert all(n == 1 for deriv, n in calls if not deriv)
+    calls.clear()
+    curl_free.radial(np.linspace(0.0, 8.0, 10), True)
+    assert calls == [(True, 10), (True, 16 * 10)]
 
 
 def test_hodge_split_of_div_free_input_is_trivial():
@@ -736,13 +777,39 @@ def test_hodge_orthogonality_is_scale_invariant(d):
     assert rels[2] == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_hodge_split_pairs_as_the_closed_pair(d):
+    # the numerical parts give the closed pair's pairing, 2.5521e-5 in the plane
+    k = K.gaussian_kernel(1.0, d)
+    radius = 200.0 * k.tail_scale / 7.0
+    assert relative_pairing(*hodge_split_quietly(k), radius) == pytest.approx(
+        relative_pairing(*K.gaussian_hodge_pair(1.0, d), radius), rel=1e-9)
+
+
 def test_hodge_orthogonality_of_a_numerical_split():
     k = K.family_example1(1.0, 1.0, 1.0, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", S.HeavyTailWarning)
         k1, k2 = S.hodge_split(k)
     radius = 200.0 * k.tail_scale / 7.0
-    # the parts are Hermite cubics between the split's nodes, so the
-    # geometric panels read them to a few 1e-4 relative (reference 1.0558e-5)
+    # the parts are their own integrals at every radius, so the geometric
+    # panels read them as the uniform ones do (reference 1.05355e-5)
     assert relative_pairing(k1, k2, radius) == pytest.approx(
         panel_pairing(k1, k2, radius, 1000), rel=1e-3)
+
+
+# --- input checks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: S.inverse_map(S.gaussian_spectrum(1.0, 2), [-1.0, 1.0]),
+     "r grid must be nonnegative"),
+    (lambda: S.spectrum_matrix(S.gaussian_spectrum(1.0, 2), [1.0, 0.0, 0.0]),
+     "expected a vector of length 2"),
+    (lambda: S.spectrum_matrix(S.gaussian_spectrum(1.0, 2), [0.0, 0.0]),
+     "spectral matrix is defined for xi != 0"),
+    (lambda: S.mixed_gaussian_spectrum(0.0, 1.0, 2), "c1 and c2 must be positive"),
+], ids=["inverse_map-negative-radius", "spectrum_matrix-length", "spectrum_matrix-origin",
+        "mixed-c1-0"])
+def test_bad_spectral_input_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
