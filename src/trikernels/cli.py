@@ -306,11 +306,18 @@ def _out_path(args, out_block: dict, default_name: str) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The header, then one line of repr(float) values per row; CRLF line ends."""
+    """The header, then one repr(float) line per row, CRLF-ended; prints the path it wrote."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
     line = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + (line * len(table)) % tuple(table.ravel().tolist()))
+    print(f"wrote {path}")
+
+
+def _write_svg(path: Path, elements, proj: svg.Projector, metadata: dict) -> None:
+    """One SVG document of `elements` under `proj`; prints the path it wrote."""
+    path.write_text(svg.document(elements, proj, metadata))
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,6 @@ def cmd_spectrum(cfg: dict, k: ker.TriKernel, args) -> int:
     perp_path = stem.with_name(stem.stem + "_hperp.csv")
     _write_csv(par_path, ["rho", "h_par"], np.column_stack([grid, s.h_par_samples]))
     _write_csv(perp_path, ["rho", "h_perp"], np.column_stack([grid, s.h_perp_samples]))
-    print(f"wrote {par_path} and {perp_path}")
     return EXIT_OK
 
 
@@ -359,16 +365,12 @@ def cmd_field(cfg: dict, k: ker.TriKernel, args) -> int:
         path = _out_path(args, out, "field.csv")
         header = [f"x{i+1}" for i in range(k.dim)] + [f"v{i+1}" for i in range(k.dim)]
         _write_csv(path, header, np.hstack([pts, vals]))
-        print(f"wrote {path}")
     else:
         proj = svg.Projector(gspec.lo, gspec.hi)
         els = svg.quiver(pts, vals, proj, out["arrow_scale"])
         els += svg.dots(lmk.points, proj, color="#c0392b")
-        doc = svg.document(els, proj, {"arrow-scale": out["arrow_scale"],
-                                       "kernel": k.family_tag})
-        path = _out_path(args, out, "field.svg")
-        path.write_text(doc)
-        print(f"wrote {path}")
+        _write_svg(_out_path(args, out, "field.svg"), els, proj,
+                   {"arrow-scale": out["arrow_scale"], "kernel": k.family_tag})
 
     # kernel-level residual footer over sample points x landmarks
     sample = pts[:: max(1, len(pts) // 64)]
@@ -404,7 +406,6 @@ def cmd_shoot(cfg: dict, k: ker.TriKernel, args) -> int:
         fg, traj = None, dyn.shoot(k, lmk, mom, icfg)
     path = _out_path(args, out, "trajectory.csv")
     _write_csv(path, ["t", *_phase_header(traj.n_landmarks, traj.dim), "H"], _phase_rows(traj))
-    print(f"wrote {path}")
     h0 = traj.hamiltonians[0]
     print(f"H(0) = {h0:.9g}   max |H - H(0)| = {traj.energy_drift():.3e}")
 
@@ -415,7 +416,6 @@ def cmd_shoot(cfg: dict, k: ker.TriKernel, args) -> int:
                   + [f"x1_{i+1}" for i in range(k.dim)] + ["det"])
         _write_csv(grid_path, header,
                    np.column_stack([fg.original, fg.transported, fg.jacobian_det]))
-        print(f"wrote {grid_path}")
         if k.generator is not None and k.generator[1][:2] == (0.0, 0.0):  # w_s = w_c = 0
             print(f"max |det - 1| = {det_dev:.3e} (volume preservation)")
         else:
@@ -439,11 +439,8 @@ def cmd_shoot(cfg: dict, k: ker.TriKernel, args) -> int:
             els += svg.dots(traj.q[:1, a, :], proj, color=colors[a % len(colors)])
         els += svg.quiver(lmk.points, mom.vectors, proj, out["arrow_scale"],
                           color="#555555")
-        svg_path = path.with_suffix(".svg")
-        svg_path.write_text(svg.document(els, proj, {
-            "arrow-scale": out["arrow_scale"], "kernel": k.family_tag,
-            "step": icfg.step}))
-        print(f"wrote {svg_path}")
+        _write_svg(path.with_suffix(".svg"), els, proj, {
+            "arrow-scale": out["arrow_scale"], "kernel": k.family_tag, "step": icfg.step})
     return EXIT_OK
 
 
@@ -462,7 +459,6 @@ def cmd_expmap(cfg: dict, k: ker.TriKernel, args) -> int:
             for theta, traj in zip(thetas, fan.trajectories) if traj is not None]
     _write_csv(path, ["theta", "t", *_phase_header(lmk.n, k.dim), "H"],
                np.concatenate(rows) if rows else rows)
-    print(f"wrote {path}")
 
     if out["format"] == "svg" and rows:
         sheets = [fan.sheet(a) for a in range(lmk.n)]
@@ -473,10 +469,8 @@ def cmd_expmap(cfg: dict, k: ker.TriKernel, args) -> int:
         for a, color in zip(range(lmk.n), ("#000000", "#c0392b")):
             els += svg.fan_sheet(sheets[a], proj, color)
         els += svg.dots(lmk.points, proj, color="#1f4e8c", radius=4)
-        svg_path = path.with_suffix(".svg")
-        svg_path.write_text(svg.document(els, proj, {
-            "kernel": k.family_tag, "magnitude": mag, "count": count}))
-        print(f"wrote {svg_path}")
+        _write_svg(path.with_suffix(".svg"), els, proj,
+                   {"kernel": k.family_tag, "magnitude": mag, "count": count})
     return EXIT_OK if len(fan.failures) < count else EXIT_NUMERICAL
 
 
@@ -490,7 +484,6 @@ def cmd_hodge(cfg: dict, k: ker.TriKernel, args) -> int:
     table = np.column_stack([r, k1.k_par(r), k1.k_perp(r), k2.k_par(r), k2.k_perp(r)])
     path = _out_path(args, out, "hodge.csv")
     _write_csv(path, ["r", "k1_par", "k1_perp", "k2_par", "k2_perp"], table)
-    print(f"wrote {path}")
 
     kb = cfg["kernel"]
     if kb["family"] == "gaussian":
@@ -513,11 +506,8 @@ def cmd_hodge(cfg: dict, k: ker.TriKernel, args) -> int:
             vals = flds.field_apply(part, np.zeros((1, 2)), e1[None, :], pts)
             proj = svg.Projector(gs.lo, gs.hi)
             els = svg.quiver(pts, vals, proj, out["arrow_scale"])
-            p = path.with_name(path.stem + f"_{name}.svg")
-            p.write_text(svg.document(els, proj, {
-                "arrow-scale": out["arrow_scale"], "component": name,
-                "kernel": k.family_tag}))
-            print(f"wrote {p}")
+            _write_svg(path.with_name(path.stem + f"_{name}.svg"), els, proj, {
+                "arrow-scale": out["arrow_scale"], "component": name, "kernel": k.family_tag})
     return EXIT_OK
 
 
@@ -557,18 +547,20 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    # FP overflow, invalid and divide raise: exit 2 in build_kernel, 3 after; underflow is ignored
     try:
-        cfg = validate(cfg, args.command)
-        k = build_kernel(cfg["kernel"])
-        if args.print_effective_config:
-            print(json.dumps(cfg, indent=2))
-            return EXIT_OK
-        return _COMMANDS[args.command](cfg, k, args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cfg = validate(cfg, args.command)
+            k = build_kernel(cfg["kernel"])
+            if args.print_effective_config:
+                print(json.dumps(cfg, indent=2))
+                return EXIT_OK
+            return _COMMANDS[args.command](cfg, k, args)
     except (ConfigError, OSError) as exc:  # OSError: output.path or --out is unwritable
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (HankelConvergenceError, dyn.CoalescenceError,
-            flds.NearSingularMatrixError) as exc:
+            flds.NearSingularMatrixError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

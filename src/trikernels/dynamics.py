@@ -238,12 +238,14 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
     those bit for bit.  Each member has its own coalescence test; a member
     that fails at some stage is reset, once the step ends, to q0 with p = 0,
     where its rates are exactly 0, so it stays there and never fails again.
-    The H of a recorded row is 1/2 sum_a p_a . dq_a with the dq of the next
-    step's first stage, taken at that same state; the final row takes dq
-    from `_ham`, so every row is the same formula.  Returns, per member, its
-    Trajectory or the CoalescenceError that a lone integration of that
-    member raises, and a list holding the final points as (G, d) (empty
-    without points).
+    A recorded row (q, p and H = 1/2 sum_a p_a . dq_a) is written at the
+    start of the step that leaves its state, with the dq that step's first
+    stage has just computed; the final row, written only when some member
+    survived, takes dq from `_ham`, so every row is the same formula.  An
+    Euler step copies the stage input back into y, so buffers never swap and
+    no view is rebound.  Returns, per member, its Trajectory or the
+    CoalescenceError that a lone integration of that member raises, and a
+    list holding the final points as (G, d) (empty without points).
     """
     n_steps = cfg.n_steps
     h = 1.0 / n_steps
@@ -259,12 +261,9 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
         for b in (y, tmp, k1, k2, k3, k4)]
     vy[0][...], vy[1][...], vy[2][...] = rest, p, lattice
 
-    recorded = [i + 1 for i in range(n_steps)
-                if (i + 1) % cfg.record_every == 0 or i == n_steps - 1]
-    qs = np.zeros((len(recorded) + 1,) + p.shape)
-    ps = np.zeros_like(qs)
-    hs = np.zeros((len(recorded) + 1, p.shape[1]))
-    qs[0], ps[0] = rest, p
+    rows = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
+    qs, ps = np.zeros((2, len(rows)) + p.shape)
+    hs = np.zeros((len(rows), p.shape[1]))
     errors: dict[int, CoalescenceError] = {}
 
     def rate(state, out, t):
@@ -280,17 +279,16 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
         np.multiply(kj, c, out=tmp)
         np.add(y, tmp, out=tmp)
 
-    row, pending = 1, 0                # pending: the recorded row still without its H
     for i in range(n_steps):
         t = i * h
         rate(vy, vk1, t)
-        if pending is not None:
-            hs[pending] = _energy(vy[1], vk1[0])
-            pending = None
+        if i % cfg.record_every == 0:
+            row = i // cfg.record_every
+            qs[row], ps[row] = vy[:2]
+            hs[row] = _energy(vy[1], vk1[0])
         if cfg.scheme == "euler":
             shift(k1, h)
-            y, tmp = tmp, y
-            vy, vtmp = vtmp, vy
+            np.copyto(y, tmp)
         else:
             shift(k1, 0.5 * h)
             rate(vtmp, vk2, t + 0.5 * h)
@@ -310,12 +308,10 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
                 break
             failed = list(errors)
             vy[0][:, failed], vy[1][:, failed] = rest, 0.0
-        if row <= len(recorded) and recorded[row - 1] == i + 1:
-            qs[row], ps[row] = vy[:2]
-            pending, row = row, row + 1
-    if pending is not None:
-        hs[pending] = _ham(k, *vy[:2])
-    times = np.array([0.0] + recorded) * h
+    else:                              # some member survived: the final row
+        qs[-1], ps[-1] = vy[:2]
+        hs[-1] = _ham(k, *vy[:2])
+    times = rows * h
     return [errors[m] if m in errors else
             Trajectory(times=times, q=qs[:, :, m].mT.copy(), p=ps[:, :, m].mT.copy(),
                        hamiltonians=hs[:, m].copy(), step=h)

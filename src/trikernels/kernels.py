@@ -175,8 +175,8 @@ class TriKernel:
     w_s f I + w_c curl(f) + w_d div(f) of one scalar profile f, the scalar,
     curl-free and div-free constructions below.  The spectral side reads it,
     for one Hankel transform of f per spectrum and an exact Hodge split when
-    w_s = 0, and `shoot` for the div-free case w_s = w_c = 0; `radial` stays
-    each family's own closed form.
+    w_s = 0, and so does the CLI `shoot` command's volume-preservation label
+    (w_s = w_c = 0); `radial` stays each family's own closed form.
     """
 
     dim: int

@@ -33,6 +33,34 @@ def read_csv(path):
     return header, np.array(rows)
 
 
+GRID3 = {"lo": [-1, -1], "hi": [1, 1], "n": [3, 3]}
+PAIR = {"landmarks": [[0.0, 0.0], [0.0, 0.5]], "integrator": {"step": 0.05}}
+
+
+@pytest.mark.parametrize("command, config, files", [
+    ("certify", {"certify": {"n": 16}}, 0),
+    ("spectrum", {"spectrum": {"n": 16}}, 2),
+    ("spectrum", {"spectrum": {"n": 16}, "output": {"path": "sub/s.csv"}}, 2),
+    ("field", {"landmarks": [[0.0, 0.0]], "momenta": [[1.0, 0.0]], "grid": GRID3,
+               "output": {"format": "svg"}}, 1),
+    ("shoot", {**PAIR, "momenta": [[1.0, 0.0], [1.0, 0.0]], "grid": GRID3,
+               "output": {"format": "svg", "path": "sub/traj.csv"}}, 3),
+    ("expmap", {**PAIR, "expmap": {"magnitude": 1.0, "count": 3},
+                "output": {"format": "svg"}}, 2),
+    ("hodge", {"hodge": {"n": 8}, "output": {"format": "svg"}}, 3),
+], ids=["certify", "spectrum", "spectrum-path", "field", "shoot", "expmap", "hodge"])
+def test_every_file_written_is_reported_once(tmp_path, capsys, command, config, files):
+    out = tmp_path / "out"
+    cfg = {"kernel": {"family": "gaussian", "c": 4.0, "dim": 2}, **config}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+    reported = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()
+                if line.startswith("wrote")]
+    written = [str(p) for p in out.rglob("*") if p.is_file()]
+    assert len(written) == files
+    assert sorted(reported) == sorted(written)
+
+
 # --- certify ---------------------------------------------------------------------
 
 def test_certify_positive_strict(tmp_path, capsys):
@@ -708,6 +736,31 @@ def test_cauchy_width_beyond_the_float_range_is_input_error(tmp_path, capsys, co
     assert run(tmp_path, command, cfg) == 2
     captured = capsys.readouterr()
     assert "bad kernel parameters" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+SMALL_SHOOT = {"landmarks": [[0.0, 0.0], [0.0, 0.15]], "momenta": [[1.0, 0.0], [1.0, 0.0]],
+               "integrator": {"step": 0.05, "record_every": 2}}
+
+
+@pytest.mark.parametrize("command, kernel", [
+    ("hodge", {"family": "gaussian", "c": 1e-300, "dim": 2}),
+    ("hodge", {"family": "gaussian", "c": 1e300, "dim": 2}),
+    ("hodge", {"family": "cauchy", "sigma": 1e77, "dim": 2}),
+    ("hodge", {"family": "cauchy", "sigma": 1e-77, "dim": 2}),
+    ("shoot", {"family": "example1", "a": 1e300, "b": 1e300, "c": 1.0, "dim": 2}),
+    ("shoot", {"family": "gaussian_curl_free", "b": 1e300, "c": 1e300, "dim": 2}),
+], ids=["hodge-gaussian-c1e-300", "hodge-gaussian-c1e300", "hodge-cauchy-sigma1e77",
+        "hodge-cauchy-sigma1e-77", "shoot-example1-1e300", "shoot-curl-free-1e300"])
+def test_overflow_or_invalid_value_at_the_float_range_edges_is_numerical_failure(
+        tmp_path, capsys, command, kernel):
+    # each run overflows or forms 0 * inf or inf - inf after the kernel is built;
+    # the result would be a nan or a wrong ratio printed under exit 0
+    cfg = {"kernel": kernel, **(SMALL_SHOOT if command == "shoot" else {})}
+    assert run(tmp_path, command, cfg) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure:" in captured.err
+    assert "nan" not in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 

@@ -3,8 +3,9 @@
 Each subcommand starts from a small valid config.  One field, one whole
 block or the whole config is replaced by a value drawn from a bounded
 set of awkward JSON values, and the run must end with an exit code in
-{0, 1, 2, 3} and no traceback.  No drawn value is a large count, so no
-case can allocate without bound.  The replaced fields come from the
+{0, 1, 2, 3} and no traceback.  Every kernel number field is also set to
+each of 1e-300, 1e-12, 1e12 and 1e300.  No drawn value is a large count,
+so no case can allocate without bound.  The replaced fields come from the
 CLI's schema table, so a field added there is fuzzed without a test edit.
 """
 
@@ -180,6 +181,23 @@ def test_numeric_field_rejects_strings_and_booleans(command, block, field, index
 @example(target=("spectrum", ("kernel", "c")), value=0)
 @example(target=("hodge", ("kernel", "b")), value=0)
 def test_any_single_replacement_keeps_the_exit_code_contract(target, value):
+    command, path = target
+    code, err = run_cli(command, replaced(command, path, value))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+# every kernel number field: `dim` is a count and `family` a name, so neither is replaced
+KERNEL_NUMBERS = [(command, ("kernel", field)) for command in BASE
+                  for field in schema(command)["kernel"] if field not in ("family", "dim")]
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e-12, 1e12, 1e300])
+@pytest.mark.parametrize("target", KERNEL_NUMBERS,
+                         ids=["-".join((command, *path)) for command, path in KERNEL_NUMBERS])
+def test_a_kernel_number_at_the_float_range_edges_keeps_the_exit_code_contract(target, value):
+    # an overflow, invalid operation or division by zero exits 2 while the kernel
+    # is built and 3 after it
     command, path = target
     code, err = run_cli(command, replaced(command, path, value))
     assert code in (0, 1, 2, 3)

@@ -487,13 +487,15 @@ def test_flow_grid_is_the_out_of_place_loop_bit_for_bit(scheme, record_every):
 
 
 def assert_recorded_hamiltonians(k, traj):
-    # each recorded H is 1/2 p . dq from the next step's first stage, or from _ham for the final row
+    # each recorded H is 1/2 p . dq from the first stage of the step that leaves
+    # its state, or from _ham for the final row
     want = np.array([D.hamiltonian(k, D.PhaseState(q, p, t))
                      for q, p, t in zip(traj.q, traj.p, traj.times)])
     assert np.max(np.abs(traj.hamiltonians - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("record_every", [1, 3, 7])
+# at step 0.01, 100 is a stride equal to the run and 10**9 one beyond it
+@pytest.mark.parametrize("record_every", [1, 3, 7, 100, 10 ** 9])
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 def test_recorded_hamiltonians_equal_hamiltonian(scheme, record_every):
     k = divfree16()
@@ -545,6 +547,34 @@ def test_fan_mirror_symmetry():
     for traj in fan.trajectories:
         assert np.max(np.abs(traj.q[:, 1, :] - traj.q[:, 0, :] * flip)) <= 1e-9
         assert np.max(np.abs(traj.p[:, 1, :] - traj.p[:, 0, :] * flip)) <= 1e-9
+
+
+def test_fan_whose_every_member_coalesces_takes_no_final_hamiltonian(monkeypatch):
+    # the final row is written only when some member survived; with a tame member
+    # its H is the one _ham call of the run
+    k = curlfree16()
+    q0 = F.LandmarkConfig(np.array([[-0.05, 0.0], [0.05, 0.0]]))
+    explosive = [np.array([[m, 0.0], [-m, 0.0]]) for m in (60.0, 61.0, 62.0)]
+    tame = np.array([[2.0, 0.0], [2.0, 0.0]])
+    cfg = D.IntegratorConfig(step=1e-3, record_every=100)
+    calls = []
+    ham = D._ham
+
+    def counted(*args):
+        calls.append(args)
+        return ham(*args)
+
+    monkeypatch.setattr(D, "_ham", counted)
+    fan = D.exp_map_fan(k, q0, explosive + [tame], cfg)
+    assert [i for i, _ in fan.failures] == [0, 1, 2] and len(calls) == 1
+
+    def refuse(*args):
+        raise AssertionError("_ham called after every member failed")
+
+    monkeypatch.setattr(D, "_ham", refuse)
+    fan = D.exp_map_fan(k, q0, explosive, cfg)
+    assert [i for i, _ in fan.failures] == [0, 1, 2]
+    assert fan.trajectories == [None, None, None]
 
 
 def test_fan_records_failures_and_continues():
