@@ -381,6 +381,8 @@ def flow_grid(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet, spec: GridSpec,
     neighbors.
     """
     _check_shapes(k, q0, p0)
+    if not len(spec.lo) == len(spec.hi) == len(spec.n) == k.dim:
+        raise ValueError(f"grid lo, hi and n must each have length {k.dim}")
     pts = spec.lattice()
     (result,), (x,) = _integrate(k, q0.points, p0.vectors[None], cfg, pts)
     if isinstance(result, CoalescenceError):

@@ -196,6 +196,8 @@ def divergence_at(k: TriKernel, x, alpha):
     the value at x = 0 is exactly 0, the trace of the Jacobian there.
     """
     x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    if x.shape[-1:] != (k.dim,):
+        raise ValueError(f"expected vectors of length {k.dim}")
     r = np.sqrt(np.einsum("...i,...i->...", x, x))
     return (np.einsum("...i,...i->...", alpha, x) / np.maximum(r, ZERO_RADIUS)
             * div_free_residual(k, r))[()]
@@ -212,6 +214,8 @@ def curl_magnitude_at(k: TriKernel, x, alpha):
     curl.
     """
     x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    if x.shape[-1:] != (k.dim,):
+        raise ValueError(f"expected vectors of length {k.dim}")
     r = np.sqrt(np.einsum("...i,...i->...", x, x))
     # |alpha ^ x|^2 as the sum of squared 2x2 minors: exact for parallel vectors
     minors = alpha[..., :, None] * x[..., None, :] - x[..., :, None] * alpha[..., None, :]

@@ -251,6 +251,8 @@ def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoeffic
     kernel value in the package is computed.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or len(x) != k.dim:
+        raise ValueError(f"expected vectors of length {k.dim}")
     r = np.sqrt(np.einsum("i...,i...->...", x, x))
     return PairCoefficients(r, *k.radial(r, derivatives))
 
@@ -261,8 +263,6 @@ def eval_matrix(k: TriKernel, x) -> np.ndarray:
     x x^T is formed first, so k(x) = k(-x) = k(x)^T hold exactly.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != k.dim:
-        raise ValueError(f"expected vectors of length {k.dim}")
     c = pair_coefficients(k, np.moveaxis(x, -1, 0))
     outer = x[..., :, None] * x[..., None, :]
     return c.kperp[..., None, None] * np.eye(k.dim) + c.ktilde[..., None, None] * outer
@@ -286,8 +286,6 @@ def field_jacobian(k: TriKernel, x, alpha) -> np.ndarray:
 def _field_and_jacobian(k: TriKernel, x, alpha) -> tuple[np.ndarray, np.ndarray]:
     """k(x) alpha and its Jacobian `field_jacobian` from one `pair_coefficients` call."""
     x, alpha = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(alpha, dtype=float))
-    if x.ndim == 0 or x.shape[-1] != k.dim:
-        raise ValueError(f"expected vectors of length {k.dim}")
     c = pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
     inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
     u = np.einsum("...i,...i->...", x, alpha)
@@ -500,16 +498,18 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
                  for radial, tag in ((curl_free, "curl_free"), (div_free, "div_free")))
 
 
-# residuals of the differential characterizations, used by the divergence and
-# curl of single-center fields; radii r >= 0 enter the primitive as 1-vectors
+# residuals of the differential characterizations at radii r >= 0, used by the
+# divergence and curl of single-center fields
 
 def div_free_residual(k: TriKernel, r):
     """(d-1)(kpar - kperp)/r + kpar'; identically 0 for div-free kernels."""
-    c = pair_coefficients(k, np.asarray(r, dtype=float)[None], derivatives=True)
-    return (k.dim - 1) * c.r * c.ktilde + c.dkpar
+    r = np.asarray(r, dtype=float)
+    _, ktilde, dkpar, _ = k.radial(r, True)
+    return (k.dim - 1) * r * ktilde + dkpar
 
 
 def curl_free_residual(k: TriKernel, r):
     """(kpar - kperp)/r - kperp'; identically 0 for curl-free kernels."""
-    c = pair_coefficients(k, np.asarray(r, dtype=float)[None], derivatives=True)
-    return c.r * c.ktilde - c.dkperp
+    r = np.asarray(r, dtype=float)
+    _, ktilde, _, dkperp = k.radial(r, True)
+    return r * ktilde - dkperp

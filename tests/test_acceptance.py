@@ -24,7 +24,8 @@ from trikernels import fields as F
 from trikernels import kernels as K
 from trikernels import specfun as sf
 from trikernels import spectral as S
-from conftest import mixed_gaussian_kernel
+from conftest import (annulus_point, curl_norm, curlfree16, divfree16, fd_jacobian,
+                      hodge_split_quietly, mixed_gaussian_kernel, row_a, row_b, scalar16)
 
 
 @contextmanager
@@ -37,28 +38,6 @@ def verdict(label):
         raise
     detail = info.get("detail", "")
     print(f"{label}: PASS{' (' + detail + ')' if detail else ''}")
-
-
-def fd4_field(k, x, alpha, i, j, h=1e-3):
-    """4th-order central difference of component j of k(.)alpha along axis i."""
-    e = np.zeros(k.dim)
-    e[i] = 1.0
-    f = lambda y: (K.eval_matrix(k, y) @ alpha)[j]
-    return (-f(x + 2 * h * e) + 8 * f(x + h * e)
-            - 8 * f(x - h * e) + f(x - 2 * h * e)) / (12 * h)
-
-
-def fd4_divergence(k, x, alpha):
-    return sum(fd4_field(k, x, alpha, i, i) for i in range(k.dim))
-
-
-def fd4_curl_norm(k, x, alpha):
-    d = k.dim
-    jac = np.array([[fd4_field(k, x, alpha, i, j) for i in range(d)] for j in range(d)])
-    if d == 2:
-        return abs(jac[1, 0] - jac[0, 1])
-    comps = [jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]
-    return float(np.linalg.norm(comps))
 
 
 def test_criterion_01_gaussian_spectrum():
@@ -158,10 +137,7 @@ def test_criterion_05_construction_correctness():
 
 def test_criterion_06_hodge_of_gaussian():
     with verdict("criterion 06 hodge of gaussian") as info:
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", S.HeavyTailWarning)
-            k1, k2 = S.hodge_split(K.gaussian_kernel(1.0, 2))
+        k1, k2 = hodge_split_quietly(K.gaussian_kernel(1.0, 2))
         r = np.geomspace(0.05, 5.0, 100)
         closed = (1 - np.exp(-r ** 2)) / (2 * r ** 2)
         dev = np.max(np.abs(k1.k_perp(r) - closed))
@@ -219,49 +195,40 @@ def test_criterion_08_field_calculus():
         worst = 0.0
         for k in families:
             for _ in range(200):
-                x = rng.normal(size=k.dim)
-                nrm = np.linalg.norm(x)
-                x *= np.clip(nrm, 0.2, 4.0) / nrm
+                x = annulus_point(rng, k.dim, 0.2, 4.0)
                 al = rng.normal(size=k.dim)
                 dv = F.divergence_at(k, x, al)
-                worst = max(worst, abs(dv - fd4_divergence(k, x, al)))
+                jac = fd_jacobian(k, x, 4, 1e-3) @ al
+                worst = max(worst, abs(dv - np.trace(jac)))
                 cm = abs(F.curl_magnitude_at(k, x, al))
-                worst = max(worst, abs(cm - fd4_curl_norm(k, x, al)))
+                worst = max(worst, abs(cm - curl_norm(jac)))
                 assert worst <= 1e-6
         info["detail"] = f"200 points x {len(families)} families, worst dev {worst:.1e}"
 
 
 def test_criterion_09_dynamics_conservation():
     with verdict("criterion 09 dynamics conservation") as info:
-        c, b = 16.0, 1.0 / 32.0
-        k = K.gaussian_kernel(c, 2, amplitude=b)
-        rows = {
-            "A": (np.array([[0.0, 0.0], [0.0, 0.15]]),
-                  np.array([[15.0, 0.0], [15.0, 0.0]])),
-            "B": (np.array([[-0.4, -0.125], [0.4, 0.125]]),
-                  np.array([[20.0, 0.0], [-20.0, 0.0]])),
-        }
+        k = scalar16()
+        rows = {"A": row_a(), "B": row_b()}
         drifts = {}
         for name, (q, p) in rows.items():
             t0 = time.time()
-            traj = D.shoot(k, F.LandmarkConfig(q), F.MomentaSet(p),
-                           D.IntegratorConfig(step=1e-3, record_every=10))
+            traj = D.shoot(k, q, p, D.IntegratorConfig(step=1e-3, record_every=10))
             assert time.time() - t0 < 30.0
             drift = traj.energy_drift() / abs(traj.hamiltonians[0])
             drifts[name] = drift
             assert drift <= 1e-6
 
         qa, pa = rows["A"]
-        fwd = D.shoot(k, F.LandmarkConfig(qa), F.MomentaSet(pa),
-                      D.IntegratorConfig(step=1e-3, record_every=10 ** 9))
+        fwd = D.shoot(k, qa, pa, D.IntegratorConfig(step=1e-3, record_every=10 ** 9))
         back = D.shoot(k, F.LandmarkConfig(fwd.q[-1]), F.MomentaSet(-fwd.p[-1]),
                        D.IntegratorConfig(step=1e-3, record_every=10 ** 9))
-        rev = max(np.max(np.abs(back.q[-1] - qa)), np.max(np.abs(-back.p[-1] - pa)))
+        rev = max(np.max(np.abs(back.q[-1] - qa.points)),
+                  np.max(np.abs(-back.p[-1] - pa.vectors)))
         assert rev <= 1e-6
 
         def endpoint(step):
-            t = D.shoot(k, F.LandmarkConfig(qa), F.MomentaSet(pa),
-                        D.IntegratorConfig(step=step, record_every=10 ** 9))
+            t = D.shoot(k, qa, pa, D.IntegratorConfig(step=step, record_every=10 ** 9))
             return np.concatenate([t.q[-1].ravel(), t.p[-1].ravel()])
 
         h = 4e-3
@@ -275,9 +242,7 @@ def test_criterion_09_dynamics_conservation():
 
 def test_criterion_10_liouville_check():
     with verdict("criterion 10 liouville check") as info:
-        c, b = 16.0, 1.0 / 32.0
-        kdf = K.make_div_free(K.gaussian_profile(b / (2 * c), c), 2)
-        ks = K.gaussian_kernel(c, 2, amplitude=b)
+        kdf, ks = divfree16(), scalar16()
         q0 = F.LandmarkConfig(np.array([[0.0, 0.0]]))
         p0 = F.MomentaSet(np.array([[3.0, 0.0]]))
         spec = D.GridSpec(lo=(-0.4, -0.4), hi=(0.6, 0.4), n=(51, 41))  # spacing 0.02
@@ -307,12 +272,7 @@ def test_criterion_11_figure_reproduction():
         # angles of the gradient-type kernel legitimately reach landmark
         # collision (finite-time for smooth kernels) and are recorded as
         # per-trajectory aborts with the fan continuing
-        c, bb = 16.0, 1.0 / 32.0
-        kernels = {
-            "scalar": K.gaussian_kernel(c, 2, amplitude=bb),
-            "curl-free": K.make_curl_free(K.gaussian_profile(bb / (2 * c), c), 2),
-            "div-free": K.make_div_free(K.gaussian_profile(bb / (2 * c), c), 2),
-        }
+        kernels = {"scalar": scalar16(), "curl-free": curlfree16(), "div-free": divfree16()}
         q0 = F.LandmarkConfig(np.array([[0.0, -0.125], [0.0, 0.125]]))
         thetas = np.linspace(-math.pi / 2, math.pi / 2, 9)
         counts = {}

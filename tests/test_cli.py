@@ -17,6 +17,7 @@ from trikernels import cli
 from trikernels import dynamics as D
 from trikernels import fields as F
 from trikernels import kernels as K
+from conftest import CLI_KERNELS, scalar16
 
 
 def run(tmp_path, command, config, name="cfg.json", extra=()):
@@ -106,27 +107,17 @@ def test_unknown_top_level_block_is_input_error(tmp_path):
     assert code == 2
 
 
-# one valid kernel block per family; each numeric field is poisoned in turn
-VALID_KERNELS = {
-    "gaussian": {"c": 1.0, "b": 1.0},
-    "cauchy": {"sigma": 1.0},
-    "bessel": {"sigma": 1.0, "ell": 2.0},
-    "example1": {"a": 1.5, "b": 1.0, "c": 1.0},
-    "example2": {"a": 1.5, "b": 1.0, "c": 1.0},
-    "gaussian_curl_free": {"b": 1.0, "c": 1.0},
-    "gaussian_div_free": {"b": 1.0, "c": 1.0},
-    "bessel_curl_free": {"sigma": 1.0, "ell": 3.5},
-    "bessel_div_free": {"sigma": 1.0, "ell": 3.5},
-}
+# each numeric field is poisoned in turn, so any valid block serves
+FAMILY_BLOCKS = {b["family"]: b for name, b in CLI_KERNELS.items() if not name.endswith("_out")}
 
 
 @pytest.mark.parametrize("command", ["certify", "spectrum", "hodge"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
                          ids=["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("family", sorted(VALID_KERNELS))
+@pytest.mark.parametrize("family", sorted(FAMILY_BLOCKS))
 def test_non_finite_kernel_parameter_is_input_error(tmp_path, capsys, family, bad, command):
-    for name in [*VALID_KERNELS[family], "dim"]:
-        kernel = {"family": family, "dim": 2, **VALID_KERNELS[family], name: bad}
+    for name in [*(f for f in FAMILY_BLOCKS[family] if f != "family"), "dim"]:
+        kernel = {**FAMILY_BLOCKS[family], "dim": 2, name: bad}
         assert run(tmp_path, command, {"kernel": kernel}) == 2, name
         captured = capsys.readouterr()
         assert "must be a finite number" in captured.err
@@ -501,7 +492,7 @@ def test_shoot_trajectory_csv_roundtrip(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "trajectory.csv")
     assert header[0] == "t" and header[-1] == "H"
     # recompute H from the stored q, p columns: repr round-trip is lossless
-    k = K.gaussian_kernel(16.0, 2, amplitude=0.03125)
+    k = scalar16()
     for row in rows[:: max(1, len(rows) // 5)]:
         q = row[1:5].reshape(2, 2)
         p = row[5:9].reshape(2, 2)
@@ -605,7 +596,7 @@ def test_expmap_single_angle_matches_shoot(tmp_path):
     }
     assert run(tmp_path, "expmap", cfg) == 0
     _, fan_rows = read_csv(tmp_path / "expmap.csv")
-    k = K.gaussian_kernel(16.0, 2, amplitude=0.03125)
+    k = scalar16()
     q0 = F.LandmarkConfig(np.array([[0.0, -0.125], [0.0, 0.125]]))
     p0 = F.MomentaSet(D.theta_momenta(50.0, [0.3])[0])
     traj = D.shoot(k, q0, p0, D.IntegratorConfig(step=2e-3, record_every=100))

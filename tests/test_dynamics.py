@@ -6,32 +6,7 @@ import pytest
 from trikernels import dynamics as D
 from trikernels import fields as F
 from trikernels import kernels as K
-
-# the c = 16 width-0.25 kernels used throughout the shooting experiments
-C16 = 16.0
-B16 = 1.0 / (2.0 * C16)
-
-
-def scalar16():
-    return K.gaussian_kernel(C16, 2, amplitude=B16)
-
-
-def divfree16():
-    return K.make_div_free(K.gaussian_profile(B16 / (2 * C16 * (2 - 1)), C16), 2)
-
-
-def curlfree16():
-    return K.make_curl_free(K.gaussian_profile(B16 / (2 * C16), C16), 2)
-
-
-def row_a():
-    return (F.LandmarkConfig(np.array([[0.0, 0.0], [0.0, 0.15]])),
-            F.MomentaSet(np.array([[15.0, 0.0], [15.0, 0.0]])))
-
-
-def row_b():
-    return (F.LandmarkConfig(np.array([[-0.4, -0.125], [0.4, 0.125]])),
-            F.MomentaSet(np.array([[20.0, 0.0], [-20.0, 0.0]])))
+from conftest import B16, C16, curlfree16, divfree16, row_a, row_b, scalar16
 
 
 # --- hamiltonian ---------------------------------------------------------------
@@ -668,7 +643,15 @@ ONE_FAILURE = D.FanResult(trajectories=[None], failures=[(0, "coalescence")])
                      F.MomentaSet([[1.0, 0.0]])),
      "momenta shape must match the landmark configuration"),
     (lambda: ONE_FAILURE.sheet(0), "no successful trajectories in the fan"),
-], ids=["shoot-dimension", "shoot-momenta-count", "fan-sheet-all-failed"])
+    (lambda: D.flow_grid(K.gaussian_kernel(1.0, 2), F.LandmarkConfig([[0.0, 0.0]]),
+                         F.MomentaSet([[1.0, 0.0]]),
+                         D.GridSpec((-1, -1, -1), (1, 1, 1), (3, 3, 3))),
+     "grid lo, hi and n must each have length 2"),
+    (lambda: D.flow_grid(K.gaussian_kernel(1.0, 2), F.LandmarkConfig([[0.0, 0.0]]),
+                         F.MomentaSet([[1.0, 0.0]]), D.GridSpec((-1, -1), (1, 1), (3, 3, 3))),
+     "grid lo, hi and n must each have length 2"),
+], ids=["shoot-dimension", "shoot-momenta-count", "fan-sheet-all-failed", "flow_grid-3-d-grid",
+        "flow_grid-n-length"])
 def test_bad_dynamics_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

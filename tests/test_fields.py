@@ -1,43 +1,13 @@
 """Interpolation, field evaluation, and pointwise field calculus."""
 
-import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from trikernels import fields as F
 from trikernels import kernels as K
-from trikernels import spectral as S
-from conftest import projector_oracle
-
-
-def fd_divergence(k, x, alpha, h=1e-6):
-    f = lambda y: K.eval_matrix(k, y) @ alpha
-    d = len(x)
-    total = 0.0
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        total += (f(x + e)[i] - f(x - e)[i]) / (2 * h)
-    return total
-
-
-def fd_curl_2d(k, x, alpha, h=1e-6):
-    f = lambda y: K.eval_matrix(k, y) @ alpha
-    ex, ey = np.array([h, 0.0]), np.array([0.0, h])
-    return ((f(x + ex)[1] - f(x - ex)[1]) - (f(x + ey)[0] - f(x - ey)[0])) / (2 * h)
-
-
-def fd_curl_3d(k, x, alpha, h=1e-6):
-    f = lambda y: K.eval_matrix(k, y) @ alpha
-    jac = np.zeros((3, 3))
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        jac[:, i] = (f(x + e) - f(x - e)) / (2 * h)
-    return np.array([jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]])
+from conftest import FAMILIES, annulus_point, curl_norm, fd_jacobian, projector_oracle
 
 
 # --- landmark configuration ---------------------------------------------------
@@ -173,18 +143,6 @@ def test_interpolate_near_singular_raises():
 
 # --- field evaluation --------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def apply_kernel(name, d):
-    if name == "hodge-curl-free":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", S.HeavyTailWarning)
-            return S.hodge_split(K.gaussian_kernel(1.0, d))[0]
-    return {"gaussian": lambda: K.gaussian_kernel(1.0, d),
-            "curl-free": lambda: K.make_curl_free(K.gaussian_profile(1.0, 1.0), d),
-            "div-free": lambda: K.make_div_free(K.gaussian_profile(1.0, 1.0), d),
-            "example1": lambda: K.family_example1(1.0, 1.0, 1.0, d)}[name]()
-
-
 def test_field_apply_matches_the_matrix_sum():
     # field_apply works coordinate-major internally; its values must equal
     # the sum of kernel matrices applied to the momenta, for any input layout
@@ -193,13 +151,12 @@ def test_field_apply_matches_the_matrix_sum():
     from hypothesis import strategies as st
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(["gaussian", "curl-free", "div-free", "example1",
-                                 "hodge-curl-free"]),
+    @given(name=st.sampled_from(sorted(FAMILIES)),
            d=st.sampled_from([2, 3]), m=st.integers(1, 40), n=st.integers(1, 6),
            layout=st.sampled_from(["C", "F", "single"]), on_center=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
     def check(name, d, m, n, layout, on_center, seed):
-        k = apply_kernel(name, d)
+        k = FAMILIES[name](1.0, d, 0.5)
         rng = np.random.default_rng(seed)
         centers = rng.normal(size=(n, d))
         momenta = rng.normal(size=(n, d))
@@ -355,33 +312,27 @@ def test_divergence_matches_finite_differences(rng):
                K.family_example2(1.5, 1.0, 1.0, 2), K.gaussian_kernel(1.0, 3)]
     for k in kernels:
         for _ in range(10):
-            x = rng.normal(size=k.dim)
-            r = np.linalg.norm(x)
-            x *= np.clip(r, 0.2, 4.0) / r
+            x = annulus_point(rng, k.dim, 0.2, 4.0)
             al = rng.normal(size=k.dim)
             assert F.divergence_at(k, x, al) == pytest.approx(
-                fd_divergence(k, x, al), abs=1e-6)
+                np.trace(fd_jacobian(k, x, 2, 1e-6) @ al), abs=1e-6)
 
 
 def test_curl_matches_finite_differences_2d(rng):
     for k in (K.gaussian_kernel(1.0, 2), K.family_example2(1.5, 1.0, 1.0, 2)):
         for _ in range(10):
-            x = rng.normal(size=2)
-            r = np.linalg.norm(x)
-            x *= np.clip(r, 0.2, 4.0) / r
+            x = annulus_point(rng, 2, 0.2, 4.0)
             al = rng.normal(size=2)
             assert abs(F.curl_magnitude_at(k, x, al)) == pytest.approx(
-                abs(fd_curl_2d(k, x, al)), abs=1e-6)
+                curl_norm(fd_jacobian(k, x, 2, 1e-6) @ al), abs=1e-6)
 
 
 def test_curl_matches_finite_differences_3d(rng):
     k = K.family_example1(1.0, 1.0, 1.0, 3)
     for _ in range(10):
-        x = rng.normal(size=3)
-        r = np.linalg.norm(x)
-        x *= np.clip(r, 0.2, 4.0) / r
+        x = annulus_point(rng, 3, 0.2, 4.0)
         al = rng.normal(size=3)
-        want = np.linalg.norm(fd_curl_3d(k, x, al))
+        want = curl_norm(fd_jacobian(k, x, 2, 1e-6) @ al)
         assert abs(F.curl_magnitude_at(k, x, al)) == pytest.approx(want, abs=1e-6)
 
 
@@ -409,8 +360,20 @@ TWO_POINTS = F.LandmarkConfig([[0.0, 0.0], [1.0, 0.0]])
      ValueError, "targets must be an"),
     (lambda: F.field_zero(no_zero_field_kernel(), np.array([1.0, 0.0]), np.array([0.3, 0.2])),
      RuntimeError, "field zero search did not converge"),
+    (lambda: F.divergence_at(K.gaussian_kernel(1.0, 2), np.ones(3), np.ones(3)),
+     ValueError, "expected vectors of length 2"),
+    (lambda: F.curl_magnitude_at(K.gaussian_kernel(1.0, 2), np.ones(3), np.ones(3)),
+     ValueError, "expected vectors of length 2"),
+    (lambda: F.field_apply(K.gaussian_kernel(1.0, 2), np.zeros((1, 3)), np.ones((1, 3)),
+                           np.ones((4, 3))),
+     ValueError, "expected vectors of length 2"),
+    (lambda: F.snapshot_field(K.make_div_free(K.gaussian_profile(0.25, 1.0), 2),
+                              F.LandmarkConfig(np.zeros((1, 3))),
+                              F.MomentaSet(np.ones((1, 3))))(np.zeros((2, 3))),
+     ValueError, "expected vectors of length 2"),
 ], ids=["landmarks-3-d", "momenta-3-d", "snapshot-momenta-count", "interpolate-targets",
-        "field_zero-no-zero"])
+        "field_zero-no-zero", "divergence-length", "curl-length", "field_apply-length",
+        "snapshot-length"])
 def test_bad_fields_input_raises(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from trikernels import kernels as K
-from conftest import (cauchy_derivatives, gaussian_derivatives, projector_oracle,
-                      random_rotation)
+from conftest import (annulus_point, cauchy_derivatives, fd_jacobian, gaussian_derivatives,
+                      projector_oracle, random_rotation)
 
 R_GRID = np.geomspace(0.05, 5.0, 64)
-
-
-def fd_matrix_derivative(k, x, axis, h=1e-6):
-    xp, xm = x.copy(), x.copy()
-    xp[axis] += h
-    xm[axis] -= h
-    return (K.eval_matrix(k, xp) - K.eval_matrix(k, xm)) / (2 * h)
 
 
 @pytest.fixture
@@ -150,12 +143,11 @@ def test_field_jacobian_vs_finite_differences(rng):
     ]
     for k in kernels:
         for _ in range(8):
-            x = rng.normal(size=k.dim)
-            x *= np.clip(np.linalg.norm(x), 0.1, 5.0) / np.linalg.norm(x)
+            x = annulus_point(rng, k.dim, 0.1, 5.0)
+            fd = fd_jacobian(k, x, 2, 1e-6)
             for axis in range(k.dim):
                 an = matrix_derivative(k, x, axis)
-                fd = fd_matrix_derivative(k, x, axis)
-                assert np.max(np.abs(an - fd)) < 1e-6
+                assert np.max(np.abs(an - fd[axis])) < 1e-6
 
 
 def test_field_jacobian_scalar_gaussian_axis_point():
@@ -454,11 +446,10 @@ def test_gaussian_hodge_pair_derivatives(rng):
     k1, k2 = K.gaussian_hodge_pair(1.0, 2)
     for k in (k1, k2):
         for _ in range(5):
-            x = rng.normal(size=2)
-            x *= np.clip(np.linalg.norm(x), 0.2, 4.0) / np.linalg.norm(x)
+            x = annulus_point(rng, 2, 0.2, 4.0)
+            fd = fd_jacobian(k, x, 2, 1e-6)
             for axis in range(2):
-                fd = fd_matrix_derivative(k, x, axis)
-                np.testing.assert_allclose(matrix_derivative(k, x, axis), fd, atol=1e-6)
+                np.testing.assert_allclose(matrix_derivative(k, x, axis), fd[axis], atol=1e-6)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -501,12 +492,16 @@ def test_pair_coefficients_coordinate_major(rng, example1):
      "expected vectors of length 2"),
     (lambda: K.field_jacobian(K.gaussian_kernel(1.0, 2), np.zeros(3), np.ones(3)),
      "expected vectors of length 2"),
+    (lambda: K.pair_coefficients(K.gaussian_kernel(1.0, 2), np.zeros(3)),
+     "expected vectors of length 2"),
+    (lambda: K.pair_coefficients(K.gaussian_kernel(1.0, 2), 0.0), "expected vectors of length 2"),
     (lambda: K.in_D1(1.0, 1.0, 0.0, 2), "c must be positive"),
     (lambda: K.in_D2(1.0, 1.0, -1.0), "c must be positive"),
     (lambda: K.family_example1(1.0, 1.0, 0.0, 2), "c must be positive"),
     (lambda: K.family_example2(1.0, 1.0, -1.0, 2), "c must be positive"),
     (lambda: K.gaussian_hodge_pair(0.0, 2), "c must be positive"),
 ], ids=["bessel-sigma-0", "bessel-nu-0", "dim-1", "eval_matrix-length", "field_jacobian-length",
+        "pair_coefficients-length", "pair_coefficients-0-d",
         "in_D1-c-0", "in_D2-c-negative", "example1-c-0", "example2-c-negative",
         "hodge_pair-c-0"])
 def test_bad_kernel_input_is_a_value_error(call, message):

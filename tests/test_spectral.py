@@ -11,7 +11,7 @@ from trikernels import cli
 from trikernels import kernels as K
 from trikernels import spectral as S
 from trikernels import specfun as sf
-from conftest import mixed_gaussian_kernel, random_rotation
+from conftest import CLI_KERNELS, hodge_split_quietly, mixed_gaussian_kernel, random_rotation
 
 QUICK_RHO = np.geomspace(1e-3, 6.0, 48)
 
@@ -121,25 +121,11 @@ def test_forward_map_one_radial_call_per_bessel_call(monkeypatch):
 
 GRID_32 = np.geomspace(1e-3, 20.0, 32)
 
-# CLI kernel blocks without "dim"; example1/2 in and out of D1/D2
-GENERATED = {
-    "gaussian": {"family": "gaussian", "c": 1.0},
-    "cauchy": {"family": "cauchy", "sigma": 1.0},
-    "bessel": {"family": "bessel", "sigma": 1.0, "ell": 3.5},
-    "gaussian_curl_free": {"family": "gaussian_curl_free", "b": 1.0, "c": 1.0},
-    "gaussian_div_free": {"family": "gaussian_div_free", "b": 1.0, "c": 0.7},
-    "bessel_curl_free": {"family": "bessel_curl_free", "sigma": 1.0, "ell": 4.5},
-    "bessel_div_free": {"family": "bessel_div_free", "sigma": 1.0, "ell": 4.5},
-    "example1_in": {"family": "example1", "a": 1.0, "b": 1.0, "c": 1.0},
-    "example1_out": {"family": "example1", "a": 3.0, "b": 1.0, "c": 1.0},
-    "example2_in": {"family": "example2", "a": 1.0, "b": 1.0, "c": 1.0},
-    "example2_out": {"family": "example2", "a": 3.0, "b": 1.0, "c": 1.0},
-}
-MATRIX_FAMILIES = [name for name in GENERATED if name not in ("gaussian", "cauchy", "bessel")]
+MATRIX_FAMILIES = [name for name in CLI_KERNELS if name not in ("gaussian", "cauchy", "bessel")]
 
 
 def generated(name, dim):
-    return cli.build_kernel({**GENERATED[name], "dim": dim})
+    return cli.build_kernel({**CLI_KERNELS[name], "dim": dim})
 
 
 def grid_of(k, which):
@@ -148,7 +134,7 @@ def grid_of(k, which):
 
 @pytest.mark.parametrize("which", ["default", "n32"])
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("name", sorted(GENERATED))
+@pytest.mark.parametrize("name", sorted(CLI_KERNELS))
 def test_generator_spectrum_matches_the_generic_transform(name, dim, which):
     k = generated(name, dim)
     assert k.generator is not None
@@ -426,9 +412,7 @@ def test_spectrum_matrix_rotation_equivariance(rng):
 
 @pytest.fixture(scope="module")
 def gaussian_split():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        return S.hodge_split(K.gaussian_kernel(1.0, 2))
+    return hodge_split_quietly(K.gaussian_kernel(1.0, 2))
 
 
 def test_hodge_split_transverse_closed_form(gaussian_split):
@@ -464,20 +448,12 @@ def test_hodge_parts_ktilde_below_the_first_grid_radius(c):
                                     for m in range(40))
 
     k = K.gaussian_kernel(c, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        curl_free, div_free = S.hodge_split(k)
+    curl_free, div_free = hodge_split_quietly(k)
     r0 = 1e-3 * k.tail_scale / 7.0          # the default grid's first radius
     r = np.array([1e-11, 1e-6, r0 / 2, 2 * r0, 10 * r0])
     want = np.array([t(x) for x in r])
     np.testing.assert_allclose(K.ktilde(curl_free, r), want, rtol=1e-5)
     np.testing.assert_allclose(K.ktilde(div_free, r), -want, rtol=1e-5)
-
-
-def hodge_split_quietly(k, r_grid=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        return S.hodge_split(k, r_grid)
 
 
 def worst_gaussian_pair_deviation(parts, c, d, r):
@@ -617,9 +593,7 @@ def test_hodge_split_tabulates_from_two_radial_calls():
 
     counted = K.TriKernel(dim=k.dim, radial=radial, tail_scale=k.tail_scale)
     calls.clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        curl_free, _ = S.hodge_split(counted, r_grid=np.geomspace(0.05, 5.0, 24))
+    curl_free, _ = hodge_split_quietly(counted, np.geomspace(0.05, 5.0, 24))
     # the four 16-point calls are the parts' k0 and the heavy-tail check at R
     assert [n for deriv, n in calls if deriv] == [16 * 24, 1, 16, 16, 16, 16]
     assert all(n == 1 for deriv, n in calls if not deriv)
@@ -631,9 +605,7 @@ def test_hodge_split_tabulates_from_two_radial_calls():
 def test_hodge_split_of_div_free_input_is_trivial():
     r = np.geomspace(0.05, 4.0, 30)
     kdf = K.make_div_free(K.gaussian_profile(0.5, 1.0), 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        part_cf, part_df = S.hodge_split(kdf)
+    part_cf, part_df = hodge_split_quietly(kdf)
     scale = np.max(np.abs(kdf.k_par(r)))
     assert np.max(np.abs(part_cf.k_par(r))) < 1e-8 * scale
     assert np.max(np.abs(part_df.k_par(r) - kdf.k_par(r))) < 1e-6 * scale
@@ -641,9 +613,7 @@ def test_hodge_split_of_div_free_input_is_trivial():
     # and a curl-free input: its div-free part, the complement, carries only
     # the inversion error of the curl-free one
     kcf = K.make_curl_free(K.gaussian_profile(0.5, 1.0), 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        part_cf, part_df = S.hodge_split(kcf)
+    part_cf, part_df = hodge_split_quietly(kcf)
     scale = np.max(np.abs(kcf.k_par(r)))
     assert np.max(np.abs(part_df.k_par(r))) < 1e-6 * scale
     assert np.max(np.abs(part_df.k_perp(r))) < 1e-6 * scale
@@ -708,9 +678,7 @@ def test_hodge_split_parts_sum_to_the_kernel(make):
     k = make()
     scale = k.tail_scale / 7.0
     r_grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        k1, k2 = S.hodge_split(k, r_grid=r_grid)
+    k1, k2 = hodge_split_quietly(k, r_grid)
     r = np.concatenate([[0.0, r_grid[0] / 10, r_grid[0] / 2], r_grid[::7],
                         [2.0 * r_grid[-1], 10.0 * r_grid[-1]]])
     tol = 1e-15 * abs(k.k0)
@@ -788,9 +756,7 @@ def test_hodge_split_pairs_as_the_closed_pair(d):
 
 def test_hodge_orthogonality_of_a_numerical_split():
     k = K.family_example1(1.0, 1.0, 1.0, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", S.HeavyTailWarning)
-        k1, k2 = S.hodge_split(k)
+    k1, k2 = hodge_split_quietly(k)
     radius = 200.0 * k.tail_scale / 7.0
     # the parts are their own integrals at every radius, so the geometric
     # panels read them as the uniform ones do (reference 1.05355e-5)

@@ -10,23 +10,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from trikernels import kernels as K  # noqa: E402
 from trikernels import spectral as S  # noqa: E402
+from conftest import FAMILIES  # noqa: E402
 
-# each family at k0 = 1 and width c; lam in [1/4, 3/4] puts the example
-# families strictly inside D1 and D2
-FAMILIES = {
-    "gaussian": lambda c, d, lam: K.gaussian_kernel(c, d),
-    "example1": lambda c, d, lam: K.family_example1(lam * 2.0 * c / (d - 1), 1.0, c, d),
-    "example2": lambda c, d, lam: K.family_example2(lam * 2.0 * c, 1.0, c, d),
-    "curl_free": lambda c, d, lam: K.make_curl_free(K.gaussian_profile(0.5 / c, c), d),
-    "div_free": lambda c, d, lam: K.make_div_free(
-        K.gaussian_profile(0.5 / (c * (d - 1)), c), d),
-}
+# every table family with a generator; the Bessel constructions stay out: at
+# nu = 3 `_grid_for` ends their grid before the spectrum has decayed, and the
+# involution misses by up to 9.5e-5 k0
+INVOLUTION = [name for name in sorted(FAMILIES) if not name.startswith(("bessel_", "hodge_"))]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(family=st.sampled_from(sorted(FAMILIES)), dim=st.sampled_from([2, 3]),
+@given(family=st.sampled_from(INVOLUTION), dim=st.sampled_from([2, 3]),
        u=st.floats(-0.5, 4.0), lam=st.floats(0.25, 0.75))
 def test_inverse_of_forward_map_returns_the_kernel(family, dim, u, lam):
     c = 10.0 ** u

@@ -13,8 +13,8 @@ pairs the change first), one process at a time.  Each ``--traced``
 workload gets one ``--trace 1`` run per side, and ``--tier1`` times the
 test suite once per side.  The output file is rewritten after every run,
 so an interrupted run still leaves every finished pair on disk.  The file
-also records the line count of ``src/trikernels/*.py`` on both sides and
-its net change.
+also records the line counts of ``src/trikernels/*.py`` and of
+``tests/*.py`` on both sides and their net changes.
 
 Each metric of a set reports both sides' runs, median and quartiles, the
 number of pairs the change won (ties count for neither side), the ratio
@@ -60,9 +60,11 @@ def src_digest(root: Path) -> str:
     return h.hexdigest()
 
 
-def src_lines(root: Path) -> int:
-    return sum(len(f.read_text().splitlines())
-               for f in sorted((root / "src" / "trikernels").glob("*.py")))
+def line_counts(parent: Path, change: Path, folder: str) -> dict:
+    """Lines of folder/*.py on both sides and the net change."""
+    lines = {side: sum(len(f.read_text().splitlines()) for f in (root / folder).glob("*.py"))
+             for side, root in (("parent", parent), ("change", change))}
+    return {**lines, "net": lines["change"] - lines["parent"], "note": f"lines of {folder}/*.py"}
 
 
 def run_bench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -153,7 +155,6 @@ def main(argv=None) -> int:
         parent_dir = Path(tmp)
         export_parent(args.parent_rev, parent_dir)
         sides = (parent_dir, ROOT)
-        lines = {"parent": src_lines(parent_dir), "change": src_lines(ROOT)}
         doc.update(
             method="perfbench/run.py --trace 0 on the parent commit and on the change, "
                    "each from its own checkout, run one after the other on the same host; "
@@ -161,8 +162,8 @@ def main(argv=None) -> int:
                    "the benchmark's probe-calibrated seconds. Quartiles are numpy "
                    "percentiles 25/50/75 over the runs of one side.",
             src_sha256={"parent": src_digest(parent_dir), "change": src_digest(ROOT)},
-            src_lines={**lines, "net": lines["change"] - lines["parent"],
-                       "note": "lines of src/trikernels/*.py"},
+            src_lines=line_counts(parent_dir, ROOT, "src/trikernels"),
+            test_lines=line_counts(parent_dir, ROOT, "tests"),
             workloads={}, notes=args.note)
 
         def save():
