@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import LandmarkConfig, MomentaSet, field_apply
-from .kernels import ZERO_RADIUS, TriKernel, pair_coefficients
+from .kernels import TriKernel, pair_coefficients
 
 COALESCENCE_TOL = 1e-6
 
@@ -143,9 +143,10 @@ def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray,
     radial derivatives are not evaluated.  The displacements x_ab = q_a - q_b
     form one contiguous (d, B, N, N) array; r, hence every coefficient, is
     bitwise symmetric in a and b.  dp sums the negated gradient terms, which
-    are -field_jacobian(x_ab, p_b)^T p_a in fused form.  Self-terms contribute
-    0 to dp: the displacement vanishes and the primitive's radial derivatives
-    are 0 at zero radius.
+    are -field_jacobian(x_ab, p_b)^T p_a in fused form; with D = (1/r) d/dr
+    their radial part is D ktilde (x_ab . p_a)(x_ab . p_b) - D kperp p_a . p_b
+    along x_ab, so no term divides by r.  Self-terms contribute 0 to dp: the
+    displacement vanishes and the coefficients are finite there.
     """
     x = q[..., :, None] - q[..., None, :]
     c = pair_coefficients(k, x, dp is not None)
@@ -157,9 +158,7 @@ def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray,
     if dp is None:
         return c.r
 
-    inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
-    nuw = u * u.mT * np.square(inv_r)                     # -(p_a . xhat)(p_b . xhat)
-    nradial = (c.dkpar * nuw - c.dkperp * (pt @ pt.mT + nuw)) * inv_r - 2.0 * c.ktilde * nuw
+    nradial = c.dktilde_r * u * u.mT - c.dkperp_r * (pt @ pt.mT)
     np.vecdot(x, nradial, out=dp)
     np.add(dp, nkw.sum(axis=-1) * p, out=dp)
     np.subtract(dp, (nkw.mT @ pt).transpose(2, 0, 1), out=dp)

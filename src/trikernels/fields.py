@@ -4,7 +4,7 @@ Minimal-norm interpolation of point constraints, evaluation of fields
 spanned by kernel translates, the pointwise divergence / rotational
 intensity of single-center fields and a Newton search for their zeros,
 all from the kernels module's pairwise primitive (through `eval_matrix`,
-`pair_coefficients`, `field_jacobian` and the differential residuals).
+`pair_coefficients`, `field_jacobian` and the div-free residual).
 The interpolation problem
 
     u(x_a) = beta_a  for all a,   |u| minimal in the kernel's space
@@ -23,8 +23,7 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .kernels import (ZERO_RADIUS, TriKernel, _field_and_jacobian, curl_free_residual,
-                      div_free_residual, eval_matrix, pair_coefficients)
+from .kernels import TriKernel, _div_factor, _field_and_jacobian, eval_matrix, pair_coefficients
 
 MIN_SEPARATION = 1e-9
 
@@ -191,36 +190,35 @@ def divergence_at(k: TriKernel, x, alpha):
     """Divergence of y -> k(y)alpha at x.
 
     x and alpha broadcast to (..., d); the result has shape (...), a float
-    for single vectors.  Equals (alpha . xhat) times the div-free residual
-    (d-1)(kpar - kperp)/r + kpar'(r).  1/r is clamped at ZERO_RADIUS, so
-    the value at x = 0 is exactly 0, the trace of the Jacobian there.
+    for single vectors.  Equals (alpha . x) times the div-free residual over
+    r, (d+1) ktilde + D kperp + r^2 D ktilde with D = (1/r) d/dr, so the
+    value at x = 0 is exactly 0, the trace of the Jacobian there.
     """
     x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
     if x.shape[-1:] != (k.dim,):
         raise ValueError(f"expected vectors of length {k.dim}")
-    r = np.sqrt(np.einsum("...i,...i->...", x, x))
-    return (np.einsum("...i,...i->...", alpha, x) / np.maximum(r, ZERO_RADIUS)
-            * div_free_residual(k, r))[()]
+    c = pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
+    factor = _div_factor(k.dim, c.r, c.ktilde, c.dkperp_r, c.dktilde_r)
+    return (np.einsum("...i,...i->...", alpha, x) * factor)[()]
 
 
 def curl_magnitude_at(k: TriKernel, x, alpha):
     """Rotational intensity of y -> k(y)alpha at x.
 
-    The curl-free residual (kpar - kperp)/r - kperp'(r) times
-    |alpha ^ x| / r, the norm of the wedge of the two vectors; shapes, the
-    clamp of 1/r and the value 0 at x = 0 as in `divergence_at`.  In the
-    plane this matches the scalar curl of the field up to orientation sign;
-    in R^3 it is (up to the same sign) the Euclidean norm of the classical
-    curl.
+    The curl-free residual over r, ktilde - D kperp, times |alpha ^ x|, the
+    norm of the wedge of the two vectors; shapes and the value 0 at x = 0
+    as in `divergence_at`.  In the plane this matches the scalar curl of the
+    field up to orientation sign; in R^3 it is (up to the same sign) the
+    Euclidean norm of the classical curl.
     """
     x, alpha = np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
     if x.shape[-1:] != (k.dim,):
         raise ValueError(f"expected vectors of length {k.dim}")
-    r = np.sqrt(np.einsum("...i,...i->...", x, x))
+    c = pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
     # |alpha ^ x|^2 as the sum of squared 2x2 minors: exact for parallel vectors
     minors = alpha[..., :, None] * x[..., None, :] - x[..., :, None] * alpha[..., None, :]
     wedge = np.sqrt(0.5 * np.sum(minors * minors, axis=(-2, -1)))
-    return (curl_free_residual(k, r) * wedge / np.maximum(r, ZERO_RADIUS))[()]
+    return ((c.ktilde - c.dkperp_r) * wedge)[()]
 
 
 def field_zero(k: TriKernel, alpha, x0) -> np.ndarray:

@@ -15,18 +15,19 @@ the scalar Gaussian.
 With ktilde(r) = (kpar(r) - kperp(r)) / r^2, k(x) = kperp I + ktilde x x^T.
 Every kernel is evaluated through one callable,
 
-    radial(r, derivatives) -> (kperp, ktilde[, dkpar, dkperp]),
+    radial(r, derivatives) -> (kperp, ktilde[, D kperp, D ktilde]),
 
-which shares its transcendental evaluations across the coefficients and
-returns the exact r -> 0 limits (k0, small_r_ktilde, 0, 0) by contract.
-A scalar profile is its fused tuple (f, f'/r, (f'' - f'/r)/r^2, f'''),
-written in closed form with its limits at r = 0: the Gaussian takes one
-exp, the Cauchy profile one reciprocal and the Bessel profile three K_m
-calls.  The scalar, curl-free and div-free constructions are linear
-maps of that tuple.  The primitive `pair_coefficients` is one call
-to `radial` on coordinate-major (d, ...) displacements; every kernel
-matrix, field value, field Jacobian and differential residual in the
-package is computed from it.
+with D = (1/r) d/dr, the derivative of a radial function in the form its
+consumers use.  It shares its transcendental evaluations across the
+coefficients and returns the exact r -> 0 limits (k0, small_r_ktilde,
+kperp''(0), ktilde''(0)) by contract.  A scalar profile is its fused tuple
+(f, Df, D^2 f, D^3 f), written in closed form with its limits at r = 0:
+the Gaussian takes one exp, the Cauchy profile one reciprocal and the
+Bessel profile one K_m call per entry, four at order 3.  The scalar,
+curl-free and div-free constructions are linear maps of that tuple.  The
+primitive `pair_coefficients` is one call to `radial` on coordinate-major
+(d, ...) displacements; every kernel matrix, field value, field Jacobian
+and differential residual in the package is computed from it.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ import numpy as np
 
 from .specfun import bessel_k, lower_gamma
 
-# separations below this radius count as zero
-ZERO_RADIUS = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # scalar profiles
@@ -52,9 +50,9 @@ class ScalarProfile:
     """A smooth even radial profile f, given by its fused tuple.
 
     fused : (r, order) -> the first order + 1 entries of
-        [f, f'/r, g, f'''] with g = (f'' - f'/r)/r^2, at an array of
-        radii r >= 0, holding the limits f''(0) and f''''(0)/3 of f'/r
-        and g at r = 0.
+        [f, Df, D^2 f, D^3 f], D = (1/r) d/dr, at an array of radii
+        r >= 0, holding the limits f''(0), f''''(0)/3 and f''''''(0)/15 of
+        the last three at r = 0.  Df = f'/r and D^2 f = (f'' - f'/r)/r^2.
     tail_scale : radius beyond which the profile is negligible.
     """
 
@@ -63,27 +61,21 @@ class ScalarProfile:
 
 
 def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
-    """amplitude * exp(-c r^2); its fused tuple takes one exp."""
+    """amplitude * exp(-c r^2); its fused tuple (-2c)^j f takes one exp."""
     if c <= 0:
         raise ValueError("c must be positive")
     a = float(amplitude)
 
     def fused(r, order=3):
-        out = [a * np.exp(-c * np.square(r))]
-        if order >= 1:
-            out.append((-2.0 * c) * out[0])
-        if order >= 2:
-            out.append((4.0 * c * c) * out[0])
-        if order >= 3:
-            out.append(r * (3.0 - 2.0 * c * np.square(r)) * out[2])
-        return out
+        f = a * np.exp(-c * np.square(r))
+        return [f] + [w * f for w in (-2.0 * c, 4.0 * c * c, -8.0 * c * c * c)[:order]]
 
     return ScalarProfile(fused, tail_scale=math.sqrt(48.0 / c))
 
 
 def cauchy_profile(sigma: float) -> ScalarProfile:
     """w = 1 / (1 + r^2/sigma^2), the rational profile; its fused tuple is
-    (w, -2 w^2/sigma^2, 8 w^3/sigma^4, 24 r (1 - r^2/sigma^2) w^4/sigma^4).
+    (-2/sigma^2)^j j! w^(j+1): (w, -2 w^2/sigma^2, 8 w^3/sigma^4, -48 w^4/sigma^6).
     sigma^4 and 1/sigma^4 must be finite and nonzero: 1e-77 < sigma < 1e77."""
     s2 = sigma * sigma
     if not (sigma > 0 and 0.0 < s2 * s2 < math.inf and 1.0 / (s2 * s2) < math.inf):
@@ -98,7 +90,7 @@ def cauchy_profile(sigma: float) -> ScalarProfile:
         if order >= 2:
             out.append((8.0 / (s2 * s2)) * w ** 3)
         if order >= 3:
-            out.append((24.0 / (s2 * s2)) * r * (1.0 - u) * np.square(np.square(w)))
+            out.append((-6.0 / s2) * w * out[2])
         return out
 
     return ScalarProfile(fused, tail_scale=8.0 * sigma)
@@ -107,13 +99,13 @@ def cauchy_profile(sigma: float) -> ScalarProfile:
 def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> ScalarProfile:
     """amplitude * (r/sigma)^nu K_nu(r/sigma), the Sobolev-type profile.
 
-    With phi_m(z) = z^m K_m(z), (1/z) d/dz phi_m = -phi_{m-1}, so at
-    z = r/sigma the fused tuple is amplitude times
-    (phi_nu, -phi_{nu-1}/sigma^2, phi_{nu-2}/sigma^4,
-    r ((2 nu - 1) phi_{nu-2} - phi_{nu-1})/sigma^4): three K_m calls.
-    f''(0) is finite for nu > 1 and f''''(0) for nu > 2.  For 1 < nu <= 2,
-    g diverges like r^(2 nu - 4) at the origin: there the tuple holds g at
-    the floor z = 1e-8, a phi_{nu-2}(1e-8)/sigma^4, which is no limit.
+    With phi_m(z) = z^m K_m(z), (1/z) d/dz phi_m = -phi_{m-1}, and
+    D = (1/r) d/dr is sigma^-2 (1/z) d/dz at z = r/sigma, so the fused tuple
+    is D^j f = amplitude (-1/sigma^2)^j phi_{nu-j}: one K_m call per entry.
+    D^j f(0) is finite for nu > j.  For 1 < nu <= j, D^j f diverges like
+    r^(2 nu - 2j) at the origin: there the tuple holds its value at the
+    floor z = 1e-8, a finite amplitude (-1/sigma^2)^j phi_{nu-j}(1e-8),
+    which is no limit.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -126,7 +118,8 @@ def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> Sca
             raise ValueError(f"the Bessel profile of order nu = {nu} <= 1 has f''(0) = "
                              "-infinity; its curl-free and div-free kernels are unbounded")
         # z is floored at 1e-8; below it phi_m takes its limit 2^{m-1} Gamma(m) for
-        # m > 0, and its finite floor value for m <= 0, where r q and r^2 g vanish
+        # m > 0, and its finite floor value for m <= 0, which every consumer
+        # multiplies by x or r^2
         r = np.asarray(r, dtype=float)
         floor = r < 1e-8 * s
         z = np.maximum(r / s, 1e-8)
@@ -135,11 +128,8 @@ def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> Sca
             out = z ** m * bessel_k(m, z)
             return np.where(floor, 2.0 ** (m - 1.0) * math.gamma(m), out) if m > 0 else out
 
-        phis = [phi(nu - m) for m in range(min(order, 2) + 1)]
-        out = [c * p for c, p in zip((a, -a / s ** 2, a / s ** 4), phis)]
-        if order >= 3:
-            out.append((a / s ** 4) * r * ((2.0 * nu - 1.0) * phis[2] - phis[1]))
-        return out
+        return [c * phi(nu - j)
+                for j, c in enumerate((a, -a / s ** 2, a / s ** 4, -a / s ** 6)[:order + 1])]
 
     return ScalarProfile(fused, tail_scale=60.0 * s)
 
@@ -159,17 +149,20 @@ class TriKernel:
     """Coefficient description of a TRI matrix kernel on R^d.
 
     `radial(r, derivatives)` maps an array of radii r >= 0 to
-    (kperp, ktilde) or (kperp, ktilde, dkpar, dkperp), each of r's shape,
-    with the limits (k0, small_r_ktilde, 0, 0) at r = 0; k0 and
-    small_r_ktilde are read from it.  k_par and k_perp, the coefficients
-    as callables of r, default to the values `radial` gives.  Instances are
-    immutable; evaluation is pure and thread-safe.
+    (kperp, ktilde) or (kperp, ktilde, D kperp, D ktilde), D = (1/r) d/dr,
+    each of r's shape, with the limits (k0, small_r_ktilde, kperp''(0),
+    ktilde''(0)) at r = 0; k0 and small_r_ktilde are read from it.  k_par
+    and k_perp, the coefficients as callables of r, default to the values
+    `radial` gives.  Instances are immutable; evaluation is pure and
+    thread-safe.
 
     small_r_ktilde is a limit only where ktilde is bounded.  The curl-free
     and div-free kernels of a Bessel profile with 1 < nu <= 2 have
     ktilde ~ r^(2 nu - 4), and report the profile's floor value
     -/+ a phi_{nu-2}(1e-8)/sigma^4 (see `bessel_profile`).  No matrix
-    reads it: ktilde multiplies x x^T = 0 at the origin.
+    reads it: ktilde multiplies x x^T = 0 at the origin.  Likewise D kperp
+    and D ktilde hold floor values where they diverge, for nu <= 2 and
+    nu <= 3; every consumer multiplies them by x or by r^2.
 
     generator, when set, is (profile, (w_s, w_c, w_d)): the kernel is
     w_s f I + w_c curl(f) + w_d div(f) of one scalar profile f, the scalar,
@@ -227,17 +220,18 @@ class PairCoefficients(NamedTuple):
 
     With x a displacement and r = |x|, the kernel acts as
     k(x) alpha = kperp alpha + ktilde (x . alpha) x, and its coordinate
-    derivatives need dkpar and dkperp as well.  At r = 0 the entries hold
-    the limits at the origin: kperp = k0, ktilde its small-r value, and
-    dkpar = dkperp = 0 (odd functions of r).  A named tuple, since every
-    `pair_coefficients` call constructs one.
+    derivatives need dkperp_r = kperp'/r and dktilde_r = ktilde'/r as well,
+    the coefficients under D = (1/r) d/dr.  At r = 0 the entries hold the
+    limits at the origin: kperp = k0, ktilde its small-r value, and
+    dkperp_r, dktilde_r the second derivatives kperp''(0), ktilde''(0).  A
+    named tuple, since every `pair_coefficients` call constructs one.
     """
 
     r: np.ndarray
     kperp: np.ndarray
     ktilde: np.ndarray
-    dkpar: Optional[np.ndarray] = None
-    dkperp: Optional[np.ndarray] = None
+    dkperp_r: Optional[np.ndarray] = None
+    dktilde_r: Optional[np.ndarray] = None
 
 
 def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoefficients:
@@ -273,11 +267,11 @@ def field_jacobian(k: TriKernel, x, alpha) -> np.ndarray:
 
     x and alpha broadcast over leading axes (..., d); entry [..., j, i] of
     the (..., d, d) result is d(k(x) alpha)_j / dx_i.  With u = x . alpha
-    and t = ktilde'/r = ((dkpar - dkperp)/r^2 - 2 ktilde/r)/r,
+    and D = (1/r) d/dr,
 
-        J = (dkperp/r) alpha x^T + x (t u x + ktilde alpha)^T + ktilde u I.
+        J = (D kperp) alpha x^T + x ((D ktilde) u x + ktilde alpha)^T + ktilde u I.
 
-    1/r is clamped at ZERO_RADIUS, so J is exactly 0 at x = 0.  The matrix
+    Every term carries x or u, so J is exactly 0 at x = 0.  The matrix
     derivative along axis i, applied to e_l, is J(x, e_l)[:, i].
     """
     return _field_and_jacobian(k, x, alpha)[1]
@@ -287,11 +281,9 @@ def _field_and_jacobian(k: TriKernel, x, alpha) -> tuple[np.ndarray, np.ndarray]
     """k(x) alpha and its Jacobian `field_jacobian` from one `pair_coefficients` call."""
     x, alpha = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(alpha, dtype=float))
     c = pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
-    inv_r = 1.0 / np.maximum(c.r, ZERO_RADIUS)
     u = np.einsum("...i,...i->...", x, alpha)
-    t = ((c.dkpar - c.dkperp) * np.square(inv_r) - 2.0 * c.ktilde * inv_r) * inv_r
-    left = (c.dkperp * inv_r)[..., None] * alpha
-    right = (t * u)[..., None] * x + c.ktilde[..., None] * alpha
+    left = c.dkperp_r[..., None] * alpha
+    right = (c.dktilde_r * u)[..., None] * x + c.ktilde[..., None] * alpha
     value = c.kperp[..., None] * alpha + (c.ktilde * u)[..., None] * x
     return value, left[..., :, None] * x[..., None, :] + x[..., :, None] * right[..., None, :] \
         + (c.ktilde * u)[..., None, None] * np.eye(k.dim)
@@ -330,9 +322,8 @@ def family_example1(a: float, b: float, c: float, dim: int) -> TriKernel:
         e = np.exp(-c * np.square(r))
         kt = a * e
         kperp = b * e - np.square(r) * kt
-        if not derivatives:
-            return kperp, kt
-        return kperp, kt, (-2.0 * b * c) * r * e, -2.0 * r * (kt + c * kperp)
+        return (kperp, kt, -2.0 * (kt + c * kperp), (-2.0 * c) * kt) if derivatives \
+            else (kperp, kt)
 
     weights = (b - (dim - 1) * a / (2.0 * c), 0.0, a / (4.0 * c * c))
     return TriKernel(dim=dim, radial=radial, family_tag=f"example1(a={a},b={b},c={c})",
@@ -354,10 +345,7 @@ def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
         e = np.exp(-c * np.square(r))
         kt = -a * e
         kperp = b * e
-        if not derivatives:
-            return kperp, kt
-        kpar = kperp + np.square(r) * kt
-        return kperp, kt, -2.0 * r * (c * kpar - kt), (-2.0 * c) * r * kperp
+        return (kperp, kt, (-2.0 * c) * kperp, (-2.0 * c) * kt) if derivatives else (kperp, kt)
 
     weights = (b - a / (2.0 * c), a / (4.0 * c * c), 0.0)
     return TriKernel(dim=dim, radial=radial, family_tag=f"example2(a={a},b={b},c={c})",
@@ -372,10 +360,7 @@ def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriK
     def radial(r, derivatives=False):
         f, *q = fused(r, 1 if derivatives else 0)
         kt = np.zeros_like(f)
-        if not derivatives:
-            return f, kt
-        dk = r * q[0]
-        return f, kt, dk, dk
+        return (f, kt, q[0], kt) if derivatives else (f, kt)
 
     return TriKernel(dim=dim, radial=radial, family_tag=tag, tail_scale=profile.tail_scale,
                      generator=(profile, (1.0, 0.0, 0.0)))
@@ -407,17 +392,16 @@ def make_curl_free(profile: ScalarProfile, dim: int) -> TriKernel:
     """Curl-free kernel from a scalar generator: the negative Hessian route.
 
     Coefficients: kpar = -profile'' , kperp = -profile'/r, so with the
-    fused tuple (f, q, g, f''') ktilde = -g, dkpar = -f''' and
-    dkperp = -r g.  Every field k(.)alpha of the result is a gradient,
+    fused tuple (f, Df, D^2 f, D^3 f) kperp = -Df and ktilde = D kperp = -D^2 f,
+    and D ktilde = -D^3 f.  Every field k(.)alpha of the result is a gradient,
     hence irrotational.
     """
     fused = profile.fused
 
     def radial(r, derivatives=False):
-        _, q, g, *f3 = fused(r, 3 if derivatives else 2)
-        if not derivatives:
-            return -q, -g
-        return -q, -g, -f3[0], -r * g
+        _, q, g, *g1 = fused(r, 3 if derivatives else 2)
+        kt = -g
+        return (-q, kt, kt, -g1[0]) if derivatives else (-q, kt)
 
     return TriKernel(dim=dim, radial=radial, family_tag="curl_free",
                      tail_scale=profile.tail_scale,
@@ -428,20 +412,18 @@ def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
     """Divergence-free kernel from a scalar generator: the double-curl route.
 
     Coefficients: kpar = -(d-1) profile'/r, kperp = -(d-2) profile'/r - profile'',
-    so with the fused tuple (f, q, g, f''') ktilde = g,
-    dkpar = -(d-1) r g and dkperp = -(d-2) r g - f'''.  Every field
-    k(.)alpha of the result is incompressible.
+    so with the fused tuple (f, Df, D^2 f, D^3 f) kperp = -(d-1) Df - r^2 D^2 f,
+    ktilde = D^2 f, D kperp = -(d+1) D^2 f - r^2 D^3 f and D ktilde = D^3 f.
+    Every field k(.)alpha of the result is incompressible.
     """
     fused = profile.fused
     d = dim
 
     def radial(r, derivatives=False):
-        _, q, g, *f3 = fused(r, 3 if derivatives else 2)
-        kperp = -(d - 1) * q - np.square(r) * g
-        if not derivatives:
-            return kperp, g
-        rg = r * g
-        return kperp, g, -(d - 1) * rg, -(d - 2) * rg - f3[0]
+        _, q, g, *g1 = fused(r, 3 if derivatives else 2)
+        r2 = np.square(r)
+        kperp = -(d - 1) * q - r2 * g
+        return (kperp, g, -(d + 1) * g - r2 * g1[0], g1[0]) if derivatives else (kperp, g)
 
     return TriKernel(dim=dim, radial=radial, family_tag="div_free",
                      tail_scale=profile.tail_scale,
@@ -453,44 +435,44 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
 
     The transverse coefficient of the curl-free part is
     h(r) = lowergamma(mu+1, c r^2) / (2 c^{mu+1} r^{2mu+2}), mu = d/2 - 1,
-    with h' = (e^{-cr^2} - d h)/r = r t.  The curl-free part has kperp = h
-    and ktilde = t; the divergence-free part is the Gaussian minus it.
+    with Dh = h'/r = (e^{-cr^2} - d h)/r^2 = t and
+    Dt = (-2c e^{-cr^2} - (d+2) t)/r^2, D = (1/r) d/dr.  The curl-free part
+    has kperp = h and ktilde = t; the divergence-free part is the Gaussian
+    minus it.
     Both parts decay like r^{-(2mu+2)}, much slower than the Gaussian.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     d = dim
     mu = d / 2.0 - 1.0
-    # in y = -c r^2, h = sum y^m / (m! (d+2m)) and t = -2c sum y^m / (m! (d+2m+2));
-    # below x = c r^2 = 1/2, where the closed form of t cancels, 16 terms reach 1e-18
+    # in y = -c r^2, D^j h = (-2c)^j sum y^m / (m! (d+2m+2j)) for j = 0, 1, 2;
+    # below x = c r^2 = 1/2, where the closed forms of t and Dt cancel, 16 terms
+    # reach 1e-18
     m = np.arange(16)
     fact = np.array([math.factorial(i) for i in m], dtype=float)
-    h_series = 1.0 / (fact * (d + 2.0 * m))
-    t_series = -2.0 * c / (fact * (d + 2.0 * m + 2.0))
+    series = [(-2.0 * c) ** j / (fact * (d + 2.0 * m + 2.0 * j)) for j in range(3)]
     poly = np.polynomial.polynomial.polyval
 
-    def parts(r):
-        """(e^{-cr^2}, h, t): the series below x = 1/2, the closed form above."""
+    def parts(r, derivatives):
+        """(e^{-cr^2}, h, t[, Dt]): the series below x = 1/2, the closed forms above."""
         x = c * np.square(r)
         xs = np.maximum(x, 0.5)
         near = x < 0.5
         e = np.exp(-x)
-        h = np.where(near, poly(-x, h_series),
+        h = np.where(near, poly(-x, series[0]),
                      lower_gamma(mu + 1.0, xs) / (2.0 * xs ** (mu + 1.0)))
-        t = np.where(near, poly(-x, t_series), c * (e - d * h) / xs)
-        return e, h, t
+        t = np.where(near, poly(-x, series[1]), c * (e - d * h) / xs)
+        if not derivatives:
+            return e, h, t
+        return e, h, t, np.where(near, poly(-x, series[2]), c * (-2.0 * c * e - (d + 2) * t) / xs)
 
     def curl_free(r, derivatives=False):
-        e, h, t = parts(r)
-        if not derivatives:
-            return h, t
-        return h, t, -2.0 * c * r * e - (d - 1) * r * t, r * t
+        _, h, t, *dt = parts(r, derivatives)
+        return (h, t, t, dt[0]) if derivatives else (h, t)
 
     def div_free(r, derivatives=False):
-        e, h, t = parts(r)
-        if not derivatives:
-            return e - h, -t
-        return e - h, -t, (d - 1) * r * t, -2.0 * c * r * e - r * t
+        e, h, t, *dt = parts(r, derivatives)
+        return (e - h, -t, -2.0 * c * e - t, -dt[0]) if derivatives else (e - h, -t)
 
     tail = max(math.sqrt(48.0 / c), 8.0 / math.sqrt(c))
     return tuple(TriKernel(dim=d, radial=radial, family_tag=f"gaussian_hodge_{tag}(c={c})",
@@ -498,18 +480,24 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
                  for radial, tag in ((curl_free, "curl_free"), (div_free, "div_free")))
 
 
-# residuals of the differential characterizations at radii r >= 0, used by the
-# divergence and curl of single-center fields
+# residuals of the differential characterizations at radii r >= 0; the divergence
+# and curl of single-center fields use them divided by r
+
+def _div_factor(d: int, r, ktilde, dkperp_r, dktilde_r):
+    """(d+1) ktilde + D kperp + r^2 D ktilde: the div-free residual over r."""
+    return (d + 1) * ktilde + dkperp_r + np.square(r) * dktilde_r
+
 
 def div_free_residual(k: TriKernel, r):
-    """(d-1)(kpar - kperp)/r + kpar'; identically 0 for div-free kernels."""
+    """(d-1)(kpar - kperp)/r + kpar' = r ((d+1) ktilde + D kperp + r^2 D ktilde);
+    identically 0 for div-free kernels."""
     r = np.asarray(r, dtype=float)
-    _, ktilde, dkpar, _ = k.radial(r, True)
-    return (k.dim - 1) * r * ktilde + dkpar
+    return r * _div_factor(k.dim, r, *k.radial(r, True)[1:])
 
 
 def curl_free_residual(k: TriKernel, r):
-    """(kpar - kperp)/r - kperp'; identically 0 for curl-free kernels."""
+    """(kpar - kperp)/r - kperp' = r (ktilde - D kperp); identically 0 for
+    curl-free kernels."""
     r = np.asarray(r, dtype=float)
-    _, ktilde, _, dkperp = k.radial(r, True)
-    return r * ktilde - dkperp
+    _, ktilde, dkperp_r, _ = k.radial(r, True)
+    return r * (ktilde - dkperp_r)

@@ -37,7 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import ScalarProfile, TriKernel, ktilde, make_curl_free, make_div_free
+from .kernels import (ScalarProfile, TriKernel, _div_factor, ktilde, make_curl_free,
+                      make_div_free)
 from .specfun import (_gauss_legendre, bessel_k, hankel_integral, lower_gamma, radial_moment,
                       upper_gamma)
 
@@ -400,17 +401,21 @@ def _generated_parts(k: TriKernel) -> tuple[TriKernel, TriKernel]:
 def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     """Split k into its curl-free and divergence-free kernel components.
 
-    With k's divergence factor D = (d-1) r ktilde + dkpar, the curl-free
-    part has kperp = -q, ktilde = -G, dkperp = -r G, dkpar = (d-1) r G + D
-    for G = -r^{-(d+2)} int_0^r s^d D, M = int_r^inf s ktilde and
-    q = (-kpar + (d-1) M - r^2 G)/d.  With k taken to vanish beyond the
-    last node R, both end at min(r, R): beyond R, M = 0 and G is the
-    multipole.  At any r each is a 16-point Gauss-Legendre sum, of the
-    panels between the nodes {0} and r_grid up to min(r, R), tabulated
-    once, and of one panel from the last node to min(r, R), one `radial`
-    call.  Below 1e-6 r_grid[0], G is its limit at 0.  The divergence-free
-    part is the exact complement k - curl_free, so the parts sum to k to
-    rounding.  Both decay like r^{-d} even for a Gaussian k; a
+    With D = (1/r) d/dr and k's divergence factor
+    B = (d+1) ktilde + D kperp + r^2 D ktilde, the div-free residual over r,
+    the curl-free part has kperp = -q, ktilde = D kperp = -G and
+    D ktilde = ((d+2) G + B)/r^2 for G = -r^{-(d+2)} int_0^r s^{d+1} B,
+    M = int_r^inf s ktilde and q = (-kpar + (d-1) M - r^2 G)/d.  With k
+    taken to vanish beyond the last node R, both end at min(r, R): beyond R,
+    M = 0 and G is the multipole.  At any r each is a 16-point
+    Gauss-Legendre sum, of the panels between the nodes {0} and r_grid up to
+    min(r, R), tabulated once, and of one panel from the last node to
+    min(r, R), one `radial` call.  Below 1e-6 r_grid[0], G and D ktilde hold
+    their limits at 0.  Above, the numerator of D ktilde cancels as r -> 0:
+    r^2 D ktilde, the product every consumer forms, is exact to rounding,
+    and D ktilde alone carries an error of order 1e-16 |B| / r^2.  The
+    divergence-free part is the exact complement k - curl_free, so the parts
+    sum to k to rounding.  Both decay like r^{-d} even for a Gaussian k; a
     HeavyTailWarning signals truncation at R visible at the 1e-3 * k0 level.
 
     A generated kernel w_c curl(f) + w_d div(f), with w_s = 0, is split
@@ -429,26 +434,27 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     d, whole = k.dim, k.radial
     t, w = _gauss_legendre(16)
 
-    def residual(r):
-        """D and ktilde at radii r from one radial call."""
-        _, kt, dkpar, _ = whole(r, True)
-        return (d - 1) * r * kt + dkpar, kt
-
     def integrals(a, b):
-        """int_a^b s^d D and int_a^b s ktilde on one 16-point panel per pair
-        of bounds, from one radial call."""
+        """int_a^b s^(d+1) B and int_a^b s ktilde on one 16-point panel per
+        pair of bounds, from one radial call.  Each row is summed on its own,
+        so equal bounds give equal sums wherever they sit in the batch."""
         half = (b - a)[..., None] / 2.0
         s = a[..., None] + half * (1.0 + t)
-        div, kt = residual(s)
-        return (half * s ** d * div) @ w, (half * s * kt) @ w
+        _, kt, *dk = whole(s, True)
+        return (np.einsum("...k,k->...", half * s ** (d + 1) * _div_factor(d, s, kt, *dk), w),
+                np.einsum("...k,k->...", half * s * kt, w))
 
     nodes = np.concatenate([[0.0], r_grid])
     inner, m = integrals(nodes[:-1], nodes[1:])
     inner = np.append(0.0, np.cumsum(inner))
     m = np.append(np.cumsum(m[::-1])[::-1], 0.0)
-    # D is odd, so G(0) = -D'(0)/(d+2) with D'(0) = D(eps)/eps + O(eps^2)
-    eps = 1e-6 * r_grid[0]
-    g0 = -residual(np.array([eps]))[0][0] / (eps * (d + 2))
+    # B is even, B0 + B2 r^2 + O(r^4), so G(0) = -B0/(d+2) and D ktilde(0) =
+    # 2 B2/(d+4): from B at eps and at a tenth of the first node
+    eps, rho = 1e-6 * r_grid[0], 0.1 * r_grid[0]
+    small = np.array([eps, rho])
+    b_eps, b_rho = _div_factor(d, small, *whole(small, True)[1:])
+    g0 = -b_eps / (d + 2)
+    dkt0 = 2.0 * (b_rho - b_eps) / ((d + 4) * (rho * rho - eps * eps))
     R = float(r_grid[-1])
 
     def radial(r, derivatives=False):
@@ -462,8 +468,8 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
         q = ((d - 1) * M - kperp - r2 * (kt + G)) / d
         if not derivatives:
             return -q, -G
-        rG = r * G
-        return -q, -G, (d - 1) * (rG + r * kt) + dk[0], -rG
+        quotient = ((d + 2) * G + _div_factor(d, r, kt, *dk)) / np.maximum(r2, eps * eps)
+        return -q, -G, -G, np.where(r < eps, dkt0, quotient)
 
     curl_free = TriKernel(dim=d, radial=radial, family_tag=f"curl_free_component({k.family_tag})",
                           tail_scale=R)

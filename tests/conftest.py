@@ -2,8 +2,9 @@
 property draws from; the c = 16 shooting kernels (`scalar16`, `divfree16`,
 `curlfree16`) and landmark rows `row_a`, `row_b`; `fd_jacobian`, the one
 finite-difference oracle of a kernel's derivative, with `curl_norm`;
-`CLI_KERNELS`, valid CLI kernel blocks; and the reference kernels, profile
-derivatives and helpers the example tests share.
+`CLI_KERNELS`, valid CLI kernel blocks; `derivative_pair`, the radial
+derivatives of kpar and kperp from a `radial` tuple; and the reference
+kernels, profile derivatives and helpers the example tests share.
 """
 
 import math
@@ -22,6 +23,13 @@ from trikernels.specfun import bessel_k
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def derivative_pair(r, kperp, ktilde, dkperp_r, dktilde_r):
+    """(dkpar, dkperp) at radii r from a (kperp, ktilde, D kperp, D ktilde)
+    tuple, D = (1/r) d/dr: dkperp = r D kperp and, from kpar = kperp + r^2 ktilde,
+    dkpar = r (D kperp + 2 ktilde + r^2 D ktilde)."""
+    return r * (dkperp_r + 2.0 * ktilde + np.square(r) * dktilde_r), r * dkperp_r
 
 
 def annulus_point(rng, d, lo, hi):
@@ -62,7 +70,9 @@ def mixed_gaussian_kernel(c1, c2, d):
 
     ktilde = (e^{-c1 r^2} - e^{-c2 r^2})/r^2 is taken as the slower exponential
     times expm1 of a nonpositive argument: no cancellation near r = 0, where
-    it holds its limit c2 - c1, and no overflow far out.
+    it holds its limit c2 - c1, and no overflow far out.  D ktilde =
+    (2 c2 e^{-c2 r^2} - 2 c1 e^{-c1 r^2} - 2 ktilde)/r^2 cancels near r = 0;
+    no test takes this kernel's derivatives.
     """
     def radial(r, derivatives=False):
         r2 = np.square(r)
@@ -72,7 +82,7 @@ def mixed_gaussian_kernel(c1, c2, d):
               * np.expm1(-abs(c1 - c2) * rs2) / rs2)
         if not derivatives:
             return e2, kt
-        return e2, kt, -2 * c1 * r * e1, -2 * c2 * r * e2
+        return e2, kt, -2 * c2 * e2, (2 * c2 * e2 - 2 * c1 * e1 - 2 * kt) / rs2
 
     return K.TriKernel(dim=d, radial=radial, family_tag="mixed-gaussian",
                        tail_scale=math.sqrt(52.0 / min(c1, c2)))

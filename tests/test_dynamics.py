@@ -6,7 +6,7 @@ import pytest
 from trikernels import dynamics as D
 from trikernels import fields as F
 from trikernels import kernels as K
-from conftest import B16, C16, curlfree16, divfree16, row_a, row_b, scalar16
+from conftest import B16, C16, curlfree16, derivative_pair, divfree16, row_a, row_b, scalar16
 
 
 # --- hamiltonian ---------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_hamiltonian_matches_block_matrix(rng):
 @pytest.mark.parametrize("make", [lambda: K.family_example1(1.0, B16, C16, 2),
                                   curlfree16, divfree16])
 def test_hamiltonian_at_coincident_landmarks_is_gram_quadratic(make):
-    # landmarks 0 and 1 coincide and 2 sits closer than ZERO_RADIUS to them;
+    # landmarks 0 and 1 coincide and 2 sits 1e-13 from them;
     # LandmarkConfig refuses such points, so the Gram form 1/2 p^T G p is
     # summed from its blocks k(q_a - q_b), which are k0 I for these pairs
     k = make()
@@ -114,17 +114,19 @@ def example1_boundary16():
 
 def rhs_reference(k, q, p):
     """The landmark-major right-hand side: states (B, N, d), displacements
-    (B, N, N, d) and matmul contractions over the trailing coordinate axis.
+    (B, N, N, d) and matmul contractions over the trailing coordinate axis,
+    from the radial derivatives dkpar and dkperp with 1/r clamped at 1e-12.
     Returns (dq, dp, r)."""
     x = q[..., :, None, :] - q[..., None, :, :]
     c = K.pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
-    inv_r = 1.0 / np.maximum(c.r, K.ZERO_RADIUS)
+    dkpar, dkperp = derivative_pair(*c)
+    inv_r = 1.0 / np.maximum(c.r, 1e-12)
     u = (x @ p[..., :, :, None])[..., 0]                  # x_ab . p_a
     w = -u.mT                                             # x_ab . p_b
     kw = c.ktilde * w
     dq = c.kperp @ p + (kw[..., None, :] @ x)[..., 0, :]
     uw = u * w * np.square(inv_r)
-    radial = (c.dkpar * uw + c.dkperp * (p @ p.mT - uw)) * inv_r - 2.0 * c.ktilde * uw
+    radial = (dkpar * uw + dkperp * (p @ p.mT - uw)) * inv_r - 2.0 * c.ktilde * uw
     grad = (radial[..., None, :] @ x)[..., 0, :] + kw.sum(axis=-1)[..., None] * p \
         + (c.ktilde * u) @ p
     return dq, -grad, c.r

@@ -339,11 +339,12 @@ def test_curl_matches_finite_differences_3d(rng):
 # --- input checks ---------------------------------------------------------------
 
 def no_zero_field_kernel():
-    """kperp = ktilde = 1: the field (1 + x1^2, x1 x2) of alpha = e1 has no
-    zero and an invertible Jacobian off x1 = 0, where Newton's x1 wanders."""
+    """kperp = ktilde = 1, so D kperp = D ktilde = 0: the field (1 + x1^2, x1 x2)
+    of alpha = e1 has no zero and an invertible Jacobian off x1 = 0, where
+    Newton's x1 wanders."""
     def radial(r, derivatives=False):
         one = np.ones_like(r)
-        return (one, one, 2.0 * r, 0.0 * r) if derivatives else (one, one)
+        return (one, one, 0.0 * r, 0.0 * r) if derivatives else (one, one)
 
     return K.TriKernel(dim=2, radial=radial)
 

@@ -1,13 +1,14 @@
 """Kernel evaluation, derivatives, families and constructions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from trikernels import kernels as K
-from conftest import (annulus_point, cauchy_derivatives, fd_jacobian, gaussian_derivatives,
-                      projector_oracle, random_rotation)
+from conftest import (annulus_point, bessel_derivatives, cauchy_derivatives, fd_jacobian,
+                      gaussian_derivatives, projector_oracle, random_rotation)
 
 R_GRID = np.geomspace(0.05, 5.0, 64)
 
@@ -165,7 +166,7 @@ def test_field_jacobian_oddness(rng, example1):
 
 
 def test_field_jacobian_is_zero_at_the_origin(rng, example1):
-    # the smooth even kernel has derivative 0 at x = 0; the clamped 1/r gives it exactly
+    # the smooth even kernel has derivative 0 at x = 0; every term of J carries x
     for alpha in (np.eye(2), rng.normal(size=2)):
         assert np.all(K.field_jacobian(example1, np.zeros(2), alpha) == 0.0)
 
@@ -204,12 +205,13 @@ def test_curl_free_condition_residual():
 
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
 def test_cauchy_d3_matches_finite_differences(sigma):
-    # d3 = 24 r (1 - u) / (sigma^4 (1 + u)^4), u = r^2 / sigma^2
+    # f''' = r^3 D^3 f + 3 r D^2 f from the fused tuple, D = (1/r) d/dr
     d2 = cauchy_derivatives(sigma).d2
     r = np.linspace(0.0, 6.0 * sigma, 241)
     h = 1e-3 * sigma
     fd = (-d2(r + 2 * h) + 8 * d2(r + h) - 8 * d2(r - h) + d2(r - 2 * h)) / (12 * h)
-    d3 = K.cauchy_profile(sigma).fused(r)[3]
+    _, _, g, g1 = K.cauchy_profile(sigma).fused(r)
+    d3 = r ** 3 * g1 + 3.0 * r * g
     assert np.max(np.abs(d3 - fd)) <= 1e-9 * np.max(np.abs(d3))
 
 
@@ -343,8 +345,9 @@ def test_gaussian_hodge_pair_conditions(c, d):
 @pytest.mark.parametrize("c", [1.0, 16.0])
 @pytest.mark.parametrize("d", [2, 3])
 def test_gaussian_hodge_pair_matches_its_series(c, d):
-    # with y = -c r^2: h = sum y^m / (m! (d+2m)), t = -2c sum y^m / (m! (d+2m+2));
-    # the curl-free part is (h, t), the div-free part (e^{-c r^2} - h, -t)
+    # with y = -c r^2: h = sum y^m / (m! (d+2m)), t = Dh = -2c sum y^m / (m! (d+2m+2))
+    # and Dt = 4c^2 sum y^m / (m! (d+2m+4)), D = (1/r) d/dr; the curl-free part is
+    # (h, t, t, Dt), the div-free part (e - h, -t, -2c e - t, -Dt) with e = e^{-c r^2}
     def series(y, shift, scale=1.0):
         return scale * math.fsum(y ** m / (math.factorial(m) * (d + 2 * m + shift))
                                  for m in range(40))
@@ -353,12 +356,13 @@ def test_gaussian_hodge_pair_matches_its_series(c, d):
     y = -c * r * r
     h = np.array([series(v, 0) for v in y])
     t = np.array([series(v, 2, -2.0 * c) for v in y])
+    dt = np.array([series(v, 4, 4.0 * c * c) for v in y])
     e = np.array([math.fsum(v ** m / math.factorial(m) for m in range(40)) for v in y])
     k1, k2 = K.gaussian_hodge_pair(c, d)
-    for (kperp, kt), (want_kperp, want_kt) in ((k1.radial(r), (h, t)),
-                                               (k2.radial(r), (e - h, -t))):
-        np.testing.assert_allclose(kperp, want_kperp, rtol=1e-12)
-        np.testing.assert_allclose(kt, want_kt, rtol=1e-12)
+    for got, want in ((k1.radial(r, True), (h, t, t, dt)),
+                      (k2.radial(r, True), (e - h, -t, -2.0 * c * e - t, -dt))):
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12)
 
 
 @pytest.mark.parametrize("nu", [2.625, 3.5, 4.25])
@@ -420,16 +424,56 @@ def _bessel_series(nu, sigma):
     (K.bessel_profile(3.5, 0.7), _bessel_series(3.5, 0.7), 0.7),
 ], ids=["cauchy-0.3", "cauchy-2.5", "bessel-2.625", "bessel-3.5"])
 def test_profile_g_matches_taylor_series_near_the_origin(prof, terms, sigma):
-    # g = (f'' - f'/r)/r^2 of sum c r^p is sum c p (p - 2) r^(p - 4), term by
-    # term; forming it from f'' and f'/r would cancel ~(r/sigma)^2 of both
+    # g = D^2 f = (f'' - f'/r)/r^2 of sum c r^p is sum c p (p - 2) r^(p - 4), and
+    # D^3 f is sum c p (p - 2) (p - 4) r^(p - 6), term by term; forming g from
+    # f'' and f'/r would cancel ~(r/sigma)^2 of both
     r = np.geomspace(1e-7, 1e-2, 41) * sigma
+    _, _, g, g1 = prof.fused(r, 3)
     want = sum(c * p * (p - 2.0) * r ** (p - 4.0) for c, p in terms)
-    got = prof.fused(r, 2)[2]
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    assert np.max(np.abs(g / want - 1.0)) <= 1e-12
+    want = sum(c * p * (p - 2.0) * (p - 4.0) * r ** (p - 6.0) for c, p in terms)
+    assert np.max(np.abs(g1 / want - 1.0)) <= 1e-12
 
 
-def test_bessel_tuple_takes_at_most_three_bessel_calls(monkeypatch):
-    # phi_m(z) = z^m K_m(z) with (1/z) d/dz phi_m = -phi_{m-1}: f''' needs no fourth call
+@pytest.mark.parametrize("prof, oracle, width, start", [
+    (K.gaussian_profile(0.3, 1.0), gaussian_derivatives(0.3, 1.0), 1.0, 0.1),
+    (K.gaussian_profile(1.7, 16.0), gaussian_derivatives(1.7, 16.0), 0.25, 0.1),
+    (K.cauchy_profile(0.3), cauchy_derivatives(0.3), 0.3, 0.1),
+    (K.cauchy_profile(2.5), cauchy_derivatives(2.5), 2.5, 0.1),
+    # the Bessel oracle's f''' is a recurrence that cancels below r ~ sigma,
+    # to 1e-10 relative at 0.1 sigma for nu = 4.25, so these start at sigma
+    (K.bessel_profile(2.625, 0.7, 1.3), bessel_derivatives(2.625, 0.7, 1.3), 0.7, 1.0),
+    (K.bessel_profile(3.5, 0.7, 1.3), bessel_derivatives(3.5, 0.7, 1.3), 0.7, 1.0),
+    (K.bessel_profile(4.25, 2.0), bessel_derivatives(4.25, 2.0, 1.0), 2.0, 1.0),
+], ids=["gaussian-1", "gaussian-16", "cauchy-0.3", "cauchy-2.5", "bessel-2.625",
+        "bessel-3.5", "bessel-4.25"])
+def test_profile_d3_matches_the_closed_form_derivatives(prof, oracle, width, start):
+    # D^3 f = (f''' - 3 r D^2 f)/r^3 with D^2 f = (f'' - f'/r)/r^2, from the
+    # test-side closed forms at r >= start * width, where the quotient cancels little
+    r = np.linspace(start, 4.0, 40) * width
+    d2f = (oracle.d2(r) - oracle.d1(r) / r) / r ** 2
+    want = (oracle.d3(r) - 3.0 * r * d2f) / r ** 3
+    got = prof.fused(r, 3)[3]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("nu", [1.0001, 1.5, 2.0, 2.5, 3.0])
+def test_bessel_floor_values_stay_finite(nu):
+    # for 1 < nu <= 3 some of D f, D^2 f and D^3 f diverge at the origin and the
+    # tuple holds their values at the floor z = 1e-8; no entry overflows, and the
+    # constructions' coefficients stay finite at, below and above the floor
+    sigma = 0.5
+    r = np.concatenate([[0.0, 1e-12], np.geomspace(1e-9, 10.0, 41)]) * sigma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prof = K.bessel_profile(nu, sigma, 1.3)
+        assert all(np.all(np.isfinite(entry)) for entry in prof.fused(r, 3))
+        for make in (K.make_curl_free, K.make_div_free):
+            assert all(np.all(np.isfinite(c)) for c in make(prof, 2).radial(r, True))
+
+
+def test_bessel_tuple_takes_one_bessel_call_per_entry(monkeypatch):
+    # phi_m(z) = z^m K_m(z) with (1/z) d/dz phi_m = -phi_{m-1}: D^j f is a phi_{nu-j}
     orders = []
     real = K.bessel_k
     monkeypatch.setattr(K, "bessel_k", lambda nu, x: orders.append(nu) or real(nu, x))
@@ -439,7 +483,7 @@ def test_bessel_tuple_takes_at_most_three_bessel_calls(monkeypatch):
         orders.clear()
         prof.fused(np.geomspace(1e-9, 10.0, 7), order)
         calls.append(len(orders))
-    assert calls == [1, 2, 3, 3]
+    assert calls == [1, 2, 3, 4]
 
 
 def test_gaussian_hodge_pair_derivatives(rng):
@@ -477,7 +521,7 @@ def test_pair_coefficients_coordinate_major(rng, example1):
     strided = K.pair_coefficients(example1, view, derivatives=True)
     contiguous = K.pair_coefficients(example1, np.ascontiguousarray(view), derivatives=True)
     assert strided.r.shape == (4, 5)
-    for name in ("r", "kperp", "ktilde", "dkpar", "dkperp"):
+    for name in ("r", "kperp", "ktilde", "dkperp_r", "dktilde_r"):
         np.testing.assert_array_equal(getattr(strided, name), getattr(contiguous, name))
 
 

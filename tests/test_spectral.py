@@ -11,7 +11,8 @@ from trikernels import cli
 from trikernels import kernels as K
 from trikernels import spectral as S
 from trikernels import specfun as sf
-from conftest import CLI_KERNELS, hodge_split_quietly, mixed_gaussian_kernel, random_rotation
+from conftest import (CLI_KERNELS, derivative_pair, hodge_split_quietly, mixed_gaussian_kernel,
+                      random_rotation)
 
 QUICK_RHO = np.geomspace(1e-3, 6.0, 48)
 
@@ -456,13 +457,19 @@ def test_hodge_parts_ktilde_below_the_first_grid_radius(c):
     np.testing.assert_allclose(K.ktilde(div_free, r), -want, rtol=1e-5)
 
 
+def coefficients(k, r):
+    """(kperp, ktilde, dkpar, dkperp) of k at radii r."""
+    kperp, kt, *_ = radial = k.radial(r, True)
+    return (kperp, kt) + derivative_pair(r, *radial)
+
+
 def worst_gaussian_pair_deviation(parts, c, d, r):
     """Max over both parts and all four coefficients of the deviation from
     gaussian_hodge_pair(c, d), each coefficient scaled by (1, c, sqrt c, sqrt c)."""
     scale = (1.0, c, math.sqrt(c), math.sqrt(c))
     return max(np.max(np.abs(a - b)) / s
                for part, exact in zip(parts, K.gaussian_hodge_pair(c, d))
-               for a, b, s in zip(part.radial(r, True), exact.radial(r, True), scale))
+               for a, b, s in zip(coefficients(part, r), coefficients(exact, r), scale))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -568,10 +575,10 @@ def test_hodge_split_derivatives_off_the_grid(gaussian_split):
     r0 = 1e-3 * K.gaussian_kernel(1.0, 2).tail_scale / 7.0
     for part, exact in zip(gaussian_split, K.gaussian_hodge_pair(1.0, 2)):
         far = np.array([30.0, 60.0])
-        np.testing.assert_allclose(part.radial(far, True)[2:], exact.radial(far, True)[2:],
+        np.testing.assert_allclose(coefficients(part, far)[2:], coefficients(exact, far)[2:],
                                    rtol=1e-5)
         near = np.array([r0 / 2])
-        np.testing.assert_allclose(part.radial(near, True)[2:], exact.radial(near, True)[2:],
+        np.testing.assert_allclose(coefficients(part, near)[2:], coefficients(exact, near)[2:],
                                    rtol=0, atol=1e-3)
 
 
@@ -581,7 +588,7 @@ def test_hodge_split_warns_on_heavy_tails():
 
 
 def test_hodge_split_tabulates_from_two_radial_calls():
-    # D and ktilde at the panel nodes and at one radius near 0; a part then
+    # B and ktilde at the panel nodes and at two radii near 0; a part then
     # takes one radial call with derivatives on the 16 points of the panel
     # below each radius, and the calls without derivatives are k's own values
     k = K.family_example1(1.0, 1.0, 1.0, 2)
@@ -595,7 +602,7 @@ def test_hodge_split_tabulates_from_two_radial_calls():
     calls.clear()
     curl_free, _ = hodge_split_quietly(counted, np.geomspace(0.05, 5.0, 24))
     # the four 16-point calls are the parts' k0 and the heavy-tail check at R
-    assert [n for deriv, n in calls if deriv] == [16 * 24, 1, 16, 16, 16, 16]
+    assert [n for deriv, n in calls if deriv] == [16 * 24, 2, 16, 16, 16, 16]
     assert all(n == 1 for deriv, n in calls if not deriv)
     calls.clear()
     curl_free.radial(np.linspace(0.0, 8.0, 10), True)

@@ -8,8 +8,11 @@ benchmark run), in one subprocess per tree; the two trees run at the same
 time.  The parent is exported with ``git archive`` into a temporary
 directory; the change is the working tree this file sits in, or
 ``--change-rev`` exported the same way.  Every input whose check fails on
-either side, or whose output digest differs between the sides, is printed.
-Exit status 1 if there is any, else 0.
+either side, or whose output digest differs between the sides, is printed;
+an input whose digest differs is followed by both sides' worst accuracy
+values (``Outcome.accuracy``, e.g. ``h_drift_rel`` and ``interp_residual``),
+so a rounding-level move reads apart from a real one.  Exit status 1 if
+there is any such input, else 0.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ def digests(tree: Path) -> list[dict]:
                     # a problem's last line: the message, or a traceback's exception
                     problems = [p.strip().splitlines()[-1][:200] for p in o.problems if p.strip()]
                     out.append({"workload": name, "seed": seed, "input": i, "ok": o.ok,
-                                "problems": problems, "digest": o.digest})
+                                "problems": problems, "digest": o.digest,
+                                "accuracy": o.accuracy})
     return out
 
 
@@ -58,18 +62,28 @@ def collect(proc: subprocess.Popen, side: str) -> dict:
             for r in json.loads(stdout.strip().splitlines()[-1])}
 
 
+def accuracy_line(record: dict) -> str:
+    """A record's worst accuracy values as 'name value' pairs, sorted by name."""
+    return ", ".join(f"{k} {v:.3e}" for k, v in sorted(record["accuracy"].items())) or "none"
+
+
 def compare(parent: dict, change: dict) -> int:
-    """Print every failing check and differing digest, then per-workload tallies."""
+    """Print every failing check and differing digest, with both sides' worst
+    accuracy values for the latter, then per-workload tallies."""
     tally: dict[str, list[int]] = {}
     for key in sorted(parent.keys() | change.keys()):
         sides = {"parent": parent.get(key), "change": change.get(key)}
         problems = [f"check fails on the {side}: {'; '.join(r['problems'])}"
                     for side, r in sides.items() if r is not None and not r["ok"]]
         problems += [f"not run on the {side}" for side, r in sides.items() if r is None]
-        if not problems and sides["parent"]["digest"] != sides["change"]["digest"]:
+        moved = not problems and sides["parent"]["digest"] != sides["change"]["digest"]
+        if moved:
             problems.append("output digest differs")
         for line in problems:
             print(f"{key[0]} seed {key[1]} input {key[2]}: {line}")
+        if moved:
+            for side, r in sides.items():
+                print(f"    {side} accuracy: {accuracy_line(r)}")
         counts = tally.setdefault(key[0], [0, 0])
         counts[0] += not problems
         counts[1] += 1
