@@ -193,7 +193,7 @@ BLOCKS = {
     "hodge": {"r_min": (_number, 0.05), "r_max": (_number, 5.0), "n": (_count(2), 200)},
     "expmap": {"magnitude": _NUMBER, "theta_min": (_number, -math.pi / 2),
                "theta_max": (_number, math.pi / 2), "count": (_count(1), 33)},
-    "integrator": {"scheme": (_enum("rk4", "euler"), "rk4"), "step": (_number, 1e-3),
+    "integrator": {"scheme": (_enum(*dyn.SCHEMES), "rk4"), "step": (_number, 1e-3),
                    "record_every": (_count(1), 10)},
     "grid": {"lo": (_numbers, REQUIRED), "hi": (_numbers, REQUIRED),
              "n": (_list(_count(2), "a list of integers >= 2"), REQUIRED)},

@@ -17,10 +17,10 @@ ambient lattice carried along: each stage moves the lattice with the
 velocity field spanned by the landmarks at that stage, yielding the
 deformation map and its Jacobian determinants.  The integrator keeps the
 whole state (every member's q and p, then the lattice) in one flat
-buffer, so the stage shifts and the RK4 combination run in place over all
-of it at once instead of once per quantity.  Landmarks are coordinate-major
-like the lattice: q and p are (d, B, N) blocks and the displacements
-(d, B, N, N), so no array has a trailing axis of length d.
+buffer, so the stage inputs and the combination of a `SCHEMES` entry run in
+place over all of it at once instead of once per quantity.  Landmarks are
+coordinate-major like the lattice: q and p are (d, B, N) blocks and the
+displacements (d, B, N, N), so no array has a trailing axis of length d.
 """
 
 from __future__ import annotations
@@ -34,6 +34,13 @@ from .fields import LandmarkConfig, MomentaSet, field_apply
 from .kernels import TriKernel, pair_coefficients
 
 COALESCENCE_TOL = 1e-6
+
+# name -> (shifts, weights, divisor) of an explicit Runge-Kutta scheme: stage
+# j + 1 starts from y + shifts[j] h k_j, and a step adds (h / divisor) times
+# sum_j weights[j] k_j summed in stage order, the operation order of
+# y + (h/6)(k1 + 2 k2 + 2 k3 + k4)
+SCHEMES = {"rk4": ((0.5, 0.5, 1.0), (1.0, 2.0, 2.0, 1.0), 6.0),
+           "euler": ((), (1.0,), 1.0)}
 
 
 class CoalescenceError(RuntimeError):
@@ -61,7 +68,7 @@ class PhaseState:
 class IntegratorConfig:
     """Fixed-step integrator controls.
 
-    scheme : "rk4" (default) or "euler" (for convergence studies).
+    scheme : a name in SCHEMES; "euler" serves convergence studies.
     step : time step on [0, 1]; snapped to an exact divisor of 1.
     record_every : stride between stored trajectory samples.
     """
@@ -71,8 +78,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.scheme not in ("rk4", "euler"):
-            raise ValueError("scheme must be 'rk4' or 'euler'")
+        if self.scheme not in tuple(SCHEMES):       # a tuple compares unhashable values too
+            raise ValueError("scheme must be one of " + ", ".join(map(repr, SCHEMES)))
         if not 0 < self.step <= 0.1:
             raise ValueError("step must lie in (0, 0.1]")
         if self.record_every < 1:
@@ -228,24 +235,21 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
     blocks, then, for a batch of one carrying `points` (G, d), the lattice as
     a (d, G) block; `field_apply` takes the .T views of the lattice and of
     q[:, 0] and p[:, 0] without copies, and a further per-point row would be
-    one more slice at the end.  The six buffers (y, the stage input and
-    k1..k4) are allocated once.  Each stage writes the rates of every member
-    at once into a k buffer of the same layout.  The shifts (c k, then y +
-    that) and the RK4 combination (2 k2, + k1, + 2 k3, + k4, times h/6, then
-    y + that) run in place over whole buffers, in the operation order of
-    y + (h/6)(k1 + 2 k2 + 2 k3 + k4) on separate arrays, so the results are
-    those bit for bit.  Each member has its own coalescence test; a member
-    that fails at some stage is reset, once the step ends, to q0 with p = 0,
-    where its rates are exactly 0, so it stays there and never fails again.
-    A recorded row (q, p and H = 1/2 sum_a p_a . dq_a) is written at the
-    start of the step that leaves its state, with the dq that step's first
-    stage has just computed; the final row, written only when some member
-    survived, takes dq from `_ham`, so every row is the same formula.  An
-    Euler step copies the stage input back into y, so buffers never swap and
-    no view is rebound.  Returns, per member, its Trajectory or the
-    CoalescenceError that a lone integration of that member raises, and a
+    one more slice at the end.  The buffers (y, the stage input, then one
+    rate buffer per stage of the scheme) are allocated once, each stage writes
+    every member's rates at once, and the stage inputs and the combination
+    run in place over whole buffers.  Each member has its own coalescence
+    test; a member that fails at some stage is reset, once the step ends, to
+    q0 with p = 0, where its rates are exactly 0, so it stays there and never
+    fails again.  A recorded row (q, p and H = 1/2 sum_a p_a . dq_a) is
+    written at the start of the step that leaves its state, with the dq that
+    step's first stage has just computed; the final row, written only when
+    some member survived, takes dq from `_ham`, so every row is the same
+    formula.  Returns, per member, its Trajectory or the CoalescenceError
+    that a lone integration of that member raises, and a
     list holding the final points as (G, d) (empty without points).
     """
+    shifts, weights, divisor = SCHEMES[cfg.scheme]
     n_steps = cfg.n_steps
     h = 1.0 / n_steps
     p = np.array(momenta, dtype=float).transpose(2, 0, 1)
@@ -253,11 +257,11 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
     carry = points is not None
     lattice = np.asarray(points, dtype=float).T if carry else np.empty((len(p), 0))
     s = p.size
-    y, tmp, k1, k2, k3, k4 = np.empty((6, 2 * s + lattice.size))
+    y, tmp, *ks = np.empty((2 + len(weights), 2 * s + lattice.size))
     # views q, p (d, B, N) and lattice (d, G) of each flat buffer
-    vy, vtmp, vk1, vk2, vk3, vk4 = [
+    vy, vtmp, *vks = [
         (b[:s].reshape(p.shape), b[s:2 * s].reshape(p.shape), b[2 * s:].reshape(lattice.shape))
-        for b in (y, tmp, k1, k2, k3, k4)]
+        for b in (y, tmp, *ks)]
     vy[0][...], vy[1][...], vy[2][...] = rest, p, lattice
 
     rows = np.append(np.arange(0, n_steps, cfg.record_every), n_steps)
@@ -273,35 +277,23 @@ def _integrate(k: TriKernel, q0: np.ndarray, momenta: np.ndarray,
         if carry:
             out[2][...] = field_apply(k, q[:, 0].T, p[:, 0].T, x.T).T
 
-    def shift(kj, c):
-        """tmp = y + c kj."""
-        np.multiply(kj, c, out=tmp)
-        np.add(y, tmp, out=tmp)
-
     for i in range(n_steps):
         t = i * h
-        rate(vy, vk1, t)
+        rate(vy, vks[0], t)
         if i % cfg.record_every == 0:
             row = i // cfg.record_every
             qs[row], ps[row] = vy[:2]
-            hs[row] = _energy(vy[1], vk1[0])
-        if cfg.scheme == "euler":
-            shift(k1, h)
-            np.copyto(y, tmp)
-        else:
-            shift(k1, 0.5 * h)
-            rate(vtmp, vk2, t + 0.5 * h)
-            shift(k2, 0.5 * h)
-            rate(vtmp, vk3, t + 0.5 * h)
-            shift(k3, h)
-            rate(vtmp, vk4, t + h)
-            np.multiply(k2, 2.0, out=k2)
-            np.add(k1, k2, out=tmp)
-            np.multiply(k3, 2.0, out=k3)
-            np.add(tmp, k3, out=tmp)
-            np.add(tmp, k4, out=tmp)
-            np.multiply(tmp, h / 6.0, out=tmp)
-            np.add(y, tmp, out=y)
+            hs[row] = _energy(vy[1], vks[0][0])
+        for kj, c, vk in zip(ks, shifts, vks[1:]):
+            np.multiply(kj, c * h, out=tmp)
+            np.add(y, tmp, out=tmp)
+            rate(vtmp, vk, t + c * h)
+        np.multiply(ks[0], weights[0], out=tmp)
+        for kj, w in zip(ks[1:], weights[1:]):
+            np.multiply(kj, w, out=kj)
+            np.add(tmp, kj, out=tmp)
+        np.multiply(tmp, h / divisor, out=tmp)
+        np.add(y, tmp, out=y)
         if errors:
             if len(errors) == p.shape[1]:
                 break
@@ -373,7 +365,7 @@ def flow_grid(k: TriKernel, q0: LandmarkConfig, p0: MomentaSet, spec: GridSpec,
     """Shoot from (q0, p0) and carry a lattice along in the same pass.
 
     Each lattice point follows dx/dt = v(t, x), v the field of the
-    moving landmarks, taken at each RK4/Euler stage's exact (q, p), so
+    moving landmarks, taken at each Runge-Kutta stage's exact (q, p), so
     the lattice does not depend on `record_every`.  `trajectory` equals
     `shoot`'s bit for bit, and coalescence raises the same error.
     Jacobian determinants come from central differences over lattice

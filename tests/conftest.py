@@ -118,21 +118,19 @@ def cauchy_derivatives(sigma):
 def bessel_derivatives(nu, sigma, a):
     """f = a z^nu K_nu(z), z = r / sigma, with f', f'' and f''' at r > 0.
 
-    From d/dr [z^nu K_nu(z)] = -(1/sigma) z^nu K_{nu-1}(z) and the Bessel
-    equation, f'' = f/sigma^2 + (2 nu - 1) f'/r.
+    Each in closed form from d/dz [z^m K_m(z)] = -z^m K_{m-1}(z), so no
+    derivative is built from another and none cancels at small r.
     """
-    def f(r):
-        return a * (r / sigma) ** nu * bessel_k(nu, r / sigma)
+    def phi(r, power, order):
+        z = r / sigma
+        return z ** power * bessel_k(order, z)
 
-    def f1(r):
-        return -(a / sigma) * (r / sigma) ** nu * bessel_k(nu - 1.0, r / sigma)
-
-    def f2(r):
-        return f(r) / sigma ** 2 + (2.0 * nu - 1.0) * f1(r) / r
-
-    def f3(r):
-        return f1(r) / sigma ** 2 + (2.0 * nu - 1.0) * (f2(r) / r - f1(r) / r ** 2)
-    return SimpleNamespace(value=f, d1=f1, d2=f2, d3=f3)
+    return SimpleNamespace(
+        value=lambda r: a * phi(r, nu, nu),
+        d1=lambda r: -(a / sigma) * phi(r, nu, nu - 1.0),
+        d2=lambda r: (a / sigma ** 2) * (phi(r, nu, nu - 2.0) - phi(r, nu - 1.0, nu - 1.0)),
+        d3=lambda r: (a / sigma ** 3) * (3.0 * phi(r, nu - 1.0, nu - 2.0)
+                                         - phi(r, nu, nu - 3.0)))
 
 
 def _unit_bessel(make, nu):

@@ -503,6 +503,34 @@ def test_shoot_trajectory_csv_roundtrip(tmp_path, capsys):
     assert drift <= 1e-6
 
 
+@pytest.mark.parametrize("scheme", D.SCHEMES)
+def test_shoot_csv_is_the_library_trajectory_of_every_scheme(tmp_path, scheme):
+    # each row is repr(float) of t, q, p and H of the library's shoot, in order
+    icfg = {"scheme": scheme, "step": 0.01, "record_every": 10}
+    assert run(tmp_path, "shoot", dict(SHOOT_CFG, integrator=icfg)) == 0
+    traj = D.shoot(scalar16(), F.LandmarkConfig(np.array(SHOOT_CFG["landmarks"])),
+                   F.MomentaSet(np.array(SHOOT_CFG["momenta"])), D.IntegratorConfig(**icfg))
+    want = [",".join(repr(float(v)) for v in (t, *q.ravel(), *p.ravel(), h))
+            for t, q, p, h in zip(traj.times, traj.q, traj.p, traj.hamiltonians)]
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[1:] == want
+
+
+@pytest.mark.parametrize("scheme", ["rk2", ["rk4"]], ids=["rk2", "list"])
+def test_unknown_scheme_is_input_error(tmp_path, capsys, scheme):
+    assert run(tmp_path, "shoot", dict(SHOOT_CFG, integrator={"scheme": scheme})) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", D.SCHEMES)
+def test_print_effective_config_keeps_every_scheme(tmp_path, capsys, scheme):
+    cfg = dict(SHOOT_CFG, integrator={"scheme": scheme})
+    assert run(tmp_path, "shoot", cfg, extra=("--print-effective-config",)) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["integrator"]["scheme"] == scheme
+    assert run(tmp_path, "shoot", json.loads(printed), extra=("--print-effective-config",)) == 0
+    assert capsys.readouterr().out == printed
+
+
 def test_shoot_with_grid_and_svg(tmp_path, capsys):
     cfg = dict(SHOOT_CFG,
                grid={"lo": [-0.2, -0.3], "hi": [0.8, 0.5], "n": [21, 17]},

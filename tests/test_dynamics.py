@@ -627,8 +627,9 @@ def test_fan_matches_per_member_shoot_with_failures():
 def test_integrator_config_validation():
     with pytest.raises(ValueError):
         D.IntegratorConfig(step=0.5)
-    with pytest.raises(ValueError):
-        D.IntegratorConfig(scheme="rk2")
+    for scheme in ("rk2", ["rk4"], None):      # an unhashable name too
+        with pytest.raises(ValueError):
+            D.IntegratorConfig(scheme=scheme)
     with pytest.raises(ValueError):
         D.IntegratorConfig(record_every=0)
 

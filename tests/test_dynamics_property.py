@@ -1,4 +1,6 @@
-"""Property test: the batched geodesic right-hand side equals per-member calls."""
+"""Properties of the geodesic dynamics: the batched right-hand side equals
+per-member calls, H drift falls at each scheme's order, and the total
+momentum is conserved."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from trikernels import dynamics as D  # noqa: E402
+from trikernels.fields import LandmarkConfig, MomentaSet  # noqa: E402
 from conftest import FAMILIES  # noqa: E402
 
 
@@ -30,3 +33,56 @@ def test_batched_rhs_equals_single_member_calls(name, dim, lam, batch, n, seed):
         for got, want in ((dq[:, m], dq1[:, 0]), (dp[:, m], dp1[:, 0]), (r[m], r1[0])):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+
+# least drift ratio when the step halves from 0.02 to 0.01: order 4 gives 16,
+# order 1 gives 2; over every table family, d in {2, 3} and N = 2..6 the least
+# measured ratios were 13.9 (rk4) and 1.66 (euler)
+LEAST_DRIFT_RATIO = {"rk4": 8.0, "euler": 1.5}
+
+
+@pytest.mark.parametrize("scheme", D.SCHEMES)
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(FAMILIES)), dim=st.sampled_from([2, 3]),
+       lam=st.floats(0.25, 0.75), n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_h_drift_falls_at_the_scheme_order_when_the_step_halves(scheme, name, dim, lam, n,
+                                                                seed):
+    k = FAMILIES[name](1.0, dim, lam)
+    rng = np.random.default_rng(seed)
+    q0 = LandmarkConfig(rng.uniform(-1.0, 1.0, size=(n, dim)))
+    p0 = MomentaSet(rng.normal(size=(n, dim)) / n)
+    drift = []
+    for step in (0.02, 0.01):
+        cfg = D.IntegratorConfig(scheme=scheme, step=step, record_every=10 ** 9)
+        h = D.shoot(k, q0, p0, cfg).hamiltonians
+        drift.append(abs(h[-1] - h[0]) / h[0])
+    assert drift[1] <= 1e-13 or drift[0] >= LEAST_DRIFT_RATIO[scheme] * drift[1]
+
+
+def momentum_drift(traj) -> float:
+    """max over rows of |sum_a p_a(t) - sum_a p_a(0)|, relative to the run's peak
+    sum_a |p_a(t)|: momenta can grow by orders along a shoot"""
+    total = traj.p.sum(axis=1)
+    peak = np.max(np.linalg.norm(traj.p, axis=-1).sum(axis=1))
+    return float(np.max(np.linalg.norm(total - total[0], axis=-1))) / peak
+
+
+# translation invariance conserves the total momentum (Noether), to rounding at
+# any step: at most 9.2e-16 was measured over 312 shoots of every table family
+# in d = 2 and 3 with both schemes
+@pytest.mark.parametrize("scheme", D.SCHEMES)
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(sorted(FAMILIES)), dim=st.sampled_from([2, 3]),
+       lam=st.floats(0.25, 0.75), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_total_momentum_is_conserved(scheme, name, dim, lam, n, seed):
+    k = FAMILIES[name](16.0, dim, lam)
+    rng = np.random.default_rng(seed)
+    q0 = LandmarkConfig(rng.uniform(-1.0, 1.0, size=(n, dim)))
+    p = rng.normal(size=(3, n, dim))
+    cfg = D.IntegratorConfig(scheme=scheme, step=0.05)
+    fan = D.exp_map_fan(k, q0, p, cfg)
+    runs = [t for t in fan.trajectories if t is not None]
+    if fan.trajectories[0] is not None:     # the lone shoot of member 0 fails with it
+        runs.append(D.shoot(k, q0, MomentaSet(p[0]), cfg))
+    for traj in runs:
+        assert momentum_drift(traj) <= 1e-13

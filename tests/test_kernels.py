@@ -435,26 +435,26 @@ def test_profile_g_matches_taylor_series_near_the_origin(prof, terms, sigma):
     assert np.max(np.abs(g1 / want - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("prof, oracle, width, start", [
-    (K.gaussian_profile(0.3, 1.0), gaussian_derivatives(0.3, 1.0), 1.0, 0.1),
-    (K.gaussian_profile(1.7, 16.0), gaussian_derivatives(1.7, 16.0), 0.25, 0.1),
-    (K.cauchy_profile(0.3), cauchy_derivatives(0.3), 0.3, 0.1),
-    (K.cauchy_profile(2.5), cauchy_derivatives(2.5), 2.5, 0.1),
-    # the Bessel oracle's f''' is a recurrence that cancels below r ~ sigma,
-    # to 1e-10 relative at 0.1 sigma for nu = 4.25, so these start at sigma
-    (K.bessel_profile(2.625, 0.7, 1.3), bessel_derivatives(2.625, 0.7, 1.3), 0.7, 1.0),
-    (K.bessel_profile(3.5, 0.7, 1.3), bessel_derivatives(3.5, 0.7, 1.3), 0.7, 1.0),
-    (K.bessel_profile(4.25, 2.0), bessel_derivatives(4.25, 2.0, 1.0), 2.0, 1.0),
+@pytest.mark.parametrize("prof, oracle, width", [
+    (K.gaussian_profile(0.3, 1.0), gaussian_derivatives(0.3, 1.0), 1.0),
+    (K.gaussian_profile(1.7, 16.0), gaussian_derivatives(1.7, 16.0), 0.25),
+    (K.cauchy_profile(0.3), cauchy_derivatives(0.3), 0.3),
+    (K.cauchy_profile(2.5), cauchy_derivatives(2.5), 2.5),
+    (K.bessel_profile(2.625, 0.7, 1.3), bessel_derivatives(2.625, 0.7, 1.3), 0.7),
+    (K.bessel_profile(3.5, 0.7, 1.3), bessel_derivatives(3.5, 0.7, 1.3), 0.7),
+    (K.bessel_profile(4.25, 2.0), bessel_derivatives(4.25, 2.0, 1.0), 2.0),
 ], ids=["gaussian-1", "gaussian-16", "cauchy-0.3", "cauchy-2.5", "bessel-2.625",
         "bessel-3.5", "bessel-4.25"])
-def test_profile_d3_matches_the_closed_form_derivatives(prof, oracle, width, start):
-    # D^3 f = (f''' - 3 r D^2 f)/r^3 with D^2 f = (f'' - f'/r)/r^2, from the
-    # test-side closed forms at r >= start * width, where the quotient cancels little
-    r = np.linspace(start, 4.0, 40) * width
-    d2f = (oracle.d2(r) - oracle.d1(r) / r) / r ** 2
-    want = (oracle.d3(r) - 3.0 * r * d2f) / r ** 3
-    got = prof.fused(r, 3)[3]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+def test_profile_d3_matches_the_closed_form_derivatives(prof, oracle, width):
+    # D^2 f = (f'' - f'/r)/r^2 and D^3 f = (f''' - 3 r D^2 f)/r^3 from the test-side
+    # closed forms at r >= 0.1 width, where each quotient cancels little; the
+    # second takes the tuple's D^2 f, since two nested quotients of independently
+    # rounded Bessel values cancel to 1e-11 at 0.1 sigma
+    r = np.linspace(0.1, 4.0, 40) * width
+    _, _, d2f, d3f = prof.fused(r, 3)
+    for got, want in ((d2f, (oracle.d2(r) - oracle.d1(r) / r) / r ** 2),
+                      (d3f, (oracle.d3(r) - 3.0 * r * d2f) / r ** 3)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("nu", [1.0001, 1.5, 2.0, 2.5, 3.0])
