@@ -491,7 +491,7 @@ def cmd_hodge(cfg: dict, k: ker.TriKernel, args) -> int:
         dev = float(np.max(np.abs(k1.k_perp(r) - closed)))
         print(f"closed-form transverse check: max dev = {dev:.3e}")
 
-    radius = 200.0 * k.tail_scale / 7.0 if np.isfinite(k.tail_scale) else 200.0
+    radius = 200.0 * k.tail_scale / 7.0
     inner, n1, n2 = spec.hodge_orthogonality(k1, k2, radius)
     rel = abs(inner) / max(n1 * n2, 1e-300)
     print(f"L2 orthogonality over radius {radius:.3g}: "

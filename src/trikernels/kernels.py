@@ -53,11 +53,16 @@ class ScalarProfile:
         [f, Df, D^2 f, D^3 f], D = (1/r) d/dr, at an array of radii
         r >= 0, holding the limits f''(0), f''''(0)/3 and f''''''(0)/15 of
         the last three at r = 0.  Df = f'/r and D^2 f = (f'' - f'/r)/r^2.
-    tail_scale : radius beyond which the profile is negligible.
+    tail_scale : radius beyond which the profile is negligible; finite and
+        positive, the length scale of every quadrature over the profile.
     """
 
     fused: Callable = field(repr=False)
-    tail_scale: float = np.inf
+    tail_scale: float
+
+    def __post_init__(self):
+        if not 0.0 < self.tail_scale < math.inf:
+            raise ValueError("tail_scale must be finite and positive")
 
 
 def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
@@ -153,8 +158,10 @@ class TriKernel:
     each of r's shape, with the limits (k0, small_r_ktilde, kperp''(0),
     ktilde''(0)) at r = 0; k0 and small_r_ktilde are read from it.  k_par
     and k_perp, the coefficients as callables of r, default to the values
-    `radial` gives.  Instances are immutable; evaluation is pure and
-    thread-safe.
+    `radial` gives.  tail_scale, finite and positive, is the radius beyond
+    which the kernel is negligible: the length scale of its spectral
+    quadrature and default grids.  Instances are immutable; evaluation is
+    pure and thread-safe.
 
     small_r_ktilde is a limit only where ktilde is bounded.  The curl-free
     and div-free kernels of a Bessel profile with 1 < nu <= 2 have
@@ -174,8 +181,8 @@ class TriKernel:
 
     dim: int
     radial: Callable = field(repr=False)
+    tail_scale: float
     family_tag: str = "generic"
-    tail_scale: float = np.inf
     k_par: Optional[Callable] = field(default=None, repr=False)
     k_perp: Optional[Callable] = field(default=None, repr=False)
     generator: Optional[tuple] = field(default=None, repr=False)
@@ -189,6 +196,8 @@ class TriKernel:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("ambient dimension must be >= 2")
+        if not 0.0 < self.tail_scale < math.inf:
+            raise ValueError("tail_scale must be finite and positive")
         radial = self.radial
 
         def k_par(r):
@@ -474,7 +483,7 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
         e, h, t, *dt = parts(r, derivatives)
         return (e - h, -t, -2.0 * c * e - t, -dt[0]) if derivatives else (e - h, -t)
 
-    tail = max(math.sqrt(48.0 / c), 8.0 / math.sqrt(c))
+    tail = 8.0 / math.sqrt(c)
     return tuple(TriKernel(dim=d, radial=radial, family_tag=f"gaussian_hodge_{tag}(c={c})",
                            tail_scale=tail)
                  for radial, tag in ((curl_free, "curl_free"), (div_free, "div_free")))

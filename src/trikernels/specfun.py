@@ -155,25 +155,6 @@ def _bessel_zeros(nu: float, count: int) -> np.ndarray:
     return np.maximum.accumulate(np.maximum(z, 0.5 * beta))
 
 
-def _probe_tail_scale(f, weight_power: float) -> float:
-    """Heuristic radius containing essentially all of |r^w f(r)|; a profile
-    of several columns is probed by its largest column."""
-    r = np.geomspace(1e-3, 1e5, 161)
-    with np.errstate(all="ignore"):
-        m = np.abs(np.asarray(f(r), dtype=float)) * r ** weight_power
-    m[~np.isfinite(m)] = 0.0
-    m = m.reshape(-1, r.size).max(axis=0)
-    peak = m.max()
-    if peak == 0.0:
-        return 1.0
-    ipk = int(np.argmax(m))
-    below = np.nonzero(m[ipk:] < 1e-18 * peak)[0]
-    if below.size:
-        return float(r[ipk + below[0]])
-    # slowly decaying profile: only used as a paneling scale
-    return float(10.0 * r[ipk])
-
-
 @lru_cache(maxsize=None)
 def _binomial_means(n: int) -> np.ndarray:
     """(n, n) matrix of C(j, m) / 2**j: row j is j rounds of pairwise averaging."""
@@ -228,7 +209,7 @@ def _segment_sums(f, weight_power, nu, w, lo, hi, ladder, nodes, weights):
     return sums.reshape(cols, lo.size).T.reshape(lo.shape + fr.shape[:-1])
 
 
-def hankel_integral(f, weight_power, nu, rho, tail_hint: float | None = None):
+def hankel_integral(f, weight_power, nu, rho, tail_hint: float):
     """Evaluate int_0^inf r**weight_power f(r) J_nu(rho r) dr.
 
     Parameters
@@ -249,10 +230,10 @@ def hankel_integral(f, weight_power, nu, rho, tail_hint: float | None = None):
         each frequency with its own stopping tests.  The result has rho's
         shape, with a trailing axis of length m for a profile of m columns;
         a scalar rho and a 1-D profile give a float.
-    tail_hint : float, optional
-        Radius beyond which the weighted profile is negligible.  Probed
-        numerically on the largest column when omitted; callers with
-        analytic knowledge should pass it.
+    tail_hint : float
+        Radius beyond which the weighted profile is negligible, finite and
+        positive: the panel scale, which every kernel and profile states
+        as its `tail_scale`.
 
     Raises
     ------
@@ -268,10 +249,9 @@ def hankel_integral(f, weight_power, nu, rho, tail_hint: float | None = None):
     if nu < -0.5:
         raise ValueError("order nu must be >= -1/2")
 
-    if tail_hint is not None and np.isfinite(tail_hint):
-        hint = float(tail_hint)
-    else:
-        hint = _probe_tail_scale(f, weight_power)
+    hint = float(tail_hint)
+    if not 0.0 < hint < math.inf:
+        raise ValueError("tail_hint must be finite and positive")
     tol, budget = _SEGMENT_TOL, _MAX_SEGMENTS
     nodes, weights = _gauss_legendre(_NODES_PER_SEGMENT)
     zeros = _bessel_zeros(nu, budget)

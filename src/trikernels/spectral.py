@@ -98,7 +98,7 @@ class PdVerdict:
 def _grid_for(k: TriKernel) -> np.ndarray:
     """Default grid: 256 log-spaced frequencies on [1e-3, 20], scaled by the
     kernel's length constant so that unit-width kernels get scale 1."""
-    scale = 7.0 / k.tail_scale if np.isfinite(k.tail_scale) and k.tail_scale > 0 else 1.0
+    scale = 7.0 / k.tail_scale
     return np.geomspace(1e-3 * scale, 20.0 * scale, 256)
 
 
@@ -421,9 +421,10 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     A generated kernel w_c curl(f) + w_d div(f), with w_s = 0, is split
     exactly and without integrals: into (k, 0) when w_d = 0, (0, k) when
     w_c = 0, and the constructions of the profiles w_c f and w_d f otherwise.
+    r_grid defaults to 512 log-spaced radii on [1e-3, 24] * k.tail_scale / 7.
     """
     if r_grid is None:
-        scale = k.tail_scale / 7.0 if np.isfinite(k.tail_scale) else 1.0
+        scale = k.tail_scale / 7.0
         r_grid = np.geomspace(1e-3 * scale, 24.0 * scale, 512)
     r_grid = np.asarray(r_grid, dtype=float)
     if (r_grid.ndim != 1 or r_grid.size == 0 or not np.all(np.isfinite(r_grid))

@@ -758,6 +758,18 @@ def test_cauchy_width_beyond_the_float_range_is_input_error(tmp_path, capsys, co
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("command", ["certify", "hodge", "shoot"])
+def test_gaussian_width_beyond_the_float_range_is_input_error(tmp_path, capsys, command):
+    # at c = 1e-310 the tail scale sqrt(48/c) overflows, and a kernel must state a finite one
+    cfg = {"kernel": {"family": "gaussian", "c": 1e-310, "dim": 2}}
+    if command == "shoot":
+        cfg.update(landmarks=[[0.0, 0.0], [0.5, 0.0]], momenta=[[0.0, 0.3], [0.0, -0.3]])
+    assert run(tmp_path, command, cfg) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: bad kernel parameters: tail_scale must be")
+    assert "Traceback" not in captured.out + captured.err
+
+
 SMALL_SHOOT = {"landmarks": [[0.0, 0.0], [0.0, 0.15]], "momenta": [[1.0, 0.0], [1.0, 0.0]],
                "integrator": {"step": 0.05, "record_every": 2}}
 

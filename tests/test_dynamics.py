@@ -167,7 +167,8 @@ def test_rhs_dp_is_minus_the_field_jacobian_contraction(make, n, batch, rng):
     # without dp, _rhs writes the same dq and r and evaluates no radial derivatives
     flags = []
     spy = K.TriKernel(dim=2, radial=lambda r, derivatives=False:
-                      flags.append(derivatives) or k.radial(r, derivatives))
+                      flags.append(derivatives) or k.radial(r, derivatives),
+                      tail_scale=k.tail_scale)
     flags.clear()
     dq_only = np.empty_like(qc)
     assert np.array_equal(D._rhs(spy, qc, pc, dq_only), D._rhs(k, qc, pc, dq, dp))
@@ -367,7 +368,7 @@ def test_flow_grid_lattice_independent_of_record_every():
         assert np.array_equal(g, grids[0])
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("scheme", D.SCHEMES)
 def test_flow_grid_trajectory_equals_shoot(scheme):
     k = divfree16()
     q0, p0 = row_a()
@@ -413,41 +414,48 @@ def test_flow_grid_coalescence_matches_shoot():
     assert str(flowed.value) == str(shot.value)
 
 
-def rk4_flow_reference(k, q, p, x, cfg):
-    """Reference loop on separate arrays: out-of-place shifts and the
-    combination y + (h/6)(k1 + 2 k2 + 2 k3 + k4), landmark rates from
-    hamilton_rhs and the (G, d) lattice moved by field_apply.  Returns the
-    recorded q and p and the final lattice."""
+# each scheme as (stage shifts, weights, divisor), written out here rather than
+# read from D.SCHEMES, so that the reference does not take the table it checks
+REFERENCE_SCHEMES = {"rk4": ((0.5, 0.5, 1.0), (1.0, 2.0, 2.0, 1.0), 6.0),
+                     "euler": ((), (1.0,), 1.0)}
+
+
+def test_the_reference_has_every_scheme():
+    assert set(REFERENCE_SCHEMES) == set(D.SCHEMES)
+
+
+def reference_loop(k, q, p, cfg, x=None):
+    """Reference loop on separate arrays: out-of-place stage inputs
+    y + (shift h) k_j and the combination y + (h / divisor) sum_j weight_j k_j,
+    summed in stage order; landmark rates from hamilton_rhs, which raises at
+    the first coalesced stage, and the (G, d) lattice x, when given, moved by
+    field_apply.  Returns the recorded q and p and the final lattice."""
+    shifts, weights, divisor = REFERENCE_SCHEMES[cfg.scheme]
     h = 1.0 / cfg.n_steps
 
     def rate(y, t):
         dq, dp = D.hamilton_rhs(k, D.PhaseState(y[0], y[1], t))
-        return dq, dp, F.field_apply(k, y[0], y[1], y[2])
+        return [dq, dp] if x is None else [dq, dp, F.field_apply(k, *y)]
 
-    def shift(y, c, ks):
-        return [a + c * b for a, b in zip(y, ks)]
-
-    y = [q, p, x]
+    y = [q, p] if x is None else [q, p, x]
     qs, ps = [q], [p]
     for i in range(cfg.n_steps):
         t = i * h
-        k1 = rate(y, t)
-        if cfg.scheme == "euler":
-            y = shift(y, h, k1)
-        else:
-            k2 = rate(shift(y, 0.5 * h, k1), t + 0.5 * h)
-            k3 = rate(shift(y, 0.5 * h, k2), t + 0.5 * h)
-            k4 = rate(shift(y, h, k3), t + h)
-            y = [a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        ks = [rate(y, t)]
+        for c in shifts:
+            ks.append(rate([a + (c * h) * b for a, b in zip(y, ks[-1])], t + c * h))
+        total = [weights[0] * b for b in ks[0]]
+        for w, kj in zip(weights[1:], ks[1:]):
+            total = [a + w * b for a, b in zip(total, kj)]
+        y = [a + (h / divisor) * b for a, b in zip(y, total)]
         if (i + 1) % cfg.record_every == 0 or i == cfg.n_steps - 1:
             qs.append(y[0])
             ps.append(y[1])
-    return np.array(qs), np.array(ps), y[2]
+    return np.array(qs), np.array(ps), y[2:]
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
-@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("scheme", D.SCHEMES)
 def test_flow_grid_is_the_out_of_place_loop_bit_for_bit(scheme, record_every):
     # the flat in-place state must keep the operation order of separate arrays
     k = divfree16()
@@ -456,7 +464,7 @@ def test_flow_grid_is_the_out_of_place_loop_bit_for_bit(scheme, record_every):
     spec = D.GridSpec(lo=(-0.3, -0.5), hi=(1.1, 0.7), n=(9, 7))
     cfg = D.IntegratorConfig(scheme=scheme, step=2e-2, record_every=record_every)
     fg = D.flow_grid(k, q0, p0, spec, cfg)
-    qs, ps, x = rk4_flow_reference(k, q0.points, p0.vectors, spec.lattice(), cfg)
+    qs, ps, [x] = reference_loop(k, q0.points, p0.vectors, cfg, spec.lattice())
     assert np.array_equal(fg.trajectory.q, qs)
     assert np.array_equal(fg.trajectory.p, ps)
     assert np.array_equal(fg.transported, x)
@@ -473,7 +481,7 @@ def assert_recorded_hamiltonians(k, traj):
 
 # at step 0.01, 100 is a stride equal to the run and 10**9 one beyond it
 @pytest.mark.parametrize("record_every", [1, 3, 7, 100, 10 ** 9])
-@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("scheme", D.SCHEMES)
 def test_recorded_hamiltonians_equal_hamiltonian(scheme, record_every):
     k = divfree16()
     q0, p0 = row_a()
@@ -579,19 +587,6 @@ def test_recorded_hamiltonians_of_a_fan_with_a_failure():
         assert_recorded_hamiltonians(k, fan.trajectories[i])
 
 
-def rk4_until_coalescence(k, q, p, h):
-    """Reference loop: RK4 through hamilton_rhs, which raises at the first bad stage."""
-    rhs = lambda q, p, t: D.hamilton_rhs(k, D.PhaseState(q, p, t))
-    for i in range(round(1.0 / h)):
-        t = i * h
-        k1q, k1p = rhs(q, p, t)
-        k2q, k2p = rhs(q + 0.5 * h * k1q, p + 0.5 * h * k1p, t + 0.5 * h)
-        k3q, k3p = rhs(q + 0.5 * h * k2q, p + 0.5 * h * k2p, t + 0.5 * h)
-        k4q, k4p = rhs(q + h * k3q, p + h * k3p, t + h)
-        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-
-
 def test_fan_matches_per_member_shoot_with_failures():
     # member 1 coalesces first and leaves the batch, then member 3 does;
     # the others run to t = 1
@@ -612,7 +607,7 @@ def test_fan_matches_per_member_shoot_with_failures():
                 D.shoot(k, q0, F.MomentaSet(p0), cfg)
             assert failures[i] == str(err.value)
             with pytest.raises(D.CoalescenceError) as ref:
-                rk4_until_coalescence(k, q0.points, p0, cfg.step)
+                reference_loop(k, q0.points, p0, cfg)
             assert failures[i] == str(ref.value)
             assert fan.trajectories[i] is None
             continue

@@ -346,7 +346,7 @@ def no_zero_field_kernel():
         one = np.ones_like(r)
         return (one, one, 0.0 * r, 0.0 * r) if derivatives else (one, one)
 
-    return K.TriKernel(dim=2, radial=radial)
+    return K.TriKernel(dim=2, radial=radial, tail_scale=1.0)
 
 
 TWO_POINTS = F.LandmarkConfig([[0.0, 0.0], [1.0, 0.0]])

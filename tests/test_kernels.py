@@ -59,9 +59,9 @@ def test_radial_is_the_only_constructor_input(extra):
     radial = K.gaussian_kernel(1.0, 2).radial
     with pytest.raises(TypeError):
         if extra is None:
-            K.TriKernel(dim=2)
+            K.TriKernel(dim=2, tail_scale=1.0)
         else:
-            K.TriKernel(dim=2, radial=radial, **{extra: 1.0})
+            K.TriKernel(dim=2, radial=radial, tail_scale=1.0, **{extra: 1.0})
 
 
 def test_eval_at_zero_is_scaled_identity():
@@ -530,8 +530,13 @@ def test_pair_coefficients_coordinate_major(rng, example1):
 @pytest.mark.parametrize("call, message", [
     (lambda: K.bessel_profile(1.5, sigma=0.0), "sigma must be positive"),
     (lambda: K.bessel_profile(0.0), "nu must be positive for a bounded profile"),
-    (lambda: K.TriKernel(dim=1, radial=K.gaussian_kernel(1.0, 2).radial),
+    (lambda: K.TriKernel(dim=1, radial=K.gaussian_kernel(1.0, 2).radial, tail_scale=1.0),
      "ambient dimension must be >= 2"),
+    *[(lambda make=make, s=s: make(s), "tail_scale must be finite and positive")
+      for make in (lambda s: K.TriKernel(dim=2, radial=K.gaussian_kernel(1.0, 2).radial,
+                                         tail_scale=s),
+                   lambda s: K.ScalarProfile(K.gaussian_profile(1.0, 1.0).fused, s))
+      for s in (0.0, -1.0, np.nan, np.inf)],
     (lambda: K.eval_matrix(K.gaussian_kernel(1.0, 2), np.zeros(3)),
      "expected vectors of length 2"),
     (lambda: K.field_jacobian(K.gaussian_kernel(1.0, 2), np.zeros(3), np.ones(3)),
@@ -544,10 +549,22 @@ def test_pair_coefficients_coordinate_major(rng, example1):
     (lambda: K.family_example1(1.0, 1.0, 0.0, 2), "c must be positive"),
     (lambda: K.family_example2(1.0, 1.0, -1.0, 2), "c must be positive"),
     (lambda: K.gaussian_hodge_pair(0.0, 2), "c must be positive"),
-], ids=["bessel-sigma-0", "bessel-nu-0", "dim-1", "eval_matrix-length", "field_jacobian-length",
+], ids=["bessel-sigma-0", "bessel-nu-0", "dim-1",
+        *[f"{name}-tail-scale-{s}" for name in ("kernel", "profile")
+          for s in ("0", "negative", "nan", "inf")],
+        "eval_matrix-length", "field_jacobian-length",
         "pair_coefficients-length", "pair_coefficients-0-d",
         "in_D1-c-0", "in_D2-c-negative", "example1-c-0", "example2-c-negative",
         "hodge_pair-c-0"])
 def test_bad_kernel_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: K.TriKernel(dim=2, radial=K.gaussian_kernel(1.0, 2).radial),
+    lambda: K.ScalarProfile(K.gaussian_profile(1.0, 1.0).fused),
+], ids=["kernel", "profile"])
+def test_a_missing_tail_scale_is_a_type_error(make):
+    with pytest.raises(TypeError, match="tail_scale"):
+        make()

@@ -179,7 +179,7 @@ def test_hankel_double_transform_returns_profile():
 
 def test_hankel_rho_domain():
     with pytest.raises(ValueError):
-        sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, 0.0, 0.0)
+        sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, 0.0, 0.0, tail_hint=7.0)
 
 
 def short_budget(monkeypatch, max_segments=8, nodes_per_segment=8):
@@ -389,20 +389,6 @@ def test_hankel_nonconvergent_column_is_named(column, monkeypatch):
                            tail_hint=7.0)
 
 
-def test_hankel_probe_uses_the_largest_column():
-    narrow = _gauss
-    wide = lambda r: 1e-3 * np.exp(-0.01 * r * r)
-    pair = lambda r: np.stack([narrow(r), wide(r)])
-    largest = lambda r: np.maximum(np.abs(narrow(r)), np.abs(wide(r)))
-    hint = sf._probe_tail_scale(largest, 1.0)
-    assert sf._probe_tail_scale(pair, 1.0) == hint
-    assert hint > 2.0 * sf._probe_tail_scale(narrow, 1.0)
-    got = sf.hankel_integral(pair, 1.0, 0.0, FREQS)
-    for j, f in enumerate((narrow, wide)):
-        want = sf.hankel_integral(f, 1.0, 0.0, FREQS, tail_hint=hint)
-        assert np.max(np.abs(got[:, j] - want)) <= 1e-14 * np.max(np.abs(want))
-
-
 def test_radial_moment_columns_match_per_column_calls():
     cols = (_gauss, np.zeros_like, lambda r: 1.0 / (1.0 + r * r) ** 3)
     got = sf.radial_moment(lambda r: np.stack([f(r) for f in cols]), 1.0, tail_hint=7.0)
@@ -414,20 +400,15 @@ def test_radial_moment_columns_match_per_column_calls():
     np.testing.assert_allclose(got, [0.5, 0.0, 0.25], rtol=1e-11)
 
 
-# --- input checks and probe fallbacks --------------------------------------------
+# --- input checks -----------------------------------------------------------------
 
 @pytest.mark.parametrize("call, message", [
     (lambda: sf.upper_gamma(1.0, -0.5), "x must be >= 0"),
-    (lambda: sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, -0.75, 1.0),
+    (lambda: sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, -0.75, 1.0, tail_hint=7.0),
      "order nu must be >= -1/2"),
-], ids=["upper_gamma-x-negative", "hankel-nu-below-half"])
+    (lambda: sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, 0.0, 1.0, tail_hint=np.inf),
+     "tail_hint must be finite and positive"),
+], ids=["upper_gamma-x-negative", "hankel-nu-below-half", "hankel-tail-hint-inf"])
 def test_bad_specfun_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-
-
-def test_tail_probe_of_a_zero_and_of_a_slow_profile():
-    # a zero profile gets the unit scale; r/(1 + r^2) never falls to 1e-18 of
-    # its peak at r = 1 on the probe grid, so the scale is ten times the peak
-    assert sf._probe_tail_scale(lambda r: np.zeros_like(r), 1.0) == 1.0
-    assert sf._probe_tail_scale(lambda r: 1.0 / (1.0 + r * r), 1.0) == pytest.approx(10.0)
