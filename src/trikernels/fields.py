@@ -26,6 +26,10 @@ from numpy.linalg import LinAlgError
 from .kernels import TriKernel, _div_factor, _field_and_jacobian, eval_matrix, pair_coefficients
 
 MIN_SEPARATION = 1e-9
+# point-centre pairs one chunk of `field_apply` evaluates at once; a d = 2
+# chunk's displacements then stay under glibc's default 128 KiB mmap
+# threshold, so its work arrays come from the heap in any process
+PAIR_BUDGET = 8192
 
 
 def cho_factor(a, **kwargs):
@@ -119,19 +123,31 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
 
     Uses k(x)alpha = kperp(r) alpha + ktilde(r) (x . alpha) x, which
     avoids assembling any matrices.  Points (M, d), or one point (d,),
-    give values of the same shape.  The displacements are formed
-    coordinate-major, shape (d, N, M) with the points innermost, so no
-    array has a trailing axis of length d; points handed in as the .T
-    view of a C-contiguous (d, M) array are used without a copy, and
-    the (M, d) result is the .T view of a C-contiguous (d, M) array.
+    give values of the same shape.  The points are walked in chunks of
+    PAIR_BUDGET // N, at least two, so no work array grows with M; the
+    chunks' (d, m) values are joined into one C-contiguous (d, M) array
+    (a lone chunk's values are that array), and the (M, d) result is its
+    .T view.  A one-point last chunk joins the one before it, since numpy
+    sums a one-point chunk in another order: every value is then bitwise
+    the same for any chunk size.  A single point (M = 1) is its own chunk.
+    Within a chunk the displacements are coordinate-major, shape (d, N, m)
+    with the points innermost, so no array has a trailing axis of length
+    d; points handed in as the .T view of a C-contiguous (d, M) array are
+    used without a copy.
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.ascontiguousarray(np.atleast_2d(pts).T)          # (d, M)
-    x = pts[:, None, :] - centers.T[:, :, None]               # (d, N, M)
-    c = pair_coefficients(k, x)
-    dot = np.einsum("inm,ni->nm", x, momenta)
-    out = momenta.T @ c.kperp + np.einsum("nm,inm->im", c.ktilde * dot, x)
+    m = pts.shape[1]
+    step = max(2, PAIR_BUDGET // (len(centers) or 1))
+    parts = []
+    for start in range(0, max(m - 1, 1), step):
+        stop = start + step if start + step < m - 1 else m
+        x = pts[:, None, start:stop] - centers.T[:, :, None]   # (d, N, m)
+        c = pair_coefficients(k, x)
+        dot = np.einsum("inm,ni->nm", x, momenta)
+        parts.append(momenta.T @ c.kperp + np.einsum("nm,inm->im", c.ktilde * dot, x))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return out[:, 0] if single else out.T
 
 

@@ -341,9 +341,12 @@ def radial_moment(f, power, tail_hint: float):
     of m columns, shape (m, n) at n radii, gives the m moments from one
     panel loop; each column keeps the value at which it turned quiet, and
     the loop ends when every column has.  tail_hint is the radius beyond
-    which the weighted profile is negligible.  A 1-D profile gives a float.
+    which the weighted profile is negligible, a finite positive radius.  A
+    1-D profile gives a float.
     """
     hint = float(tail_hint)
+    if not 0.0 < hint < math.inf:
+        raise ValueError("tail_hint must be finite and positive")
     nodes, weights = _gauss_legendre(48)
     edges = np.concatenate(([0.0], hint * 2.0 ** np.arange(-24, 10, dtype=float)))
     acc = out = 0.0

@@ -499,6 +499,7 @@ def hodge_orthogonality(k1: TriKernel, k2: TriKernel, radius: float) -> tuple[fl
     reading is the same at every kernel width.  Returns (inner, norm1,
     norm2).  The pairing vanishes over all of R^d; over a ball of radius R
     the r^{-(2mu+2)} component tails leave a defect of order 1/R^2 relative.
+    R must be finite and positive (a ValueError otherwise).
     """
     d = k1.dim
     surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)

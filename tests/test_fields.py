@@ -1,6 +1,7 @@
 """Interpolation, field evaluation, and pointwise field calculus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,67 @@ def test_field_apply_matches_the_matrix_sum():
             assert np.array_equal(a, b)
 
     check()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_field_apply_is_the_same_on_both_sides_of_a_chunk_boundary(name, d):
+    # M N just over 2 PAIR_BUDGET gives three chunks, the last one ragged; a
+    # one-point tail joins the chunk before it, and past N = PAIR_BUDGET / 2
+    # a chunk is the two-point minimum.  Any split of the points into pieces
+    # of two or more gives the same bits; a lone point is summed in another
+    # order, so the "single" layout is checked against a batch of one
+    k = FAMILIES[name](1.0, d, 0.5)
+    rng = np.random.default_rng(2 * len(name) + d)
+    step = F.PAIR_BUDGET // 6
+    for n, m in ((6, 2 * step + 40), (6, 2 * step + 1), (F.PAIR_BUDGET // 2 + 1, 7)):
+        centers = rng.normal(size=(n, d))
+        momenta = rng.normal(size=(n, d))
+        pts = rng.normal(size=(m, d)) * 1.5
+        terms = K.eval_matrix(k, pts[:, None, :] - centers[None]) @ momenta[None, :, :, None]
+        want = terms[..., 0].sum(axis=1)
+        scale = np.abs(terms).sum(axis=1).max()
+        cuts = 2 * np.sort(rng.choice(np.arange(1, m // 2), size=min(3, m // 2 - 1), replace=False))
+        for layout in ("C", "F", "single"):
+            points = {"C": pts, "F": np.ascontiguousarray(pts.T).T, "single": pts[0]}[layout]
+            got = F.field_apply(k, centers, momenta, points)
+            if layout == "single":
+                assert np.array_equal(got, F.field_apply(k, centers, momenta, pts[:1])[0])
+                assert np.max(np.abs(got - want[0])) <= 1e-13 * scale
+                continue
+            pieces = [F.field_apply(k, centers, momenta, part) for part in np.split(points, cuts)]
+            assert np.array_equal(got, np.concatenate(pieces))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+            assert got.T.flags.c_contiguous and not got.flags.owndata
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: K.gaussian_kernel(c, 2),
+    lambda c: K.family_example1(2.0 * c, 1.0, c, 2),
+    lambda c: K.make_curl_free(K.gaussian_profile(1.0 / (2.0 * c), c), 2),
+], ids=["gaussian", "example1", "curl_free"])
+def test_field_apply_memory_does_not_grow_with_the_points(make):
+    # the registration evaluation: N = 100 centres, 10^4 points.  A chunk of
+    # PAIR_BUDGET // N = 81 points holds at most PAIR_BUDGET pairs: the
+    # displacements (d doubles a pair) and about a dozen pair-sized
+    # coefficient arrays, under (d + 16) * 8 B * PAIR_BUDGET = 1.1 MiB, next
+    # to the chunks' (d, m) values, the (d, M) result they are joined into
+    # and the (d, M) copy of the points, 3 * 16 B * M = 0.46 MiB.  4 MiB
+    # leaves room for a kernel's own temporaries; evaluating all 10^6 pairs
+    # at once peaks at 54-61 MiB
+    k = make(81.0)
+    axis = np.linspace(-1.0, 1.0, 10)
+    centers = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], -1)
+    momenta = np.random.default_rng(0).normal(size=centers.shape)
+    axis = np.linspace(-1.2, 1.2, 100)
+    pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], -1)
+    tracemalloc.start()
+    try:
+        F.field_apply(k, centers, momenta, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 # --- snapshot fields -------------------------------------------------------------

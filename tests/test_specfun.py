@@ -408,7 +408,11 @@ def test_radial_moment_columns_match_per_column_calls():
      "order nu must be >= -1/2"),
     (lambda: sf.hankel_integral(lambda r: np.exp(-r * r), 1.0, 0.0, 1.0, tail_hint=np.inf),
      "tail_hint must be finite and positive"),
-], ids=["upper_gamma-x-negative", "hankel-nu-below-half", "hankel-tail-hint-inf"])
+    *[(lambda h=h: sf.radial_moment(lambda r: np.exp(-r * r), 1.0, tail_hint=h),
+       "tail_hint must be finite and positive") for h in (np.inf, np.nan, 0.0, -1.0)],
+], ids=["upper_gamma-x-negative", "hankel-nu-below-half", "hankel-tail-hint-inf",
+        "moment-tail-hint-inf", "moment-tail-hint-nan", "moment-tail-hint-0",
+        "moment-tail-hint-negative"])
 def test_bad_specfun_input_is_a_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

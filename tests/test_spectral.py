@@ -773,6 +773,14 @@ def test_hodge_orthogonality_of_a_numerical_split():
 
 # --- input checks ---------------------------------------------------------------
 
+@pytest.mark.parametrize("radius", [math.inf, 0.0])
+def test_hodge_orthogonality_needs_a_finite_positive_radius(radius):
+    # the radius is the moment's panel scale: at infinity the pairing read
+    # (nan, nan, nan) and at 0 it read 0
+    with pytest.raises(ValueError, match="tail_hint must be finite and positive"):
+        S.hodge_orthogonality(*K.gaussian_hodge_pair(1.0, 2), radius)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: S.inverse_map(S.gaussian_spectrum(1.0, 2), [-1.0, 1.0]),
      "r grid must be nonnegative"),

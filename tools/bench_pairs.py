@@ -22,7 +22,8 @@ of the medians, the parent's interquartile range, and two verdicts taken
 from BENCHMARK.json: ``gain`` (wins in at least nine tenths of the pairs
 and a median difference larger than the parent's IQR) and ``within_bound``
 (the change's median is no worse than the parent's by more than the
-metric's bound).
+metric's bound).  Each set also reports, per experiment kind, both sides'
+median of the report's ``summary.kind_s_p50`` and their ratio.
 """
 
 from __future__ import annotations
@@ -123,6 +124,20 @@ def summarize_set(runs: list[tuple[dict, dict]], bench: dict) -> dict:
             "gain": wins >= 0.9 * len(runs) and diff > iqr,
             "within_bound": worse <= spec["bound"],
         }
+    out["kind_s_p50"] = kind_medians(runs)
+    return out
+
+
+def kind_medians(runs: list[tuple[dict, dict]]) -> dict:
+    """Per kind, each side's median over its runs of the report's
+    `summary.kind_s_p50`, and the ratio of the change's median to the
+    parent's.  A run covers whole rotations, so every run has every kind."""
+    out = {}
+    for kind in sorted(runs[0][0]["summary"]["kind_s_p50"]):
+        par, chg = (float(np.median([r[i]["summary"]["kind_s_p50"][kind] for r in runs]))
+                    for i in (0, 1))
+        out[kind] = {"parent": round(par, 6), "change": round(chg, 6),
+                     "median_ratio_change_over_parent": round(chg / par, 4) if par else None}
     return out
 
 
