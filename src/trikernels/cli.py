@@ -20,6 +20,7 @@ default filled in; it runs unchanged as a config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -525,7 +526,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="trikernels",
         description="TRI matrix-kernel experiments: certification, fields, "
@@ -539,7 +542,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = json.loads(Path(args.config).read_text())

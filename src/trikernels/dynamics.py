@@ -25,6 +25,7 @@ displacements (d, B, N, N), so no array has a trailing axis of length d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -145,15 +146,16 @@ def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray,
          dp: Optional[np.ndarray] = None):
     """Right-hand side of the geodesic equations for states (d, B, N).
 
-    Writes the rates into dq and, when given, dp, of q's shape, and returns r,
-    the (B, N, N) pairwise distances for the coalescence test; without dp the
-    radial derivatives are not evaluated.  The displacements x_ab = q_a - q_b
-    form one contiguous (d, B, N, N) array; r, hence every coefficient, is
-    bitwise symmetric in a and b.  dp sums the negated gradient terms, which
-    are -field_jacobian(x_ab, p_b)^T p_a in fused form; with D = (1/r) d/dr
-    their radial part is D ktilde (x_ab . p_a)(x_ab . p_b) - D kperp p_a . p_b
-    along x_ab, so no term divides by r.  Self-terms contribute 0 to dp: the
-    displacement vanishes and the coefficients are finite there.
+    Writes the rates into dq and, when given, dp, of q's shape, and returns
+    r2, the (B, N, N) squared pairwise distances for the coalescence test;
+    without dp the radial derivatives are not evaluated.  The displacements
+    x_ab = q_a - q_b form one contiguous (d, B, N, N) array; r2, hence every
+    coefficient, is bitwise symmetric in a and b.  dp sums the negated
+    gradient terms, which are -field_jacobian(x_ab, p_b)^T p_a in fused
+    form; with D = (1/r) d/dr their radial part is
+    D ktilde (x_ab . p_a)(x_ab . p_b) - D kperp p_a . p_b along x_ab, so no
+    term divides by r.  Self-terms contribute 0 to dp: the displacement
+    vanishes and the coefficients are finite there.
     """
     x = q[..., :, None] - q[..., None, :]
     c = pair_coefficients(k, x, dp is not None)
@@ -163,13 +165,13 @@ def _rhs(k: TriKernel, q: np.ndarray, p: np.ndarray, dq: np.ndarray,
     np.matmul(c.kperp, pt, out=dq.transpose(1, 2, 0))
     np.subtract(dq, np.vecdot(x, nkw), out=dq)
     if dp is None:
-        return c.r
+        return c.r2
 
     nradial = c.dktilde_r * u * u.mT - c.dkperp_r * (pt @ pt.mT)
     np.vecdot(x, nradial, out=dp)
     np.add(dp, nkw.sum(axis=-1) * p, out=dp)
     np.subtract(dp, (nkw.mT @ pt).transpose(2, 0, 1), out=dp)
-    return c.r
+    return c.r2
 
 
 def _energy(p: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -191,24 +193,26 @@ def hamiltonian(k: TriKernel, s: PhaseState) -> float:
     return float(_ham(k, *(np.asarray(a, dtype=float).T[:, None] for a in (s.q, s.p)))[0])
 
 
-def _coalesced(r: np.ndarray, t: float) -> dict[int, CoalescenceError]:
+def _coalesced(r2: np.ndarray, t: float) -> dict[int, CoalescenceError]:
     """Batch members whose closest landmark pair is within the threshold.
 
-    The n diagonal entries of each member's r are exactly 0 (x_aa = q_a - q_a),
-    so a member has a close pair when more than n entries lie below the
-    threshold; the pair itself is located only for such members.  When the
-    whole batch has exactly B*N entries below it, which is every step of a
-    run without coalescence, no member is scanned.
+    r2 holds the (B, N, N) squared distances `_rhs` returns, tested against
+    COALESCENCE_TOL^2; an error reports the distance, the square root of its
+    entry.  The n diagonal entries of each member's r2 are exactly 0
+    (x_aa = q_a - q_a), so a member has a close pair when more than n
+    entries lie below the threshold; the pair itself is located only for
+    such members.  When the whole batch has exactly B*N entries below it,
+    which is every step of a run without coalescence, no member is scanned.
     """
-    n = r.shape[-1]
-    below = r < COALESCENCE_TOL
-    if np.count_nonzero(below) == r.size // n:         # the diagonals alone
+    n = r2.shape[-1]
+    below = r2 < COALESCENCE_TOL * COALESCENCE_TOL
+    if np.count_nonzero(below) == r2.size // n:         # the diagonals alone
         return {}
     out = {}
     for m in np.flatnonzero(below.sum(axis=(-2, -1)) > n):
-        flat = (r[m] + np.diag(np.full(n, np.inf))).ravel()
+        flat = (r2[m] + np.diag(np.full(n, np.inf))).ravel()
         idx = int(np.argmin(flat))
-        out[int(m)] = CoalescenceError((idx // n, idx % n), t, float(flat[idx]))
+        out[int(m)] = CoalescenceError((idx // n, idx % n), t, math.sqrt(flat[idx]))
     return out
 
 

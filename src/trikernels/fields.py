@@ -127,9 +127,11 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
     PAIR_BUDGET // N, at least two, so no work array grows with M; the
     chunks' (d, m) values are joined into one C-contiguous (d, M) array
     (a lone chunk's values are that array), and the (M, d) result is its
-    .T view.  A one-point last chunk joins the one before it, since numpy
-    sums a one-point chunk in another order: every value is then bitwise
-    the same for any chunk size.  A single point (M = 1) is its own chunk.
+    .T view.  Every chunk holds at least two points, since numpy sums a
+    one-point chunk in another order: a one-point last chunk joins the one
+    before it, and a lone point (M = 1) is evaluated as the two-point chunk
+    of itself twice, keeping one column.  Every value is then bitwise the
+    same for any chunk size and wherever the point sits in a batch.
     Within a chunk the displacements are coordinate-major, shape (d, N, m)
     with the points innermost, so no array has a trailing axis of length
     d; points handed in as the .T view of a C-contiguous (d, M) array are
@@ -138,6 +140,9 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.ascontiguousarray(np.atleast_2d(pts).T)          # (d, M)
+    count = pts.shape[1]
+    if count == 1:
+        pts = np.repeat(pts, 2, axis=1)
     m = pts.shape[1]
     step = max(2, PAIR_BUDGET // (len(centers) or 1))
     parts = []
@@ -148,7 +153,7 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
         dot = np.einsum("inm,ni->nm", x, momenta)
         parts.append(momenta.T @ c.kperp + np.einsum("nm,inm->im", c.ktilde * dot, x))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return out[:, 0] if single else out.T
+    return out[:, 0] if single else out[:, :count].T
 
 
 def snapshot_field(k: TriKernel, cfg: LandmarkConfig, momenta: MomentaSet) -> Callable:
@@ -214,7 +219,7 @@ def divergence_at(k: TriKernel, x, alpha):
     if x.shape[-1:] != (k.dim,):
         raise ValueError(f"expected vectors of length {k.dim}")
     c = pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
-    factor = _div_factor(k.dim, c.r, c.ktilde, c.dkperp_r, c.dktilde_r)
+    factor = _div_factor(k.dim, c.r2, c.ktilde, c.dkperp_r, c.dktilde_r)
     return (np.einsum("...i,...i->...", alpha, x) * factor)[()]
 
 

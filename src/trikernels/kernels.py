@@ -13,21 +13,26 @@ constructions from scalar profiles, and the closed-form Hodge pair of
 the scalar Gaussian.
 
 With ktilde(r) = (kpar(r) - kperp(r)) / r^2, k(x) = kperp I + ktilde x x^T.
-Every kernel is evaluated through one callable,
+Every kernel is evaluated through one callable of the squared radius
+s = r^2,
 
-    radial(r, derivatives) -> (kperp, ktilde[, D kperp, D ktilde]),
+    radial(s, derivatives) -> (kperp, ktilde[, D kperp, D ktilde]),
 
-with D = (1/r) d/dr, the derivative of a radial function in the form its
-consumers use.  It shares its transcendental evaluations across the
-coefficients and returns the exact r -> 0 limits (k0, small_r_ktilde,
+with D = (1/r) d/dr = 2 d/ds, the derivative of a radial function in the
+form its consumers use.  It shares its transcendental evaluations across
+the coefficients and returns the exact s -> 0 limits (k0, small_r_ktilde,
 kperp''(0), ktilde''(0)) by contract.  A scalar profile is its fused tuple
-(f, Df, D^2 f, D^3 f), written in closed form with its limits at r = 0:
-the Gaussian takes one exp, the Cauchy profile one reciprocal and the
-Bessel profile one K_m call per entry, four at order 3.  The scalar,
-curl-free and div-free constructions are linear maps of that tuple.  The
-primitive `pair_coefficients` is one call to `radial` on coordinate-major
-(d, ...) displacements; every kernel matrix, field value, field Jacobian
-and differential residual in the package is computed from it.
+(f, Df, D^2 f, D^3 f) as a function of s, written in closed form with its
+limits at s = 0: the Gaussian takes one exp, the Cauchy profile one
+reciprocal and the Bessel profile one square root and one K_m call per
+entry, four at order 3.  The scalar, curl-free and div-free constructions
+are linear maps of that tuple.  The primitive `pair_coefficients` is one
+call to `radial` on the sums of squares of coordinate-major (d, ...)
+displacements, with no square root; every kernel matrix, field value,
+field Jacobian and differential residual in the package is computed from
+it.  Callers that start from radii, k_par and k_perp among them, square
+them once.  As sqrt(r * r) = r in binary floating point, every value they
+give is the same as from the radius itself.
 """
 
 from __future__ import annotations
@@ -49,10 +54,11 @@ from .specfun import bessel_k, lower_gamma
 class ScalarProfile:
     """A smooth even radial profile f, given by its fused tuple.
 
-    fused : (r, order) -> the first order + 1 entries of
-        [f, Df, D^2 f, D^3 f], D = (1/r) d/dr, at an array of radii
-        r >= 0, holding the limits f''(0), f''''(0)/3 and f''''''(0)/15 of
-        the last three at r = 0.  Df = f'/r and D^2 f = (f'' - f'/r)/r^2.
+    fused : (s, order) -> the first order + 1 entries of
+        [f, Df, D^2 f, D^3 f], D = (1/r) d/dr = 2 d/ds, at an array of
+        squared radii s = r^2 >= 0, holding the limits f''(0), f''''(0)/3
+        and f''''''(0)/15 of the last three at s = 0.  Df = f'/r and
+        D^2 f = (f'' - f'/r)/r^2.
     tail_scale : radius beyond which the profile is negligible; finite and
         positive, the length scale of every quadrature over the profile.
     """
@@ -71,8 +77,8 @@ def gaussian_profile(amplitude: float, c: float) -> ScalarProfile:
         raise ValueError("c must be positive")
     a = float(amplitude)
 
-    def fused(r, order=3):
-        f = a * np.exp(-c * np.square(r))
+    def fused(s, order=3):
+        f = a * np.exp(-c * s)
         return [f] + [w * f for w in (-2.0 * c, 4.0 * c * c, -8.0 * c * c * c)[:order]]
 
     return ScalarProfile(fused, tail_scale=math.sqrt(48.0 / c))
@@ -82,20 +88,19 @@ def cauchy_profile(sigma: float) -> ScalarProfile:
     """w = 1 / (1 + r^2/sigma^2), the rational profile; its fused tuple is
     (-2/sigma^2)^j j! w^(j+1): (w, -2 w^2/sigma^2, 8 w^3/sigma^4, -48 w^4/sigma^6).
     sigma^4 and 1/sigma^4 must be finite and nonzero: 1e-77 < sigma < 1e77."""
-    s2 = sigma * sigma
-    if not (sigma > 0 and 0.0 < s2 * s2 < math.inf and 1.0 / (s2 * s2) < math.inf):
+    v = sigma * sigma
+    if not (sigma > 0 and 0.0 < v * v < math.inf and 1.0 / (v * v) < math.inf):
         raise ValueError("sigma must be positive, with sigma^4 and 1/sigma^4 finite and nonzero")
 
-    def fused(r, order=3):
-        u = np.square(r) / s2
-        w = 1.0 / (1.0 + u)
+    def fused(s, order=3):
+        w = 1.0 / (1.0 + s / v)
         out = [w]
         if order >= 1:
-            out.append((-2.0 / s2) * np.square(w))
+            out.append((-2.0 / v) * np.square(w))
         if order >= 2:
-            out.append((8.0 / (s2 * s2)) * w ** 3)
+            out.append((8.0 / (v * v)) * w ** 3)
         if order >= 3:
-            out.append((-6.0 / s2) * w * out[2])
+            out.append((-6.0 / v) * w * out[2])
         return out
 
     return ScalarProfile(fused, tail_scale=8.0 * sigma)
@@ -106,7 +111,8 @@ def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> Sca
 
     With phi_m(z) = z^m K_m(z), (1/z) d/dz phi_m = -phi_{m-1}, and
     D = (1/r) d/dr is sigma^-2 (1/z) d/dz at z = r/sigma, so the fused tuple
-    is D^j f = amplitude (-1/sigma^2)^j phi_{nu-j}: one K_m call per entry.
+    is D^j f = amplitude (-1/sigma^2)^j phi_{nu-j}: one K_m call per entry,
+    at the radius r = sqrt(s).
     D^j f(0) is finite for nu > j.  For 1 < nu <= j, D^j f diverges like
     r^(2 nu - 2j) at the origin: there the tuple holds its value at the
     floor z = 1e-8, a finite amplitude (-1/sigma^2)^j phi_{nu-j}(1e-8),
@@ -116,27 +122,27 @@ def bessel_profile(nu: float, sigma: float = 1.0, amplitude: float = 1.0) -> Sca
         raise ValueError("sigma must be positive")
     if nu <= 0:
         raise ValueError("nu must be positive for a bounded profile")
-    a, s = float(amplitude), float(sigma)
+    a, sg = float(amplitude), float(sigma)
 
-    def fused(r, order=3):
+    def fused(s, order=3):
         if order >= 2 and nu <= 1:
             raise ValueError(f"the Bessel profile of order nu = {nu} <= 1 has f''(0) = "
                              "-infinity; its curl-free and div-free kernels are unbounded")
         # z is floored at 1e-8; below it phi_m takes its limit 2^{m-1} Gamma(m) for
         # m > 0, and its finite floor value for m <= 0, which every consumer
         # multiplies by x or r^2
-        r = np.asarray(r, dtype=float)
-        floor = r < 1e-8 * s
-        z = np.maximum(r / s, 1e-8)
+        r = np.sqrt(s)
+        floor = r < 1e-8 * sg
+        z = np.maximum(r / sg, 1e-8)
 
         def phi(m):
             out = z ** m * bessel_k(m, z)
             return np.where(floor, 2.0 ** (m - 1.0) * math.gamma(m), out) if m > 0 else out
 
         return [c * phi(nu - j)
-                for j, c in enumerate((a, -a / s ** 2, a / s ** 4, -a / s ** 6)[:order + 1])]
+                for j, c in enumerate((a, -a / sg ** 2, a / sg ** 4, -a / sg ** 6)[:order + 1])]
 
-    return ScalarProfile(fused, tail_scale=60.0 * s)
+    return ScalarProfile(fused, tail_scale=60.0 * sg)
 
 
 def sobolev_green_constant(sigma: float, ell: float, dim: int) -> float:
@@ -153,12 +159,13 @@ def sobolev_green_constant(sigma: float, ell: float, dim: int) -> float:
 class TriKernel:
     """Coefficient description of a TRI matrix kernel on R^d.
 
-    `radial(r, derivatives)` maps an array of radii r >= 0 to
-    (kperp, ktilde) or (kperp, ktilde, D kperp, D ktilde), D = (1/r) d/dr,
-    each of r's shape, with the limits (k0, small_r_ktilde, kperp''(0),
-    ktilde''(0)) at r = 0; k0 and small_r_ktilde are read from it.  k_par
-    and k_perp, the coefficients as callables of r, default to the values
-    `radial` gives.  tail_scale, finite and positive, is the radius beyond
+    `radial(s, derivatives)` maps an array of squared radii s = r^2 >= 0 to
+    (kperp, ktilde) or (kperp, ktilde, D kperp, D ktilde),
+    D = (1/r) d/dr = 2 d/ds, each of s's shape, with the limits (k0,
+    small_r_ktilde, kperp''(0), ktilde''(0)) at s = 0; k0 and
+    small_r_ktilde are read from it.  k_par and k_perp, the coefficients as
+    callables of the radius r, default to the values `radial` gives at
+    s = r * r.  tail_scale, finite and positive, is the radius beyond
     which the kernel is negligible: the length scale of its spectral
     quadrature and default grids.  Instances are immutable; evaluation is
     pure and thread-safe.
@@ -201,14 +208,14 @@ class TriKernel:
         radial = self.radial
 
         def k_par(r):
-            r = np.asarray(r, dtype=float)
-            kperp, kt = radial(r)
-            return kperp + np.square(r) * kt
+            s = np.square(r, dtype=float)
+            kperp, kt = radial(s)
+            return kperp + s * kt
 
         kperp0, kt0 = radial(np.zeros(1))
         object.__setattr__(self, "k0", float(kperp0[0]))
         object.__setattr__(self, "small_r_ktilde", float(kt0[0]))
-        for name, value in (("k_perp", lambda r: radial(np.asarray(r, dtype=float))[0]),
+        for name, value in (("k_perp", lambda r: radial(np.square(r, dtype=float))[0]),
                             ("k_par", k_par)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
@@ -221,22 +228,22 @@ class TriKernel:
 
 def ktilde(k: TriKernel, r):
     """(kpar - kperp)/r^2 at radii r, with its limit at the origin."""
-    return np.asarray(k.radial(np.asarray(r, dtype=float))[1])[()]
+    return np.asarray(k.radial(np.square(r, dtype=float))[1])[()]
 
 
 class PairCoefficients(NamedTuple):
     """Radial coefficients of a kernel at an array of displacements.
 
-    With x a displacement and r = |x|, the kernel acts as
+    With x a displacement, r = |x| and r2 = sum_i x_i^2, the kernel acts as
     k(x) alpha = kperp alpha + ktilde (x . alpha) x, and its coordinate
     derivatives need dkperp_r = kperp'/r and dktilde_r = ktilde'/r as well,
-    the coefficients under D = (1/r) d/dr.  At r = 0 the entries hold the
+    the coefficients under D = (1/r) d/dr.  At r2 = 0 the entries hold the
     limits at the origin: kperp = k0, ktilde its small-r value, and
     dkperp_r, dktilde_r the second derivatives kperp''(0), ktilde''(0).  A
     named tuple, since every `pair_coefficients` call constructs one.
     """
 
-    r: np.ndarray
+    r2: np.ndarray
     kperp: np.ndarray
     ktilde: np.ndarray
     dkperp_r: Optional[np.ndarray] = None
@@ -249,15 +256,17 @@ def pair_coefficients(k: TriKernel, x, derivatives: bool = False) -> PairCoeffic
 
     Every array of the result has shape x.shape[1:], so no array has a
     trailing axis of length d; point-major (..., d) displacements enter as
-    the view np.moveaxis(x, -1, 0).  The radial derivatives are evaluated
-    only when `derivatives` is set.  This is the one place where every
-    kernel value in the package is computed.
+    the view np.moveaxis(x, -1, 0).  `radial` takes the squared radii of one
+    einsum as they are, with no square root: x and -x give the same r2,
+    x = 0 gives exactly 0.  The radial derivatives are evaluated only when
+    `derivatives` is set.  This is the one place where every kernel value in
+    the package is computed.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or len(x) != k.dim:
         raise ValueError(f"expected vectors of length {k.dim}")
-    r = np.sqrt(np.einsum("i...,i...->...", x, x))
-    return PairCoefficients(r, *k.radial(r, derivatives))
+    r2 = np.einsum("i...,i...->...", x, x)
+    return PairCoefficients(r2, *k.radial(r2, derivatives))
 
 
 def eval_matrix(k: TriKernel, x) -> np.ndarray:
@@ -327,10 +336,10 @@ def family_example1(a: float, b: float, c: float, dim: int) -> TriKernel:
     if c <= 0:
         raise ValueError("c must be positive")
 
-    def radial(r, derivatives=False):
-        e = np.exp(-c * np.square(r))
+    def radial(s, derivatives=False):
+        e = np.exp(-c * s)
         kt = a * e
-        kperp = b * e - np.square(r) * kt
+        kperp = b * e - s * kt
         return (kperp, kt, -2.0 * (kt + c * kperp), (-2.0 * c) * kt) if derivatives \
             else (kperp, kt)
 
@@ -350,8 +359,8 @@ def family_example2(a: float, b: float, c: float, dim: int) -> TriKernel:
     if c <= 0:
         raise ValueError("c must be positive")
 
-    def radial(r, derivatives=False):
-        e = np.exp(-c * np.square(r))
+    def radial(s, derivatives=False):
+        e = np.exp(-c * s)
         kt = -a * e
         kperp = b * e
         return (kperp, kt, (-2.0 * c) * kperp, (-2.0 * c) * kt) if derivatives else (kperp, kt)
@@ -366,8 +375,8 @@ def scalar_kernel(profile: ScalarProfile, dim: int, tag: str = "scalar") -> TriK
     """Kernel f(|x|) * I built from one radial profile: kperp = f, ktilde = 0."""
     fused = profile.fused
 
-    def radial(r, derivatives=False):
-        f, *q = fused(r, 1 if derivatives else 0)
+    def radial(s, derivatives=False):
+        f, *q = fused(s, 1 if derivatives else 0)
         kt = np.zeros_like(f)
         return (f, kt, q[0], kt) if derivatives else (f, kt)
 
@@ -407,8 +416,8 @@ def make_curl_free(profile: ScalarProfile, dim: int) -> TriKernel:
     """
     fused = profile.fused
 
-    def radial(r, derivatives=False):
-        _, q, g, *g1 = fused(r, 3 if derivatives else 2)
+    def radial(s, derivatives=False):
+        _, q, g, *g1 = fused(s, 3 if derivatives else 2)
         kt = -g
         return (-q, kt, kt, -g1[0]) if derivatives else (-q, kt)
 
@@ -428,11 +437,10 @@ def make_div_free(profile: ScalarProfile, dim: int) -> TriKernel:
     fused = profile.fused
     d = dim
 
-    def radial(r, derivatives=False):
-        _, q, g, *g1 = fused(r, 3 if derivatives else 2)
-        r2 = np.square(r)
-        kperp = -(d - 1) * q - r2 * g
-        return (kperp, g, -(d + 1) * g - r2 * g1[0], g1[0]) if derivatives else (kperp, g)
+    def radial(s, derivatives=False):
+        _, q, g, *g1 = fused(s, 3 if derivatives else 2)
+        kperp = -(d - 1) * q - s * g
+        return (kperp, g, -(d + 1) * g - s * g1[0], g1[0]) if derivatives else (kperp, g)
 
     return TriKernel(dim=dim, radial=radial, family_tag="div_free",
                      tail_scale=profile.tail_scale,
@@ -462,9 +470,10 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
     series = [(-2.0 * c) ** j / (fact * (d + 2.0 * m + 2.0 * j)) for j in range(3)]
     poly = np.polynomial.polynomial.polyval
 
-    def parts(r, derivatives):
-        """(e^{-cr^2}, h, t[, Dt]): the series below x = 1/2, the closed forms above."""
-        x = c * np.square(r)
+    def parts(s, derivatives):
+        """(e^{-cr^2}, h, t[, Dt]) at s = r^2: the series below x = 1/2, the
+        closed forms above."""
+        x = c * s
         xs = np.maximum(x, 0.5)
         near = x < 0.5
         e = np.exp(-x)
@@ -475,12 +484,12 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
             return e, h, t
         return e, h, t, np.where(near, poly(-x, series[2]), c * (-2.0 * c * e - (d + 2) * t) / xs)
 
-    def curl_free(r, derivatives=False):
-        _, h, t, *dt = parts(r, derivatives)
+    def curl_free(s, derivatives=False):
+        _, h, t, *dt = parts(s, derivatives)
         return (h, t, t, dt[0]) if derivatives else (h, t)
 
-    def div_free(r, derivatives=False):
-        e, h, t, *dt = parts(r, derivatives)
+    def div_free(s, derivatives=False):
+        e, h, t, *dt = parts(s, derivatives)
         return (e - h, -t, -2.0 * c * e - t, -dt[0]) if derivatives else (e - h, -t)
 
     tail = 8.0 / math.sqrt(c)
@@ -492,21 +501,23 @@ def gaussian_hodge_pair(c: float, dim: int) -> tuple[TriKernel, TriKernel]:
 # residuals of the differential characterizations at radii r >= 0; the divergence
 # and curl of single-center fields use them divided by r
 
-def _div_factor(d: int, r, ktilde, dkperp_r, dktilde_r):
-    """(d+1) ktilde + D kperp + r^2 D ktilde: the div-free residual over r."""
-    return (d + 1) * ktilde + dkperp_r + np.square(r) * dktilde_r
+def _div_factor(d: int, r2, ktilde, dkperp_r, dktilde_r):
+    """(d+1) ktilde + D kperp + r^2 D ktilde at squared radii r2: the div-free
+    residual over r."""
+    return (d + 1) * ktilde + dkperp_r + r2 * dktilde_r
 
 
 def div_free_residual(k: TriKernel, r):
     """(d-1)(kpar - kperp)/r + kpar' = r ((d+1) ktilde + D kperp + r^2 D ktilde);
     identically 0 for div-free kernels."""
     r = np.asarray(r, dtype=float)
-    return r * _div_factor(k.dim, r, *k.radial(r, True)[1:])
+    s = np.square(r)
+    return r * _div_factor(k.dim, s, *k.radial(s, True)[1:])
 
 
 def curl_free_residual(k: TriKernel, r):
     """(kpar - kperp)/r - kperp' = r (ktilde - D kperp); identically 0 for
     curl-free kernels."""
     r = np.asarray(r, dtype=float)
-    _, ktilde, dkperp_r, _ = k.radial(r, True)
+    _, ktilde, dkperp_r, _ = k.radial(np.square(r), True)
     return r * (ktilde - dkperp_r)

@@ -37,8 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import (ScalarProfile, TriKernel, _div_factor, ktilde, make_curl_free,
-                      make_div_free)
+from .kernels import ScalarProfile, TriKernel, _div_factor, make_curl_free, make_div_free
 from .specfun import (_gauss_legendre, bessel_k, hankel_integral, lower_gamma, radial_moment,
                       upper_gamma)
 
@@ -155,15 +154,21 @@ def _quadrature_pair(k: TriKernel, rho):
     rho = np.asarray(rho, dtype=float)
     if k.generator is None:
         def pair(r):
-            kperp, kt = k.radial(r)
-            return np.stack([kperp + np.square(r) * kt, kperp])
+            s = np.square(r)
+            kperp, kt = k.radial(s)
+            return np.stack([kperp + s * kt, kperp])
 
-        hp, hq = _transform(pair, lambda r: np.square(r) * ktilde(k, r), k.mu, rho, k.tail_scale)
+        def diff(r):
+            s = np.square(r)
+            return s * k.radial(s)[1]
+
+        hp, hq = _transform(pair, diff, k.mu, rho, k.tail_scale)
         return hp, hq, (hp, hq)
     profile, (ws, wc, wd) = k.generator
     mu = k.mu
-    f_hat = TWO_PI / rho ** mu * hankel_integral(lambda r: profile.fused(r, 0)[0], mu + 1.0, mu,
-                                                TWO_PI * rho, tail_hint=profile.tail_scale)
+    f_hat = TWO_PI / rho ** mu * hankel_integral(lambda r: profile.fused(np.square(r), 0)[0],
+                                                mu + 1.0, mu, TWO_PI * rho,
+                                                tail_hint=profile.tail_scale)
     q = np.square(TWO_PI * rho)
     # + 0.0 writes the -0.0 of a zero weight times a negative sample as +0.0
     return (ws + wc * q) * f_hat + 0.0, (ws + wd * q) * f_hat + 0.0, (f_hat,)
@@ -380,8 +385,8 @@ def mixed_gaussian_spectrum(c1: float, c2: float, dim: int) -> Spectrum:
 # Hodge decomposition
 # ---------------------------------------------------------------------------
 
-def _zero_radial(r, derivatives=False):
-    return tuple(np.zeros(np.shape(r)) for _ in range(4 if derivatives else 2))
+def _zero_radial(s, derivatives=False):
+    return tuple(np.zeros(np.shape(s)) for _ in range(4 if derivatives else 2))
 
 
 def _generated_parts(k: TriKernel) -> tuple[TriKernel, TriKernel]:
@@ -389,7 +394,7 @@ def _generated_parts(k: TriKernel) -> tuple[TriKernel, TriKernel]:
     profile, (_, wc, wd) = k.generator
     if wc != 0.0 and wd != 0.0:
         def scaled(w):
-            return ScalarProfile(lambda r, order=3: [w * v for v in profile.fused(r, order)],
+            return ScalarProfile(lambda s, order=3: [w * v for v in profile.fused(s, order)],
                                  profile.tail_scale)
 
         return make_curl_free(scaled(wc), k.dim), make_div_free(scaled(wd), k.dim)
@@ -441,8 +446,9 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
         so equal bounds give equal sums wherever they sit in the batch."""
         half = (b - a)[..., None] / 2.0
         s = a[..., None] + half * (1.0 + t)
-        _, kt, *dk = whole(s, True)
-        return (np.einsum("...k,k->...", half * s ** (d + 1) * _div_factor(d, s, kt, *dk), w),
+        s2 = np.square(s)
+        _, kt, *dk = whole(s2, True)
+        return (np.einsum("...k,k->...", half * s ** (d + 1) * _div_factor(d, s2, kt, *dk), w),
                 np.einsum("...k,k->...", half * s * kt, w))
 
     nodes = np.concatenate([[0.0], r_grid])
@@ -452,31 +458,31 @@ def hodge_split(k: TriKernel, r_grid=None) -> tuple[TriKernel, TriKernel]:
     # B is even, B0 + B2 r^2 + O(r^4), so G(0) = -B0/(d+2) and D ktilde(0) =
     # 2 B2/(d+4): from B at eps and at a tenth of the first node
     eps, rho = 1e-6 * r_grid[0], 0.1 * r_grid[0]
-    small = np.array([eps, rho])
+    small = np.square([eps, rho])
     b_eps, b_rho = _div_factor(d, small, *whole(small, True)[1:])
     g0 = -b_eps / (d + 2)
     dkt0 = 2.0 * (b_rho - b_eps) / ((d + 4) * (rho * rho - eps * eps))
     R = float(r_grid[-1])
 
-    def radial(r, derivatives=False):
-        kperp, kt, *dk = whole(r, derivatives)
+    def radial(s, derivatives=False):
+        r = np.sqrt(s)
+        kperp, kt, *dk = whole(s, derivatives)
         end = np.minimum(r, R)
         i = np.searchsorted(nodes, end, side="right") - 1
         panel_inner, panel_m = integrals(nodes[i], end)
         G = np.where(r < eps, g0, -(inner[i] + panel_inner) / np.maximum(r, eps) ** (d + 2))
         M = m[i] - panel_m
-        r2 = np.square(r)
-        q = ((d - 1) * M - kperp - r2 * (kt + G)) / d
+        q = ((d - 1) * M - kperp - s * (kt + G)) / d
         if not derivatives:
             return -q, -G
-        quotient = ((d + 2) * G + _div_factor(d, r, kt, *dk)) / np.maximum(r2, eps * eps)
+        quotient = ((d + 2) * G + _div_factor(d, s, kt, *dk)) / np.maximum(s, eps * eps)
         return -q, -G, -G, np.where(r < eps, dkt0, quotient)
 
     curl_free = TriKernel(dim=d, radial=radial, family_tag=f"curl_free_component({k.family_tag})",
                           tail_scale=R)
 
-    def complement(r, derivatives=False):
-        return tuple(a - b for a, b in zip(whole(r, derivatives), radial(r, derivatives)))
+    def complement(s, derivatives=False):
+        return tuple(a - b for a, b in zip(whole(s, derivatives), radial(s, derivatives)))
 
     div_free = TriKernel(dim=d, radial=complement, family_tag=f"div_free_component({k.family_tag})",
                          tail_scale=R)

@@ -74,8 +74,7 @@ def mixed_gaussian_kernel(c1, c2, d):
     (2 c2 e^{-c2 r^2} - 2 c1 e^{-c1 r^2} - 2 ktilde)/r^2 cancels near r = 0;
     no test takes this kernel's derivatives.
     """
-    def radial(r, derivatives=False):
-        r2 = np.square(r)
+    def radial(r2, derivatives=False):
         e1, e2 = np.exp(-c1 * r2), np.exp(-c2 * r2)
         rs2 = np.maximum(r2, 1e-24)
         kt = (np.sign(c1 - c2) * np.exp(-min(c1, c2) * r2)

@@ -1,5 +1,7 @@
 """Geodesic shooting, conservation diagnostics and grid transport."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,11 +118,12 @@ def rhs_reference(k, q, p):
     """The landmark-major right-hand side: states (B, N, d), displacements
     (B, N, N, d) and matmul contractions over the trailing coordinate axis,
     from the radial derivatives dkpar and dkperp with 1/r clamped at 1e-12.
-    Returns (dq, dp, r)."""
+    Returns (dq, dp, r2)."""
     x = q[..., :, None, :] - q[..., None, :, :]
     c = K.pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
-    dkpar, dkperp = derivative_pair(*c)
-    inv_r = 1.0 / np.maximum(c.r, 1e-12)
+    r = np.sqrt(c.r2)
+    dkpar, dkperp = derivative_pair(r, *c[1:])
+    inv_r = 1.0 / np.maximum(r, 1e-12)
     u = (x @ p[..., :, :, None])[..., 0]                  # x_ab . p_a
     w = -u.mT                                             # x_ab . p_b
     kw = c.ktilde * w
@@ -129,7 +132,7 @@ def rhs_reference(k, q, p):
     radial = (dkpar * uw + dkperp * (p @ p.mT - uw)) * inv_r - 2.0 * c.ktilde * uw
     grad = (radial[..., None, :] @ x)[..., 0, :] + kw.sum(axis=-1)[..., None] * p \
         + (c.ktilde * u) @ p
-    return dq, -grad, c.r
+    return dq, -grad, c.r2
 
 
 @pytest.mark.parametrize("batch", [1, 9])
@@ -139,14 +142,14 @@ def test_rhs_matches_the_landmark_major_formula(make, n, batch, rng):
     k = make()
     q = rng.uniform(-0.5, 0.5, (batch, n, 2))
     p = rng.normal(size=(batch, n, 2)) * 15.0
-    want_dq, want_dp, want_r = rhs_reference(k, q, p)
+    want_dq, want_dp, want_r2 = rhs_reference(k, q, p)
     q, p = (np.ascontiguousarray(a.transpose(2, 0, 1)) for a in (q, p))   # (d, B, N)
     dq, dp = np.empty_like(q), np.empty_like(p)
-    r = D._rhs(k, q, p, dq, dp)
+    r2 = D._rhs(k, q, p, dq, dp)
     scale = max(np.max(np.abs(want_dq)), np.max(np.abs(want_dp)))
     assert np.max(np.abs(dq.transpose(1, 2, 0) - want_dq)) <= 1e-13 * scale
     assert np.max(np.abs(dp.transpose(1, 2, 0) - want_dp)) <= 1e-13 * scale
-    assert np.array_equal(r, want_r)
+    assert np.array_equal(r2, want_r2)
 
 
 @pytest.mark.parametrize("batch", [1, 9])
@@ -164,10 +167,10 @@ def test_rhs_dp_is_minus_the_field_jacobian_contraction(make, n, batch, rng):
     D._rhs(k, qc, pc, dq, dp)
     assert np.max(np.abs(dp.transpose(1, 2, 0) - want)) <= 1e-13 * np.max(np.abs(dp))
 
-    # without dp, _rhs writes the same dq and r and evaluates no radial derivatives
+    # without dp, _rhs writes the same dq and r2 and evaluates no radial derivatives
     flags = []
-    spy = K.TriKernel(dim=2, radial=lambda r, derivatives=False:
-                      flags.append(derivatives) or k.radial(r, derivatives),
+    spy = K.TriKernel(dim=2, radial=lambda s, derivatives=False:
+                      flags.append(derivatives) or k.radial(s, derivatives),
                       tail_scale=k.tail_scale)
     flags.clear()
     dq_only = np.empty_like(qc)
@@ -176,15 +179,16 @@ def test_rhs_dp_is_minus_the_field_jacobian_contraction(make, n, batch, rng):
     assert flags == [False]
 
 
-def full_scan(r, t):
+def full_scan(r2, t):
     """Every member's closest pair, for members with more than N entries of
-    r below the threshold: _coalesced without its early exit."""
-    n = r.shape[-1]
+    the squared distances r2 below the squared threshold: _coalesced without
+    its early exit."""
+    n = r2.shape[-1]
     out = {}
-    for m in np.flatnonzero((r < D.COALESCENCE_TOL).sum(axis=(-2, -1)) > n):
-        flat = (r[m] + np.diag(np.full(n, np.inf))).ravel()
+    for m in np.flatnonzero((r2 < D.COALESCENCE_TOL ** 2).sum(axis=(-2, -1)) > n):
+        flat = (r2[m] + np.diag(np.full(n, np.inf))).ravel()
         idx = int(np.argmin(flat))
-        out[int(m)] = D.CoalescenceError((idx // n, idx % n), t, float(flat[idx]))
+        out[int(m)] = D.CoalescenceError((idx // n, idx % n), t, math.sqrt(flat[idx]))
     return out
 
 
@@ -197,15 +201,34 @@ def test_coalesced_early_exit_matches_full_scan(case, rng):
     elif case == "coincident":
         q[0, 1] = q[0, 3]
     q, p = np.ascontiguousarray(q.transpose(2, 0, 1)), rng.normal(size=q.shape).transpose(2, 0, 1)
-    r = D._rhs(k, q, p, np.empty_like(q), np.empty_like(q))
+    r2 = D._rhs(k, q, p, np.empty_like(q), np.empty_like(q))
     want = {"none": {}, "one-of-several": {3: (0, 2)}, "coincident": {0: (1, 3)}}[case]
 
     def summary(errors):
         return {m: (e.pair, e.time, e.distance, str(e)) for m, e in errors.items()}
 
-    got = D._coalesced(r, 0.25)
-    assert summary(got) == summary(full_scan(r, 0.25))
+    got = D._coalesced(r2, 0.25)
+    assert summary(got) == summary(full_scan(r2, 0.25))
     assert {m: e.pair for m, e in got.items()} == want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_coalescence_threshold_on_the_squared_distance(d, rng):
+    # _coalesced compares r2 with COALESCENCE_TOL^2 and reports sqrt(r2): a pair
+    # 0.999e-6 apart raises with its pair, time and distance, 1.001e-6 does not
+    k = K.gaussian_kernel(C16, d)
+    q = rng.uniform(-0.5, 0.5, (3, d))
+    p = rng.normal(size=(3, d))
+    unit = np.ones(d) / math.sqrt(d)
+    q[2] = q[0] + 0.999e-6 * unit
+    with pytest.raises(D.CoalescenceError) as err:
+        D.hamilton_rhs(k, D.PhaseState(q, p, 0.25))
+    x = q[2] - q[0]
+    assert err.value.pair == (0, 2) and err.value.time == 0.25
+    assert err.value.distance == math.sqrt(sum(xi * xi for xi in x))
+    assert f"{err.value.distance:.3e}" == "9.990e-07" and "distance 9.990e-07" in str(err.value)
+    q[2] = q[0] + 1.001e-6 * unit
+    D.hamilton_rhs(k, D.PhaseState(q, p, 0.25))
 
 
 # --- shoot -----------------------------------------------------------------------

@@ -185,9 +185,10 @@ def test_field_apply_matches_the_matrix_sum():
 def test_field_apply_is_the_same_on_both_sides_of_a_chunk_boundary(name, d):
     # M N just over 2 PAIR_BUDGET gives three chunks, the last one ragged; a
     # one-point tail joins the chunk before it, and past N = PAIR_BUDGET / 2
-    # a chunk is the two-point minimum.  Any split of the points into pieces
-    # of two or more gives the same bits; a lone point is summed in another
-    # order, so the "single" layout is checked against a batch of one
+    # a chunk is the two-point minimum.  A lone point is evaluated as the
+    # two-point chunk of itself twice, so any split of the points into
+    # pieces, one-point pieces among them, gives the same bits, and so does
+    # each point on its own, as a (d,) point or through snapshot_field
     k = FAMILIES[name](1.0, d, 0.5)
     rng = np.random.default_rng(2 * len(name) + d)
     step = F.PAIR_BUDGET // 6
@@ -198,18 +199,22 @@ def test_field_apply_is_the_same_on_both_sides_of_a_chunk_boundary(name, d):
         terms = K.eval_matrix(k, pts[:, None, :] - centers[None]) @ momenta[None, :, :, None]
         want = terms[..., 0].sum(axis=1)
         scale = np.abs(terms).sum(axis=1).max()
-        cuts = 2 * np.sort(rng.choice(np.arange(1, m // 2), size=min(3, m // 2 - 1), replace=False))
-        for layout in ("C", "F", "single"):
-            points = {"C": pts, "F": np.ascontiguousarray(pts.T).T, "single": pts[0]}[layout]
+        lone = int(rng.integers(1, m - 2))
+        cuts = np.unique(np.append(rng.choice(np.arange(1, m), size=3), [lone, lone + 1, m - 1]))
+        for layout in ("C", "F"):
+            points = {"C": pts, "F": np.ascontiguousarray(pts.T).T}[layout]
             got = F.field_apply(k, centers, momenta, points)
-            if layout == "single":
-                assert np.array_equal(got, F.field_apply(k, centers, momenta, pts[:1])[0])
-                assert np.max(np.abs(got - want[0])) <= 1e-13 * scale
-                continue
             pieces = [F.field_apply(k, centers, momenta, part) for part in np.split(points, cuts)]
             assert np.array_equal(got, np.concatenate(pieces))
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
             assert got.T.flags.c_contiguous and not got.flags.owndata
+        for j in (0, lone, m - 1):
+            single = F.field_apply(k, centers, momenta, pts[j])
+            assert single.shape == (d,) and np.array_equal(single, got[j])
+            assert np.max(np.abs(single - want[j])) <= 1e-13 * scale
+        if n == 6:      # a LandmarkConfig holds its N^2 distances while checking them
+            field = F.snapshot_field(k, F.LandmarkConfig(centers), F.MomentaSet(momenta))
+            assert all(np.array_equal(field(pts[j]), got[j]) for j in (0, lone, m - 1))
 
 
 @pytest.mark.parametrize("make", [
@@ -299,9 +304,9 @@ def test_field_zero_evaluates_the_kernel_once_per_step():
     k = K.family_example1(2.0, 1.0, 1.0, 2)
     radii = []
 
-    def radial(r, derivatives=False):
-        radii.append(float(np.ravel(r)[0]))
-        return k.radial(r, derivatives)
+    def radial(s, derivatives=False):
+        radii.append(float(np.ravel(s)[0]))
+        return k.radial(s, derivatives)
 
     counted = K.TriKernel(dim=2, radial=radial, tail_scale=k.tail_scale)
     radii.clear()
@@ -404,9 +409,9 @@ def no_zero_field_kernel():
     """kperp = ktilde = 1, so D kperp = D ktilde = 0: the field (1 + x1^2, x1 x2)
     of alpha = e1 has no zero and an invertible Jacobian off x1 = 0, where
     Newton's x1 wanders."""
-    def radial(r, derivatives=False):
-        one = np.ones_like(r)
-        return (one, one, 0.0 * r, 0.0 * r) if derivatives else (one, one)
+    def radial(s, derivatives=False):
+        one = np.ones_like(s)
+        return (one, one, 0.0 * s, 0.0 * s) if derivatives else (one, one)
 
     return K.TriKernel(dim=2, radial=radial, tail_scale=1.0)
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from trikernels import kernels as K
-from conftest import (annulus_point, bessel_derivatives, cauchy_derivatives, fd_jacobian,
-                      gaussian_derivatives, projector_oracle, random_rotation)
+from conftest import (FAMILIES, annulus_point, bessel_derivatives, cauchy_derivatives,
+                      fd_jacobian, gaussian_derivatives, projector_oracle, random_rotation)
 
 R_GRID = np.geomspace(0.05, 5.0, 64)
 
@@ -210,13 +210,13 @@ def test_cauchy_d3_matches_finite_differences(sigma):
     r = np.linspace(0.0, 6.0 * sigma, 241)
     h = 1e-3 * sigma
     fd = (-d2(r + 2 * h) + 8 * d2(r + h) - 8 * d2(r - h) + d2(r - 2 * h)) / (12 * h)
-    _, _, g, g1 = K.cauchy_profile(sigma).fused(r)
+    _, _, g, g1 = K.cauchy_profile(sigma).fused(np.square(r))
     d3 = r ** 3 * g1 + 3.0 * r * g
     assert np.max(np.abs(d3 - fd)) <= 1e-9 * np.max(np.abs(d3))
 
 
 def test_curl_free_zero_profile_gives_zero_kernel():
-    zero = K.ScalarProfile(lambda r, order=3: [np.zeros_like(np.asarray(r, float))] * (order + 1),
+    zero = K.ScalarProfile(lambda s, order=3: [np.zeros_like(np.asarray(s, float))] * (order + 1),
                            tail_scale=1.0)
     k = K.make_curl_free(zero, 2)
     assert np.all(k.k_par(R_GRID) == 0.0) and np.all(k.k_perp(R_GRID) == 0.0)
@@ -359,8 +359,8 @@ def test_gaussian_hodge_pair_matches_its_series(c, d):
     dt = np.array([series(v, 4, 4.0 * c * c) for v in y])
     e = np.array([math.fsum(v ** m / math.factorial(m) for m in range(40)) for v in y])
     k1, k2 = K.gaussian_hodge_pair(c, d)
-    for got, want in ((k1.radial(r, True), (h, t, t, dt)),
-                      (k2.radial(r, True), (e - h, -t, -2.0 * c * e - t, -dt))):
+    for got, want in ((k1.radial(np.square(r), True), (h, t, t, dt)),
+                      (k2.radial(np.square(r), True), (e - h, -t, -2.0 * c * e - t, -dt))):
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12)
 
@@ -428,7 +428,7 @@ def test_profile_g_matches_taylor_series_near_the_origin(prof, terms, sigma):
     # D^3 f is sum c p (p - 2) (p - 4) r^(p - 6), term by term; forming g from
     # f'' and f'/r would cancel ~(r/sigma)^2 of both
     r = np.geomspace(1e-7, 1e-2, 41) * sigma
-    _, _, g, g1 = prof.fused(r, 3)
+    _, _, g, g1 = prof.fused(np.square(r), 3)
     want = sum(c * p * (p - 2.0) * r ** (p - 4.0) for c, p in terms)
     assert np.max(np.abs(g / want - 1.0)) <= 1e-12
     want = sum(c * p * (p - 2.0) * (p - 4.0) * r ** (p - 6.0) for c, p in terms)
@@ -451,7 +451,7 @@ def test_profile_d3_matches_the_closed_form_derivatives(prof, oracle, width):
     # second takes the tuple's D^2 f, since two nested quotients of independently
     # rounded Bessel values cancel to 1e-11 at 0.1 sigma
     r = np.linspace(0.1, 4.0, 40) * width
-    _, _, d2f, d3f = prof.fused(r, 3)
+    _, _, d2f, d3f = prof.fused(np.square(r), 3)
     for got, want in ((d2f, (oracle.d2(r) - oracle.d1(r) / r) / r ** 2),
                       (d3f, (oracle.d3(r) - 3.0 * r * d2f) / r ** 3)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
@@ -467,9 +467,10 @@ def test_bessel_floor_values_stay_finite(nu):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         prof = K.bessel_profile(nu, sigma, 1.3)
-        assert all(np.all(np.isfinite(entry)) for entry in prof.fused(r, 3))
+        assert all(np.all(np.isfinite(entry)) for entry in prof.fused(np.square(r), 3))
         for make in (K.make_curl_free, K.make_div_free):
-            assert all(np.all(np.isfinite(c)) for c in make(prof, 2).radial(r, True))
+            assert all(np.all(np.isfinite(c))
+                       for c in make(prof, 2).radial(np.square(r), True))
 
 
 def test_bessel_tuple_takes_one_bessel_call_per_entry(monkeypatch):
@@ -481,7 +482,7 @@ def test_bessel_tuple_takes_one_bessel_call_per_entry(monkeypatch):
     calls = []
     for order in range(4):
         orders.clear()
-        prof.fused(np.geomspace(1e-9, 10.0, 7), order)
+        prof.fused(np.square(np.geomspace(1e-9, 10.0, 7)), order)
         calls.append(len(orders))
     assert calls == [1, 2, 3, 4]
 
@@ -520,9 +521,32 @@ def test_pair_coefficients_coordinate_major(rng, example1):
     view = np.moveaxis(x, -1, 0)
     strided = K.pair_coefficients(example1, view, derivatives=True)
     contiguous = K.pair_coefficients(example1, np.ascontiguousarray(view), derivatives=True)
-    assert strided.r.shape == (4, 5)
-    for name in ("r", "kperp", "ktilde", "dkperp_r", "dktilde_r"):
+    assert strided.r2.shape == (4, 5)
+    for name in ("r2", "kperp", "ktilde", "dkperp_r", "dktilde_r"):
         np.testing.assert_array_equal(getattr(strided, name), getattr(contiguous, name))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_radial_takes_the_squared_radius(name, d):
+    # pair_coefficients hands radial the sum of squares of the displacements as
+    # it is, with no square root; k_par and k_perp square their radii once, and
+    # since sqrt(r * r) = r in binary floating point a value from a radius is
+    # the value at s = r * r
+    k = FAMILIES[name](1.0, d, 0.5)
+    q = np.random.default_rng(7 * d + len(name)).normal(size=(d, 9))
+    x = q[:, :, None] - q[:, None, :]                     # (d, 9, 9), x_ab = -x_ba
+    s = sum(xi * xi for xi in x)
+    c = K.pair_coefficients(k, x, derivatives=True)
+    assert np.array_equal(c.r2, s)
+    assert np.array_equal(c.r2, c.r2.T) and np.all(np.diag(c.r2) == 0.0)
+    for got, want in zip(c[1:], k.radial(s, True)):
+        assert np.array_equal(got, want)
+    r = np.linspace(0.0, 2.0, 41) * k.tail_scale / 7.0
+    kperp, kt = k.radial(r * r)
+    assert np.array_equal(k.k_perp(r), kperp)
+    assert np.array_equal(k.k_par(r), kperp + r * r * kt)
+    assert np.array_equal(K.ktilde(k, r), kt)
 
 
 # --- input checks ---------------------------------------------------------------

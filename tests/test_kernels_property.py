@@ -153,7 +153,7 @@ def _coefficients(k, r):
     x = np.zeros(np.shape(r) + (k.dim,))
     x[..., 0] = r
     c = K.pair_coefficients(k, np.moveaxis(x, -1, 0), derivatives=True)
-    return (c.kperp + c.r * c.r * c.ktilde, c.kperp) + derivative_pair(*c)
+    return (c.kperp + c.r2 * c.ktilde, c.kperp) + derivative_pair(r, *c[1:])
 
 
 @settings(max_examples=80, deadline=None)
@@ -178,8 +178,9 @@ def test_pair_coefficients_match_paper_formulas(name, dim, a, b, c, seed):
         units = (K.scalar_kernel(profile, dim), K.make_curl_free(profile, dim),
                  K.make_div_free(profile, dim))
         labels = ("kperp", "ktilde", "dkperp_r", "dktilde_r")
-        columns = zip(*(unit.radial(r, True) for unit in units))
-        for label, g, unit_columns in zip(labels, k.radial(r, True), columns):
+        s = np.square(r)
+        columns = zip(*(unit.radial(s, True) for unit in units))
+        for label, g, unit_columns in zip(labels, k.radial(s, True), columns):
             w = sum(weight * column for weight, column in zip(weights, unit_columns))
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)),
                                        err_msg=f"{name} generator {label}")

@@ -98,9 +98,9 @@ def test_forward_map_one_radial_call_per_bessel_call(monkeypatch):
     k = K.gaussian_kernel(1.0, 2)
     radial_calls, jv_sizes = [], []
 
-    def radial(r, derivatives=False):
-        radial_calls.append(np.size(r))
-        return k.radial(r, derivatives)
+    def radial(s, derivatives=False):
+        radial_calls.append(np.size(s))
+        return k.radial(s, derivatives)
 
     counted = K.TriKernel(dim=k.dim, radial=radial, tail_scale=k.tail_scale)
     radial_calls.clear()
@@ -459,7 +459,7 @@ def test_hodge_parts_ktilde_below_the_first_grid_radius(c):
 
 def coefficients(k, r):
     """(kperp, ktilde, dkpar, dkperp) of k at radii r."""
-    kperp, kt, *_ = radial = k.radial(r, True)
+    kperp, kt, *_ = radial = k.radial(np.square(r), True)
     return (kperp, kt) + derivative_pair(r, *radial)
 
 
@@ -594,9 +594,9 @@ def test_hodge_split_tabulates_from_two_radial_calls():
     k = K.family_example1(1.0, 1.0, 1.0, 2)
     calls = []
 
-    def radial(r, derivatives=False):
-        calls.append((derivatives, np.size(r)))
-        return k.radial(r, derivatives)
+    def radial(s, derivatives=False):
+        calls.append((derivatives, np.size(s)))
+        return k.radial(s, derivatives)
 
     counted = K.TriKernel(dim=k.dim, radial=radial, tail_scale=k.tail_scale)
     calls.clear()
@@ -605,7 +605,7 @@ def test_hodge_split_tabulates_from_two_radial_calls():
     assert [n for deriv, n in calls if deriv] == [16 * 24, 2, 16, 16, 16, 16]
     assert all(n == 1 for deriv, n in calls if not deriv)
     calls.clear()
-    curl_free.radial(np.linspace(0.0, 8.0, 10), True)
+    curl_free.radial(np.square(np.linspace(0.0, 8.0, 10)), True)
     assert calls == [(True, 10), (True, 16 * 10)]
 
 
@@ -643,10 +643,10 @@ def test_hodge_split_of_a_generated_kernel_without_scalar_term_is_exact(make, ze
     with warnings.catch_warnings():
         warnings.simplefilter("error", S.HeavyTailWarning)
         parts = S.hodge_split(k)
-    r = np.concatenate([[0.0], np.linspace(0.05, 5.0, 200)])
-    for coefficient in parts[zero].radial(r, True):
+    s = np.square(np.concatenate([[0.0], np.linspace(0.05, 5.0, 200)]))
+    for coefficient in parts[zero].radial(s, True):
         assert np.all(coefficient == 0.0)
-    for got, want in zip(parts[1 - zero].radial(r, True), k.radial(r, True)):
+    for got, want in zip(parts[1 - zero].radial(s, True), k.radial(s, True)):
         assert np.array_equal(got, want)
 
 
@@ -657,18 +657,18 @@ def test_hodge_split_of_a_generated_curl_and_div_sum_matches_the_integrals():
     curl_free, div_free = K.make_curl_free(prof, 2), K.make_div_free(prof, 2)
     wc, wd = 0.5, 2.0
 
-    def radial(r, derivatives=False):
-        return tuple(wc * a + wd * b for a, b in zip(curl_free.radial(r, derivatives),
-                                                     div_free.radial(r, derivatives)))
+    def radial(s, derivatives=False):
+        return tuple(wc * a + wd * b for a, b in zip(curl_free.radial(s, derivatives),
+                                                     div_free.radial(s, derivatives)))
 
     k = K.TriKernel(dim=2, radial=radial, tail_scale=prof.tail_scale,
                     generator=(prof, (0.0, wc, wd)))
     exact = S.hodge_split(k)
     integrals = hodge_split_quietly(replace(k, generator=None))
-    r = np.linspace(0.05, 5.0, 200)
+    s = np.square(np.linspace(0.05, 5.0, 200))
     for part, want, w, unit in zip(exact, integrals, (wc, wd), (curl_free, div_free)):
-        for got, ref, built in zip(part.radial(r, True), want.radial(r, True),
-                                   unit.radial(r, True)):
+        for got, ref, built in zip(part.radial(s, True), want.radial(s, True),
+                                   unit.radial(s, True)):
             assert np.array_equal(got, w * built)
             assert np.max(np.abs(got - ref)) <= 1e-6 * abs(k.k0)
 
@@ -690,7 +690,8 @@ def test_hodge_split_parts_sum_to_the_kernel(make):
                         [2.0 * r_grid[-1], 10.0 * r_grid[-1]]])
     tol = 1e-15 * abs(k.k0)
     assert np.max(np.abs(k1.k_par(r) + k2.k_par(r) - k.k_par(r))) <= tol
-    for c1, c2, c in zip(k1.radial(r, True), k2.radial(r, True), k.radial(r, True)):
+    s = np.square(r)
+    for c1, c2, c in zip(k1.radial(s, True), k2.radial(s, True), k.radial(s, True)):
         assert np.max(np.abs(c1 + c2 - c)) <= tol
     # and each part meets its differential characterization to rounding,
     # which checks how the derivatives are assembled
