@@ -20,7 +20,6 @@ default filled in; it runs unchanged as a config.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -526,9 +525,7 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it as it is."""
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="trikernels",
         description="TRI matrix-kernel experiments: certification, fields, "
@@ -542,11 +539,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
 
     try:
         cfg = json.loads(Path(args.config).read_text())

@@ -130,8 +130,9 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
     .T view.  Every chunk holds at least two points, since numpy sums a
     one-point chunk in another order: a one-point last chunk joins the one
     before it, and a lone point (M = 1) is evaluated as the two-point chunk
-    of itself twice, keeping one column.  Every value is then bitwise the
-    same for any chunk size and wherever the point sits in a batch.
+    of itself twice, keeping a copy of one column.  Every value is then
+    bitwise the same for any chunk size and wherever the point sits in a
+    batch.
     Within a chunk the displacements are coordinate-major, shape (d, N, m)
     with the points innermost, so no array has a trailing axis of length
     d; points handed in as the .T view of a C-contiguous (d, M) array are
@@ -153,7 +154,7 @@ def field_apply(k: TriKernel, centers: np.ndarray, momenta: np.ndarray,
         dot = np.einsum("inm,ni->nm", x, momenta)
         parts.append(momenta.T @ c.kperp + np.einsum("nm,inm->im", c.ktilde * dot, x))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return out[:, 0] if single else out[:, :count].T
+    return out[:, 0] if single else np.ascontiguousarray(out[:, :count]).T
 
 
 def snapshot_field(k: TriKernel, cfg: LandmarkConfig, momenta: MomentaSet) -> Callable:

@@ -37,7 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import ScalarProfile, TriKernel, _div_factor, make_curl_free, make_div_free
+from .kernels import (ScalarProfile, TriKernel, _div_factor, ktilde, make_curl_free,
+                      make_div_free)
 from .specfun import (_gauss_legendre, bessel_k, hankel_integral, lower_gamma, radial_moment,
                       upper_gamma)
 
@@ -158,11 +159,7 @@ def _quadrature_pair(k: TriKernel, rho):
             kperp, kt = k.radial(s)
             return np.stack([kperp + s * kt, kperp])
 
-        def diff(r):
-            s = np.square(r)
-            return s * k.radial(s)[1]
-
-        hp, hq = _transform(pair, diff, k.mu, rho, k.tail_scale)
+        hp, hq = _transform(pair, lambda r: np.square(r) * ktilde(k, r), k.mu, rho, k.tail_scale)
         return hp, hq, (hp, hq)
     profile, (ws, wc, wd) = k.generator
     mu = k.mu

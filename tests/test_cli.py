@@ -361,35 +361,6 @@ def test_print_effective_config(tmp_path, capsys):
     assert dumped["output"]["format"] == "csv"
 
 
-def test_the_parser_built_once_reads_as_a_fresh_one(tmp_path, capsys, monkeypatch):
-    # main builds its parser once per process; a usage error, a run and --help
-    # in turn give the exit codes and text that a parser built for each gives
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"kernel": {"family": "gaussian", "c": 4.0, "dim": 2},
-                                "certify": {"n": 16}}))
-    calls = [["certify"], ["certify", "--config", str(path)], ["certify", "--help"]]
-
-    def outcomes():
-        seen = []
-        for argv in calls:
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            seen.append((code, captured.out, captured.err))
-        return seen
-
-    cli._parser.cache_clear()
-    once = outcomes()
-    assert cli._parser.cache_info().misses == 1
-    assert [code for code, *_ in once] == [2, 0, 0]
-    assert "required: --config" in once[0][2] and "PD: yes" in once[1][1]
-    assert "--print-effective-config" in once[2][1]
-    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
-    assert outcomes() == once
-
-
 # --- spectrum ---------------------------------------------------------------------
 
 def test_spectrum_dump(tmp_path, capsys):

@@ -211,6 +211,9 @@ def test_field_apply_is_the_same_on_both_sides_of_a_chunk_boundary(name, d):
         for j in (0, lone, m - 1):
             single = F.field_apply(k, centers, momenta, pts[j])
             assert single.shape == (d,) and np.array_equal(single, got[j])
+            one = F.field_apply(k, centers, momenta, pts[j:j + 1])
+            assert np.array_equal(one, got[j:j + 1])
+            assert one.T.flags.c_contiguous and not one.flags.owndata
             assert np.max(np.abs(single - want[j])) <= 1e-13 * scale
         if n == 6:      # a LandmarkConfig holds its N^2 distances while checking them
             field = F.snapshot_field(k, F.LandmarkConfig(centers), F.MomentaSet(momenta))
